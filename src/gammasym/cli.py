@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +44,6 @@ class RunConfig:
     params: list[Fraction] | None = None
     generator: str | None = None
     t_samples: list[str] = field(default_factory=lambda: list(_DEFAULT_SAMPLES))
-    threads: int = 1
 
 
 def _parse_partition(text: str) -> tuple[int, int, int, int]:
@@ -71,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammasym",
         description="Exact invariant metrics and curvature for block-graded so(n).",
-        epilog="GAMMA_SYM_THREADS caps worker threads (0 = auto); the exact "
-        "solvers run on a single worker, so any cap is honored.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
@@ -125,21 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_threads() -> int:
-    raw = os.environ.get("GAMMA_SYM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise CommandError(f"GAMMA_SYM_THREADS must be an integer, got {raw!r}")
-    if val < 0:
-        raise CommandError(f"GAMMA_SYM_THREADS must be >= 0, got {val}")
-    if val == 0:  # 0 means "choose automatically"
-        return 1
-    return val
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         command=args.command,
@@ -147,7 +129,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         partition=args.partition,
         fmt=args.fmt,
         out=args.out,
-        threads=_read_threads(),
     )
     if getattr(args, "params", None) is not None:
         cfg.params = args.params
@@ -281,10 +262,15 @@ def _run_geodesic(cfg: RunConfig) -> str:
     idx = _generator_index(g, cfg.generator)
     label = g.algebra.basis_label(idx)
     curve = geodesic_curve(g.algebra.basis_matrix(idx))
-    try:
-        samples = {tok: float(tok) for tok in cfg.t_samples}
-    except ValueError:
-        raise CommandError(f"cannot parse --t-samples {cfg.t_samples!r}")
+    samples = {}
+    for tok in cfg.t_samples:
+        try:
+            t = float(tok)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise CommandError(f"--t-samples needs finite numbers, got {tok!r}")
+        samples[tok] = t
     if cfg.fmt == "text":
         return serialize.geodesic_text(label, curve, samples)
     _no_csv(cfg)
@@ -317,7 +303,7 @@ def _run_report(cfg: RunConfig) -> str:
         "connection.json": serialize.dumps(
             {
                 "n": g.algebra.n,
-                "partition": list(g.partition) if g.partition else None,
+                "partition": serialize.partition_json(g),
                 "contraction_vanishes": asr.contraction_vanishes,
                 "totally_skew": asr.totally_skew,
             }

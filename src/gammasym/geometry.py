@@ -26,6 +26,7 @@ from scipy.linalg import expm as _scipy_expm
 
 from .grading import Grading
 from .linalg import Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, mat_mul
+from .metrics import is_adapted
 
 # spectral-norm threshold above which the numeric oracle applies its own
 # scaling-and-squaring on top of expm, to keep 1e-12 agreement honest
@@ -108,15 +109,15 @@ class CurvatureTable:
         return out
 
     def text_lines(self) -> list[str]:
-        lines = []
+        named = []
         for (i, j), v in sorted(self.entries.items()):
             if max(i, j) < 9:
                 name = f"R_{i + 1}{j + 1}{j + 1}{i + 1}"
             else:
                 name = f"R({i + 1},{j + 1},{j + 1},{i + 1})"
-            lines.append(f"{name} = {v}")
-        width = max(len(l.split(" = ")[0]) for l in lines)
-        return [f"{l.split(' = ')[0]:<{width}} = {l.split(' = ')[1]}" for l in lines]
+            named.append((name, v))
+        width = max((len(name) for name, _ in named), default=0)
+        return [f"{name:<{width}} = {v}" for name, v in named]
 
 
 def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) -> CurvatureTable:
@@ -138,22 +139,18 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
         raise ValueError("sectional table requires an orthonormal basis: b_m must be the identity")
     if b_e.dim != len(fixed):
         raise ValueError("b_e dimension does not match the fixed part")
-    alg = grading.algebra
-    local_m = {k: t for t, k in enumerate(carrier)}
-    local_e = {k: t for t, k in enumerate(fixed)}
+    mm, me, _ = grading.split
     q = Fraction(1, 4)
     entries: dict[tuple[int, int], Fraction] = {}
     for i in range(len(carrier)):
         for j in range(i + 1, len(carrier)):
             val = ZERO
-            for r, c in alg.bracket_basis(carrier[i], carrier[j]):
-                if r in local_m:
-                    val += q * c * c * b_m.entry(local_m[r], local_m[r])
-                else:
-                    t = local_e[r]
-                    val += c * c * b_e.entry(t, t)
+            for l, c in mm[i].get(j, ()):
+                val += q * c * c * b_m.entry(l, l)
+            for t, c in me[i].get(j, ()):
+                val += c * c * b_e.entry(t, t)
             entries[(i, j)] = val
-    labels = tuple(alg.basis_label(k) for k in carrier)
+    labels = tuple(grading.algebra.basis_label(k) for k in carrier)
     return CurvatureTable(tuple(carrier), labels, entries)
 
 
@@ -171,48 +168,23 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
     (i) the metric contraction sum_i B(T(E_i, X), E_i) vanishes for every
     X in m;  (ii) (X, Y, Z) -> B(T(X, Y), Z) is alternating.
     """
-    carrier = grading.complement_indices
-    if b_m.dim != len(carrier):
+    if b_m.dim != len(grading.complement_indices):
         raise ValueError("b_m dimension does not match the complement")
-    alg = grading.algebra
-    local = {k: t for t, k in enumerate(carrier)}
-    n = len(carrier)
+    mm, _, _ = grading.split
     half = Fraction(1, 2)
-
-    def t_map(i: int, j: int) -> list[tuple[int, Fraction]]:
-        return [
-            (local[r], half * c)
-            for r, c in alg.bracket_basis(carrier[i], carrier[j])
-            if r in local
-        ]
-
     contraction = True
-    for x in range(n):
+    for x, partners in enumerate(mm):
+        # T(E_i, X) = -1/2 [E_x, E_i]_m
         total = ZERO
-        for i in range(n):
-            for l, c in t_map(i, x):
-                total += c * b_m.entry(l, i)
+        for i, terms in partners.items():
+            for l, c in terms:
+                total -= half * c * b_m.entry(l, i)
         if total:
             contraction = False
             break
-
-    skew = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            txy = t_map(x, y)
-            for z in range(n):
-                # omega(X,Y,Z) already changes sign under X<->Y; the
-                # remaining condition is omega(X,Y,Z) = -omega(X,Z,Y)
-                v1 = sum((c * b_m.entry(l, z) for l, c in txy), ZERO)
-                v2 = sum((c * b_m.entry(l, y) for l, c in t_map(x, z)), ZERO)
-                if v1 + v2:
-                    skew = False
-                    break
-            if not skew:
-                break
-        if not skew:
-            break
-    return AmbroseSingerReport(contraction, skew)
+    # B(T(X, Y), Z) is alternating exactly when B satisfies the
+    # natural-reductivity identity (Tricerri-Vanhecke)
+    return AmbroseSingerReport(contraction, is_adapted(b_m, grading))
 
 
 # ---------------------------------------------------------------------------

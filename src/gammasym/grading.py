@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .groups import GroupElement, enumerate_group, identity
-from .liealg import LieAlgebra, build_so
+from .liealg import BracketTerms, LieAlgebra, build_so
 from .linalg import Vector, row_space_basis, zeros
 
 # sub-block names for the rank-2 block gradings, keyed by the pair of
@@ -28,6 +29,11 @@ _SUBBLOCK = {
     (0, 3): "C1",
     (1, 2): "C2",
 }
+
+# A restricted bracket as partner lists: entry x maps each y with a nonzero
+# bracket to its terms, all indices local (positions in complement_indices
+# or fixed_indices).
+Partners = list[dict[int, BracketTerms]]
 
 
 @dataclass(frozen=True)
@@ -78,17 +84,55 @@ class Grading:
     def components(self) -> list[ComponentView]:
         return [self.component(g) for g in enumerate_group(self.rank)]
 
-    @property
+    @cached_property
     def fixed_indices(self) -> tuple[int, ...]:
         return self.component(identity(self.rank)).indices
 
-    @property
+    @cached_property
     def complement_indices(self) -> tuple[int, ...]:
         """Basis indices of m, ordered component by component."""
-        out: list[int] = []
-        for g in enumerate_group(self.rank)[1:]:
-            out.extend(self.component(g).indices)
-        return tuple(out)
+        return tuple(k for comp in self.components()[1:] for k in comp.indices)
+
+    @cached_property
+    def carrier_slices(self) -> dict[str, range]:
+        """Positions in ``complement_indices`` of each non-identity component."""
+        out = {}
+        start = 0
+        for comp in self.components()[1:]:
+            out[comp.label] = range(start, start + comp.dim)
+            start += comp.dim
+        return out
+
+    @cached_property
+    def split(self) -> tuple[Partners, Partners, Partners]:
+        """The brackets restricted to m and to g_e, in local coordinates.
+
+        Returns (mm, me, em): ``mm[x][y]`` are the terms of [E_x, E_y]_m
+        and ``me[x][y]`` those of [E_x, E_y]_{g_e}, for complement
+        positions x, y; ``em[z][x]`` are the terms of [Z_z, E_x], for a
+        g_e position z.  Only nonzero brackets are listed.  Raises
+        ValueError when the grading does not verify.
+        """
+        bad = verify_grading(self)
+        if bad is not None:
+            raise ValueError(f"not a grading: bracket ({bad.p},{bad.q}) lands in {bad.found}")
+        local_m = {k: t for t, k in enumerate(self.complement_indices)}
+        local_e = {k: t for t, k in enumerate(self.fixed_indices)}
+        mm: Partners = [{} for _ in local_m]
+        me: Partners = [{} for _ in local_m]
+        em: Partners = [{} for _ in local_e]
+        for (p, q), terms in self.algebra.structure_constants().items():
+            for a, b, sign in ((p, q, 1), (q, p, -1)):
+                if b not in local_m:
+                    continue
+                if a in local_e:
+                    maps, x, local = em, local_e[a], local_m
+                elif terms[0][0] in local_m:  # one component holds every term
+                    maps, x, local = mm, local_m[a], local_m
+                else:
+                    maps, x, local = me, local_m[a], local_e
+                maps[x][local_m[b]] = tuple((local[k], sign * c) for k, c in terms)
+        return mm, me, em
 
     def subblock(self, k: int) -> str | None:
         """Name of the rectangular sub-block holding basis vector k, if any."""
@@ -199,32 +243,23 @@ class HolonomySpan:
 def holonomy_span(grading: Grading) -> HolonomySpan:
     """Exact span of all [X, Y] with X, Y in one non-identity component.
 
-    For a verified grading these brackets lie in g_e; the function returns
-    canonical bases for each component's contribution and for their sum.
+    These brackets lie in g_e; the function returns canonical bases for
+    each component's contribution and for their sum.
     """
-    alg = grading.algebra
     fixed = grading.fixed_indices
-    local = {k: t for t, k in enumerate(fixed)}
+    _, me, _ = grading.split
     per: dict[str, list[Vector]] = {}
     pooled: list[Vector] = []
-    for g in enumerate_group(grading.rank)[1:]:
-        comp = grading.component(g)
+    for label, carrier in grading.carrier_slices.items():
         vecs = []
-        for a in range(comp.dim):
-            for b in range(a + 1, comp.dim):
-                terms = alg.bracket_basis(comp.indices[a], comp.indices[b])
-                if not terms:
-                    continue
-                v = zeros(len(fixed))
-                for k, c in terms:
-                    if k not in local:
-                        raise ValueError(
-                            f"bracket of component {g.label} leaves g_e; "
-                            "grading does not verify"
-                        )
-                    v[local[k]] = c
-                vecs.append(v)
+        for a in carrier:
+            for b, terms in me[a].items():
+                if b > a:
+                    v = zeros(len(fixed))
+                    for t, c in terms:
+                        v[t] = c
+                    vecs.append(v)
         basis = row_space_basis(vecs)
-        per[g.label] = basis
+        per[label] = basis
         pooled.extend(basis)
     return HolonomySpan(fixed, per, row_space_basis(pooled))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
-from .grading import Grading, verify_grading
+from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
@@ -37,9 +37,6 @@ from .linalg import (
     solve_matrix,
     zeros,
 )
-
-_SUBBLOCK_ORDER = {"A1": 0, "A2": 1, "B1": 2, "B2": 3, "C1": 4, "C2": 5}
-
 
 @dataclass
 class FormFamily:
@@ -63,38 +60,9 @@ class FormFamily:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def block_slices(self) -> dict[str, tuple[int, int]]:
-        """Carrier index range of each non-identity component."""
-        out = {}
-        start = 0
-        for g in enumerate_group(self.grading.rank)[1:]:
-            d = self.grading.component(g).dim
-            out[g.label] = (start, start + d)
-            start += d
-        return out
-
     def diagonal_parameters(self) -> list[int]:
         """Positions of the basis forms with diagonal support."""
         return [k for k, s in enumerate(self.supports) if ":diag:" in s]
-
-
-def _component_ad_maps(grading: Grading, comp_indices: Sequence[int]):
-    """ad(Z) for each fixed-part basis Z, in component-local coordinates."""
-    alg = grading.algebra
-    local = {k: t for t, k in enumerate(comp_indices)}
-    maps = []
-    for z in grading.fixed_indices:
-        m: dict[int, list[tuple[int, Fraction]]] = {}
-        for t, k in enumerate(comp_indices):
-            terms = []
-            for r, c in alg.bracket_basis(z, k):
-                if r not in local:
-                    raise ValueError("grading does not verify: ad(g_e) leaves a component")
-                terms.append((local[r], c))
-            if terms:
-                m[t] = terms
-        maps.append(m)
-    return maps
 
 
 def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
@@ -114,9 +82,10 @@ def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
     label = grading.degree(carrier[first]).label
     sub = grading.subblock(carrier[first]) or label
     kind = "diag" if has_diag else "offdiag"
+    subblocks = list(_SUBBLOCK.values())
     return (
         order[label],
-        _SUBBLOCK_ORDER.get(sub, 0),
+        subblocks.index(sub) if sub in subblocks else 0,
         0 if has_diag else 1,
         f"{label}:{kind}:{sub}",
         sub,
@@ -131,66 +100,54 @@ def invariant_family(grading: Grading) -> FormFamily:
     solved as one sparse exact elimination.  The basis is canonical
     (RREF nullspace) and presented in component / sub-block order.
     """
-    bad = verify_grading(grading)
-    if bad is not None:
-        raise ValueError(f"not a grading: bracket ({bad.p},{bad.q}) lands in {bad.found}")
-    comps = [grading.component(g) for g in enumerate_group(grading.rank)[1:]]
+    _, _, em = grading.split
     carrier = grading.complement_indices
+    slices = list(grading.carrier_slices.values())
     m_dim = len(carrier)
 
     # global unknown numbering: (component, local pair x <= y)
     offsets = []
     total = 0
-    for comp in comps:
+    for sl in slices:
         offsets.append(total)
-        total += comp.dim * (comp.dim + 1) // 2
+        total += len(sl) * (len(sl) + 1) // 2
 
-    def unknown(off: int, d: int, x: int, y: int) -> int:
+    def unknown(off: int, sl: range, x: int, y: int) -> int:
+        x, y = x - sl.start, y - sl.start
         if x > y:
             x, y = y, x
-        return off + x * d - x * (x - 1) // 2 + (y - x)
+        return off + x * len(sl) - x * (x - 1) // 2 + (y - x)
 
     reducer = RowReducer(total)
-    for comp, off in zip(comps, offsets):
-        d = comp.dim
-        for admap in _component_ad_maps(grading, comp.indices):
-            for x in range(d):
-                ax = admap.get(x, ())
-                for y in range(x, d):
-                    ay = admap.get(y, ())
-                    if not ax and not ay:
-                        continue
+    for sl, off in zip(slices, offsets):
+        for action in em:
+            for x in sl:
+                ax = action.get(x)
+                if not ax:
+                    continue
+                for y in sl:
+                    ay = action.get(y, ())
+                    if ay and y < x:
+                        continue  # this pair was met as (y, x)
                     row: dict[int, Fraction] = {}
                     for r, c in ax:
-                        col = unknown(off, d, r, y)
+                        col = unknown(off, sl, r, y)
                         row[col] = row.get(col, ZERO) + c
                     for r, c in ay:
-                        col = unknown(off, d, x, r)
+                        col = unknown(off, sl, x, r)
                         row[col] = row.get(col, ZERO) + c
-                    if row:
-                        reducer.insert(row)
+                    reducer.insert(row)
     solutions = reducer.nullspace_basis()
-
-    comp_start = {}
-    start = 0
-    for comp in comps:
-        comp_start[comp.label] = start
-        start += comp.dim
 
     forms = []
     for sol in solutions:
         rows = [[ZERO] * m_dim for _ in range(m_dim)]
-        for comp, off in zip(comps, offsets):
-            d = comp.dim
-            base = comp_start[comp.label]
-            u = off
-            for x in range(d):
-                for y in range(x, d):
-                    v = sol[u]
-                    u += 1
+        for sl, off in zip(slices, offsets):
+            for x in sl:
+                for y in range(x, sl.stop):
+                    v = sol[unknown(off, sl, x, y)]
                     if v:
-                        rows[base + x][base + y] = v
-                        rows[base + y][base + x] = v
+                        rows[x][y] = rows[y][x] = v
         forms.append(SymmetricForm.from_rows(rows))
 
     keyed = []
@@ -232,31 +189,30 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return SymmetricForm.from_rows(rows)
 
 
-def _complement_brackets(family: FormFamily):
-    """[E_x, E_y]_m in carrier-local sparse form, for x < y."""
-    grading = family.grading
-    alg = grading.algebra
-    carrier = family.carrier
-    local = {k: t for t, k in enumerate(carrier)}
-    pairs: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for x in range(len(carrier)):
-        for y in range(x + 1, len(carrier)):
-            terms = tuple(
-                (local[r], c)
-                for r, c in alg.bracket_basis(carrier[x], carrier[y])
-                if r in local
-            )
-            if terms:
-                pairs[(x, y)] = terms
-    return pairs
+def _reductivity_residuals(grading: Grading) -> Iterator[list[tuple[Fraction, int, int]]]:
+    """B([X,Y]_m, Z) + B([X,Z]_m, Y) for each basis triple of m with a nonzero bracket.
+
+    A residual is a list of terms (c, i, j) standing for the sum of
+    c * B(E_i, E_j) over complement positions.  It is symmetric in Y and Z,
+    so each unordered pair {Y, Z} is met once.
+    """
+    mm, _, _ = grading.split
+    for x, partners in enumerate(mm):
+        for y, bxy in partners.items():
+            for z in range(len(mm)):
+                bxz = partners.get(z, ())
+                if bxz and z < y:
+                    continue  # this triple was met as (x, z, y)
+                yield [(c, l, z) for l, c in bxy] + [(c, l, y) for l, c in bxz]
 
 
-def _pair_m(pairs, x: int, y: int):
-    if x == y:
-        return ()
-    if x < y:
-        return pairs.get((x, y), ())
-    return tuple((l, -c) for l, c in pairs.get((y, x), ()))
+def _residual_at(residual: list[tuple[Fraction, int, int]], form: SymmetricForm) -> Fraction:
+    total = ZERO
+    for c, i, j in residual:
+        e = form.entries[i][j]
+        if e:
+            total += c * e
+    return total
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
@@ -266,45 +222,18 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     linear in the family parameters.  The result carries ``parent_coords``:
     each refined basis form as a coefficient vector over the parent basis.
     """
-    pairs = _complement_brackets(family)
     nf = family.dimension
-    m_dim = len(family.carrier)
-    # sparse rows of each basis form, for cheap lookups
-    sparse_forms = [
-        [
-            {j: f.entry(i, j) for j in range(m_dim) if f.entry(i, j)}
-            for i in range(m_dim)
-        ]
-        for f in family.basis
-    ]
     reducer = RowReducer(nf)
-    for x in range(m_dim):
-        for y in range(m_dim):
-            bxy = _pair_m(pairs, x, y)
-            for z in range(y, m_dim):
-                bxz = _pair_m(pairs, x, z)
-                if not bxy and not bxz:
-                    continue
-                row: dict[int, Fraction] = {}
-                for k in range(nf):
-                    fk = sparse_forms[k]
-                    val = ZERO
-                    for l, c in bxy:
-                        e = fk[l].get(z)
-                        if e:
-                            val += c * e
-                    for l, c in bxz:
-                        e = fk[l].get(y)
-                        if e:
-                            val += c * e
-                    if val:
-                        row[k] = val
-                if row:
-                    reducer.insert(row)
-            if reducer.rank == nf:
-                break
+    for residual in _reductivity_residuals(family.grading):
         if reducer.rank == nf:
             break
+        row = {}
+        for k, f in enumerate(family.basis):
+            val = _residual_at(residual, f)
+            if val:
+                row[k] = val
+        if row:
+            reducer.insert(row)
     coords = reducer.nullspace_basis()
     basis = [evaluate_family(family, c) for c in coords]
     names = [f"s{k + 1}" for k in range(len(basis))]
@@ -325,29 +254,9 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
 
 def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     """Whether the form satisfies the natural-reductivity identity on m."""
-    carrier = grading.complement_indices
-    if form.dim != len(carrier):
+    if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
-    fam = FormFamily(grading, carrier, ["B"], ["?"], [form])
-    pairs = _complement_brackets(fam)
-    m_dim = len(carrier)
-    for x in range(m_dim):
-        for y in range(m_dim):
-            bxy = _pair_m(pairs, x, y)
-            for z in range(y, m_dim):
-                bxz = _pair_m(pairs, x, z)
-                total = ZERO
-                for l, c in bxy:
-                    e = form.entry(l, z)
-                    if e:
-                        total += c * e
-                for l, c in bxz:
-                    e = form.entry(l, y)
-                    if e:
-                        total += c * e
-                if total:
-                    return False
-    return True
+    return not any(_residual_at(r, form) for r in _reductivity_residuals(grading))
 
 
 @dataclass
@@ -425,24 +334,26 @@ def killing_metric_operator(
     comp = grading.component(gamma)
     if comp.dim == 0:
         raise ValueError(f"component {gamma.label} is zero")
-    carrier = grading.complement_indices
-    pos = [carrier.index(k) for k in comp.indices]
-    b_rows = form.restrict(pos).rows()
+    carrier = grading.carrier_slices[gamma.label]
+    b_rows = form.restrict(carrier).rows()
     k_rows = grading.algebra.killing_form().restrict(comp.indices).rows()
     if congruence_signature(b_rows)[2] != 0:
         raise ValueError(f"form is degenerate on component {gamma.label}")
     beta = solve_matrix(b_rows, k_rows)
 
+    _, _, em = grading.split
     d = comp.dim
     commutes = True
-    for admap in _component_ad_maps(grading, comp.indices):
-        # ad as a dense local matrix, column per basis vector
-        a = [[ZERO] * d for _ in range(d)]
-        for src, terms in admap.items():
-            for dst, c in terms:
-                a[dst][src] = c
-        left = [[sum((a[i][k] * beta[k][j] for k in range(d)), ZERO) for j in range(d)] for i in range(d)]
-        right = [[sum((beta[i][k] * a[k][j] for k in range(d)), ZERO) for j in range(d)] for i in range(d)]
+    for action in em:
+        # ad(Z) beta and beta ad(Z), from the nonzero entries of ad(Z)
+        left = [[ZERO] * d for _ in range(d)]
+        right = [[ZERO] * d for _ in range(d)]
+        for x in carrier:
+            for r, c in action.get(x, ()):
+                src, dst = x - carrier.start, r - carrier.start
+                for j in range(d):
+                    left[dst][j] += c * beta[src][j]
+                    right[j][src] += beta[j][dst] * c
         if left != right:
             commutes = False
             break

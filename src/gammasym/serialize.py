@@ -45,6 +45,10 @@ def matrix_json(rows: Sequence[Sequence]) -> dict:
     }
 
 
+def partition_json(grading: Grading) -> list[int] | None:
+    return list(grading.partition) if grading.partition else None
+
+
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -66,7 +70,7 @@ def grading_doc(grading: Grading, verified: bool) -> dict:
         )
     return {
         "n": grading.algebra.n,
-        "partition": list(grading.partition) if grading.partition else None,
+        "partition": partition_json(grading),
         "components": comps,
         "verified": verified,
     }
@@ -85,7 +89,7 @@ def family_doc(family: FormFamily, nat_reductive_dim: int) -> dict:
     g = family.grading
     return {
         "n": g.algebra.n,
-        "partition": list(g.partition) if g.partition else None,
+        "partition": partition_json(g),
         "family_dim": family.dimension,
         "parameters": [
             {"name": n, "support": s} for n, s in zip(family.names, family.supports)
@@ -107,7 +111,7 @@ def reductive_doc(refined: FormFamily) -> dict:
     assert refined.parent is not None and refined.parent_coords is not None
     return {
         "n": g.algebra.n,
-        "partition": list(g.partition) if g.partition else None,
+        "partition": partition_json(g),
         "parent_parameters": list(refined.parent.names),
         "dim": refined.dimension,
         "directions": [vector_json(c) for c in refined.parent_coords],
@@ -128,7 +132,7 @@ def reductive_text(refined: FormFamily) -> str:
 def curvature_doc(grading: Grading, table: CurvatureTable) -> dict:
     return {
         "n": grading.algebra.n,
-        "partition": list(grading.partition) if grading.partition else None,
+        "partition": partition_json(grading),
         "basis": list(table.labels),
         "entries": [
             {"i": i, "j": j, "value": [num, den]}
@@ -146,13 +150,13 @@ def curvature_csv(table: CurvatureTable) -> str:
 
 
 def curvature_text(table: CurvatureTable) -> str:
-    return "\n".join(table.text_lines()) + "\n"
+    return "".join(line + "\n" for line in table.text_lines())
 
 
 def lorentz_doc(grading: Grading, report: SignatureReport | None) -> dict:
     base = {
         "n": grading.algebra.n,
-        "partition": list(grading.partition) if grading.partition else None,
+        "partition": partition_json(grading),
     }
     if report is None:
         base.update({"found": False, "message": "none found"})
@@ -182,7 +186,7 @@ def geodesic_doc(grading: Grading, label: str, curve: GeodesicCurve, samples: di
         values[key] = [[float(x) for x in row] for row in curve.at(t)]
     return {
         "n": grading.algebra.n,
-        "partition": list(grading.partition) if grading.partition else None,
+        "partition": partition_json(grading),
         "generator": label,
         "closed": True,
         "period": curve.period(),

@@ -1,0 +1,143 @@
+"""Second routes for the restricted-bracket split cached on a grading.
+
+The split is checked against a brute-force construction from
+``bracket_basis`` and degree membership, and the natural-reductivity
+verdicts built on it are checked against an oracle that uses only the
+canonical torsion and ``SymmetricForm.apply``.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from gammasym.geometry import ambrose_singer_check, canonical_torsion
+from gammasym.grading import Grading, block_grading
+from gammasym.groups import enumerate_group
+from gammasym.linalg import SymmetricForm
+from gammasym.metrics import (
+    evaluate_family,
+    invariant_family,
+    is_adapted,
+    naturally_reductive_subfamily,
+)
+
+F = Fraction
+
+
+def compositions(n):
+    return [p for p in product(range(n + 1), repeat=4) if sum(p) == n]
+
+
+def brute_split(g):
+    alg = g.algebra
+    fixed = [k for k in range(alg.dim) if g.degree(k).is_identity()]
+    carrier = sorted(
+        (k for k in range(alg.dim) if not g.degree(k).is_identity()),
+        key=lambda k: (g.degree(k).bits, k),
+    )
+    pos_m = {k: t for t, k in enumerate(carrier)}
+    pos_e = {k: t for t, k in enumerate(fixed)}
+    mm = [{} for _ in carrier]
+    me = [{} for _ in carrier]
+    em = [{} for _ in fixed]
+    for x, p in enumerate(carrier):
+        for y, q in enumerate(carrier):
+            terms = alg.bracket_basis(p, q)
+            in_m = tuple((pos_m[k], c) for k, c in terms if k in pos_m)
+            in_e = tuple((pos_e[k], c) for k, c in terms if k in pos_e)
+            if in_m:
+                mm[x][y] = in_m
+            if in_e:
+                me[x][y] = in_e
+    for z, p in enumerate(fixed):
+        for x, q in enumerate(carrier):
+            terms = alg.bracket_basis(p, q)
+            if terms:
+                em[z][x] = tuple((pos_m[k], c) for k, c in terms)
+    return tuple(fixed), tuple(carrier), (mm, me, em)
+
+
+def test_split_matches_brute_force():
+    count = 0
+    for n in range(3, 8):
+        for part in compositions(n):
+            g = block_grading(n, part)
+            fixed, carrier, split = brute_split(g)
+            assert g.fixed_indices == fixed
+            assert g.complement_indices == carrier
+            assert g.split == split
+            slices = {label: tuple(carrier[t] for t in sl) for label, sl in g.carrier_slices.items()}
+            assert slices == {
+                gamma.label: tuple(k for k in carrier if g.degree(k) == gamma)
+                for gamma in enumerate_group(2)[1:]
+            }
+            count += 1
+    assert count == 315
+
+
+def test_split_needs_a_verified_grading():
+    g = block_grading(5, (2, 2, 1, 0))
+    # E12 moved from g_e into g_a: [E12, E13] no longer lands in g_e
+    mangled = Grading(g.algebra, 2, (g.assignment[1],) + g.assignment[1:])
+    with pytest.raises(ValueError, match="not a grading"):
+        mangled.split
+    with pytest.raises(ValueError, match="not a grading"):
+        invariant_family(mangled)
+
+
+def torsions(g):
+    """T(E_x, E_y) in complement coordinates, from the canonical torsion."""
+    alg = g.algebra
+    carrier = g.complement_indices
+    basis = [alg.basis_vector(k) for k in carrier]
+    t = [[[F(0)] * len(carrier) for _ in carrier] for _ in carrier]
+    for x in range(len(carrier)):
+        for y in range(x + 1, len(carrier)):
+            v = canonical_torsion(g, basis[x], basis[y])
+            t[x][y] = [v[k] for k in carrier]
+            t[y][x] = [-c for c in t[x][y]]
+    return t
+
+
+def torsion_oracle(torsion, form):
+    """Whether (X, Y, Z) -> B(T(X, Y), Z) is alternating on the basis of m."""
+    m = form.dim
+    unit = [[int(s == t) for s in range(m)] for t in range(m)]
+
+    def omega(x, y, z):
+        return form.apply(torsion[x][y], unit[z])
+
+    # T makes omega antisymmetric in (X, Y); what remains is antisymmetry in
+    # (Y, Z).  The sum below is symmetric in y and z, so z >= y covers it.
+    return all(
+        omega(x, y, z) + omega(x, z, y) == 0
+        for x in range(m)
+        for y in range(m)
+        for z in range(y, m)
+    )
+
+
+def test_adapted_verdicts_match_torsion_oracle():
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(3, 7):
+        for part in compositions(n):
+            g = block_grading(n, part)
+            m = len(g.complement_indices)
+            if m == 0:
+                continue
+            fam = invariant_family(g)
+            torsion = torsions(g)
+            forms = [SymmetricForm.identity(m)]
+            forms += naturally_reductive_subfamily(fam).basis
+            for _ in range(2):
+                values = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(fam.dimension)]
+                forms.append(evaluate_family(fam, values))
+            for form in forms:
+                want = torsion_oracle(torsion, form)
+                assert is_adapted(form, g) == want, (n, part)
+                assert ambrose_singer_check(g, form).totally_skew == want, (n, part)
+                verdicts.add(want)
+    assert verdicts == {True, False}
