@@ -336,11 +336,7 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> str:
     """Execute one configured command and return its payload text."""
-    try:
-        return _RUNNERS[cfg.command](cfg)
-    except ValueError as exc:
-        # library-level validation surfaced to the user
-        raise CommandError(str(exc))
+    return _RUNNERS[cfg.command](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-from scipy.linalg import expm as _scipy_expm
+from typing import TYPE_CHECKING, Sequence
 
 from .grading import Grading
 from .linalg import Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, mat_mul
 from .metrics import is_adapted
+
+if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
+    import numpy as np
 
 # spectral-norm threshold above which the numeric oracle applies its own
 # scaling-and-squaring on top of expm, to keep 1e-12 agreement honest
@@ -222,11 +222,18 @@ class GeodesicCurve:
     def size(self) -> int:
         return len(self.generator)
 
+    def values(self, t: float) -> list[list[float]]:
+        """exp(tE) as rows of plain floats, with no numpy import."""
+        s, c = math.sin(t), math.cos(t)
+        return [
+            [float(a) + s * float(b) + c * float(d) for a, b, d in zip(*rows)]
+            for rows in zip(self.constant_part, self.sin_part, self.cos_part)
+        ]
+
     def at(self, t: float) -> np.ndarray:
-        c0 = np.array(self.constant_part, dtype=float)
-        cs = np.array(self.sin_part, dtype=float)
-        cc = np.array(self.cos_part, dtype=float)
-        return c0 + math.sin(t) * cs + math.cos(t) * cc
+        import numpy as np
+
+        return np.array(self.values(t))
 
     def period(self) -> float:
         return 2.0 * math.pi
@@ -262,6 +269,9 @@ def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     squared back, keeping the error well under the 1e-12 budget used in
     the cross-checks.
     """
+    import numpy as np
+    from scipy.linalg import expm
+
     a = np.array([[float(v) for v in row] for row in x], dtype=float) * float(t)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -270,7 +280,7 @@ def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     if nrm > _NORM_LIMIT:
         squarings = int(math.ceil(math.log2(nrm / _NORM_LIMIT)))
         a = a / (2.0**squarings)
-    r = _scipy_expm(a)
+    r = expm(a)
     for _ in range(squarings):
         r = r @ r
     return r

@@ -181,16 +181,13 @@ def lorentz_text(report: SignatureReport | None) -> str:
 
 
 def geodesic_doc(grading: Grading, label: str, curve: GeodesicCurve, samples: dict[str, float]) -> dict:
-    values = {}
-    for key, t in samples.items():
-        values[key] = [[float(x) for x in row] for row in curve.at(t)]
     return {
         "n": grading.algebra.n,
         "partition": partition_json(grading),
         "generator": label,
         "closed": True,
         "period": curve.period(),
-        "samples": values,
+        "samples": {key: curve.values(t) for key, t in samples.items()},
     }
 
 
@@ -198,7 +195,6 @@ def geodesic_text(label: str, curve: GeodesicCurve, samples: dict[str, float]) -
     lines = [f"generator {label}: closed curve, period 2*pi"]
     for key, t in samples.items():
         lines.append(f"t = {key}:")
-        m = curve.at(t)
-        for row in m:
+        for row in curve.values(t):
             lines.append("  " + "  ".join(f"{x: .12f}" for x in row))
     return "\n".join(lines) + "\n"

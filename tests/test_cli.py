@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from gammasym.cli import main
 
@@ -67,6 +68,16 @@ def test_metrics_params_evaluation(capsys):
 def test_metrics_params_wrong_count(capsys):
     err = run_err(capsys, ["metrics", *SO5, "--params", "1,2"])
     assert "expects 4" in err
+
+
+def test_internal_value_error_is_not_a_user_error(monkeypatch):
+    # exit 2 is for bad input; a fault inside the library must surface
+    def broken(grading):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("gammasym.cli.invariant_family", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["metrics", *SO5])
 
 
 def test_reductive_json(capsys):

@@ -172,6 +172,21 @@ def test_geodesic_curve_exact_parts():
     assert curve.size == 5
 
 
+def test_geodesic_values_match_numpy_formula_bitwise():
+    # values() is what the CLI prints; it must give the very floats of the
+    # ndarray formula it replaced, down to the sign of zero
+    for n, partition in ((5, (2, 2, 1, 0)), (7, (2, 2, 2, 1))):
+        grading = block_grading(n, partition)
+        for k in grading.complement_indices:
+            curve = geodesic_curve(grading.algebra.basis_matrix(k))
+            c0 = np.array(curve.constant_part, dtype=float)
+            cs = np.array(curve.sin_part, dtype=float)
+            cc = np.array(curve.cos_part, dtype=float)
+            for t in (0.0, -0.0, 0.1, 1.0, math.pi, 5.0, -2.7, 1e6):
+                expected = (c0 + math.sin(t) * cs + math.cos(t) * cc).tolist()
+                assert repr(curve.values(t)) == repr(expected), (n, k, t)
+
+
 def test_geodesic_generator_validation():
     with pytest.raises(ValueError):
         geodesic_curve([[0, 1], [0, 0]])          # not skew
