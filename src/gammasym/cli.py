@@ -182,6 +182,13 @@ def _generator_index(grading: Grading, label: str | None) -> int:
     return idx
 
 
+def _write(path: Path, payload: bytes) -> None:
+    try:
+        path.write_bytes(payload)
+    except OSError as exc:
+        raise CommandError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
 # -- command bodies ---------------------------------------------------------
 
 
@@ -280,9 +287,12 @@ def _run_geodesic(cfg: RunConfig) -> str:
 def _run_report(cfg: RunConfig) -> str:
     if cfg.out is None:
         raise CommandError("report requires --out DIRECTORY")
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     g = _grading(cfg)
+    outdir = Path(cfg.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CommandError(f"cannot create --out directory {cfg.out!r}: {exc.strerror or exc}")
     ok = verify_grading(g) is None
     family = invariant_family(g)
     refined = naturally_reductive_subfamily(family)
@@ -313,13 +323,13 @@ def _run_report(cfg: RunConfig) -> str:
     manifest = {"command": "report", "n": cfg.n, "partition": list(cfg.partition), "files": {}}
     for name in sorted(docs):
         payload = docs[name].encode("utf-8")
-        (outdir / name).write_bytes(payload)
+        _write(outdir / name, payload)
         manifest["files"][name] = {
             "sha256": hashlib.sha256(payload).hexdigest(),
             "bytes": len(payload),
         }
     manifest_text = serialize.dumps(manifest)
-    (outdir / "manifest.json").write_bytes(manifest_text.encode("utf-8"))
+    _write(outdir / "manifest.json", manifest_text.encode("utf-8"))
     return f"wrote {len(docs) + 1} files to {outdir}\n"
 
 
@@ -345,13 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         payload = run(cfg)
+        if cfg.out is not None and cfg.command != "report":
+            _write(Path(cfg.out), payload.encode("utf-8"))
+        else:
+            sys.stdout.write(payload)
     except CommandError as exc:
         print(f"gammasym: {exc}", file=sys.stderr)
         return 2
-    if cfg.out is not None and cfg.command != "report":
-        Path(cfg.out).write_bytes(payload.encode("utf-8"))
-    else:
-        sys.stdout.write(payload)
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -78,7 +79,6 @@ class RowReducer:
         self.pivots: dict[int, SparseRow] = {}
         # column -> pivot columns whose rows touch it, for cheap back-substitution
         self._colmap: dict[int, set[int]] = {}
-        self._seen: set[tuple] = set()
 
     @property
     def rank(self) -> int:
@@ -98,10 +98,6 @@ class RowReducer:
         """Reduce ``row`` against the current pivots; returns the new pivot
         column, or None if the row was dependent."""
         row = {c: v for c, v in row.items() if v}
-        key = tuple(sorted(row.items()))
-        if key in self._seen:
-            return None
-        self._seen.add(key)
         # strip pivot columns off the front
         while row:
             c = min(row)
@@ -219,10 +215,13 @@ class SymmetricForm:
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        # nearly free when mirrored entries are the same object; the scan
+        # only runs to name the first asymmetric entry
+        if tuple(zip(*self.entries)) != self.entries:
+            for i in range(n):
+                for j in range(i):
+                    if self.entries[i][j] != self.entries[j][i]:
+                        raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymmetricForm":
@@ -248,6 +247,16 @@ class SymmetricForm:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
+
+    @cached_property
+    def nonzero_entries(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """(i, j, value) for every nonzero entry with i <= j, row by row."""
+        return tuple(
+            (i, j, v)
+            for i, row in enumerate(self.entries)
+            for j, v in enumerate(row[i:], i)
+            if v
+        )
 
     def rows(self) -> Matrix:
         return [list(r) for r in self.entries]

@@ -68,17 +68,11 @@ class FormFamily:
 def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
     """(component position, sub-block ordinal, diag flag, support string)."""
     order = {g.label: p for p, g in enumerate(enumerate_group(grading.rank))}
-    first = None
-    has_diag = False
-    for i in range(form.dim):
-        for j in range(i, form.dim):
-            if form.entry(i, j):
-                if first is None:
-                    first = i
-                if i == j:
-                    has_diag = True
-    if first is None:
+    entries = form.nonzero_entries
+    if not entries:
         raise ValueError("zero form in family basis")
+    first = entries[0][0]
+    has_diag = any(i == j for i, j, _ in entries)
     label = grading.degree(carrier[first]).label
     sub = grading.subblock(carrier[first]) or label
     kind = "diag" if has_diag else "offdiag"
@@ -148,7 +142,7 @@ def invariant_family(grading: Grading) -> FormFamily:
                     v = sol[unknown(off, sl, x, y)]
                     if v:
                         rows[x][y] = rows[y][x] = v
-        forms.append(SymmetricForm.from_rows(rows))
+        forms.append(SymmetricForm(tuple(map(tuple, rows))))
 
     keyed = []
     for pos, f in enumerate(forms):
@@ -175,31 +169,44 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
         raise ValueError(
             f"expected {family.dimension} parameter values, got {len(values)}"
         )
-    d = len(family.carrier)
-    rows = [[ZERO] * d for _ in range(d)]
+    total: dict[tuple[int, int], Fraction] = {}
     for v, f in zip(values, family.basis):
         fv = frac(v)
         if not fv:
             continue
-        for i in range(d):
-            for j in range(d):
-                e = f.entry(i, j)
-                if e:
-                    rows[i][j] += fv * e
-    return SymmetricForm.from_rows(rows)
+        for i, j, e in f.nonzero_entries:
+            total[i, j] = total.get((i, j), ZERO) + fv * e
+    d = len(family.carrier)
+    rows = [[ZERO] * d for _ in range(d)]
+    for (i, j), e in total.items():
+        rows[i][j] = rows[j][i] = e
+    return SymmetricForm(tuple(map(tuple, rows)))
 
 
-def _reductivity_residuals(grading: Grading) -> Iterator[list[tuple[Fraction, int, int]]]:
-    """B([X,Y]_m, Z) + B([X,Z]_m, Y) for each basis triple of m with a nonzero bracket.
+def _reductivity_residuals(
+    grading: Grading, forms: Sequence[SymmetricForm]
+) -> Iterator[list[tuple[Fraction, int, int]]]:
+    """B([X,Y]_m, Z) + B([X,Z]_m, Y) for each basis triple of m that can be nonzero.
 
     A residual is a list of terms (c, i, j) standing for the sum of
     c * B(E_i, E_j) over complement positions.  It is symmetric in Y and Z,
-    so each unordered pair {Y, Z} is met once.
+    so each unordered pair {Y, Z} is met once.  Only triples with [X, Y]_m
+    nonzero and with Z a bracket partner of X, or in the row support (in
+    one of ``forms``) of a term of [X, Y]_m, are yielded: every other
+    residual vanishes on each of ``forms``, whatever they are.
     """
     mm, _, _ = grading.split
+    support: list[set[int]] = [set() for _ in mm]
+    for form in forms:
+        for i, j, _ in form.nonzero_entries:
+            support[i].add(j)
+            support[j].add(i)
     for x, partners in enumerate(mm):
         for y, bxy in partners.items():
-            for z in range(len(mm)):
+            reach = set(partners)
+            for l, _ in bxy:
+                reach |= support[l]
+            for z in sorted(reach):
                 bxz = partners.get(z, ())
                 if bxz and z < y:
                     continue  # this triple was met as (x, z, y)
@@ -223,16 +230,22 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     each refined basis form as a coefficient vector over the parent basis.
     """
     nf = family.dimension
+    # (i, j) -> [(k, B_k(E_i, E_j))] over the basis forms B_k
+    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for k, f in enumerate(family.basis):
+        for i, j, e in f.nonzero_entries:
+            index.setdefault((i, j), []).append((k, e))
+            if i != j:
+                index.setdefault((j, i), []).append((k, e))
     reducer = RowReducer(nf)
-    for residual in _reductivity_residuals(family.grading):
+    for residual in _reductivity_residuals(family.grading, family.basis):
         if reducer.rank == nf:
             break
-        row = {}
-        for k, f in enumerate(family.basis):
-            val = _residual_at(residual, f)
-            if val:
-                row[k] = val
-        if row:
+        row: dict[int, Fraction] = {}
+        for c, i, j in residual:
+            for k, e in index.get((i, j), ()):
+                row[k] = row.get(k, ZERO) + c * e
+        if any(row.values()):
             reducer.insert(row)
     coords = reducer.nullspace_basis()
     basis = [evaluate_family(family, c) for c in coords]
@@ -256,7 +269,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     """Whether the form satisfies the natural-reductivity identity on m."""
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
-    return not any(_residual_at(r, form) for r in _reductivity_residuals(grading))
+    return not any(_residual_at(r, form) for r in _reductivity_residuals(grading, [form]))
 
 
 @dataclass

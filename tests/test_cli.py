@@ -205,3 +205,40 @@ def test_report_reruns_byte_identical(tmp_path, capsys):
 
 def test_report_requires_out(capsys):
     assert "--out" in run_err(capsys, ["report", *SO5])
+
+
+def test_unwritable_out_is_a_user_error(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    err = run_err(capsys, ["report", *SO5, "--out", str(existing)])
+    assert str(existing) in err
+    missing = tmp_path / "missing" / "dir" / "x.json"
+    err = run_err(capsys, ["metrics", *SO5, "--out", str(missing)])
+    assert str(missing) in err
+    assert not missing.parent.exists()
+
+
+def test_report_validates_before_creating_out(tmp_path, capsys):
+    outdir = tmp_path / "d"
+    err = run_err(capsys, ["report", "--n", "2", "--partition", "1,1,0,0", "--out", str(outdir)])
+    assert "n >= 3" in err
+    assert not outdir.exists()
+
+
+# sha256 of manifest.json, frozen from the dense form loops.  The manifest
+# holds the sha256 of every report document, so this pins all their bytes.
+# n=13 (3,3,3,4) gives
+# 2b110e5aca58ac87548e0079ab265f5158234bc232a92e73fa99e16b64d55337,
+# too slow for this suite.
+MANIFEST_SHA256 = {
+    ("5", "2,2,1,0"): "7726916cef1ced473082d34d480259485650942018025b63b46340e2d68fa81f",
+    ("8", "2,2,2,2"): "8e93250f0e709e9553b54350400b11778bead7499dfacdd06949c1a21e7c32d9",
+}
+
+
+@pytest.mark.parametrize("n, part", sorted(MANIFEST_SHA256))
+def test_report_manifest_bytes_pinned(tmp_path, capsys, n, part):
+    outdir = tmp_path / "rep"
+    run_ok(capsys, ["report", "--n", n, "--partition", part, "--out", str(outdir)])
+    digest = hashlib.sha256((outdir / "manifest.json").read_bytes()).hexdigest()
+    assert digest == MANIFEST_SHA256[n, part]

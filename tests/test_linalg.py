@@ -96,6 +96,31 @@ def test_row_reducer_pivot_rows_stay_reduced():
                 assert q == p or q not in prow
 
 
+def test_row_reducer_duplicate_rows_in_any_order():
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        base = []
+        for _ in range(rng.randint(1, 6)):
+            row = {c: F(rng.randint(-3, 3), rng.randint(1, 3)) for c in range(n)}
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                base.append(row)
+        # each row repeated, some scaled, fed in several shuffled orders
+        rows = base * 3 + [{c: 2 * v for c, v in r.items()} for r in base]
+        dense = [[r.get(c, F(0)) for c in range(n)] for r in base]
+        results = set()
+        for _ in range(4):
+            rng.shuffle(rows)
+            red = RowReducer(n)
+            for r in rows:
+                red.insert(dict(r))
+            assert red.rank == rank(dense)
+            assert red.nullspace_basis() == nullspace(dense)
+            results.add(tuple(tuple(sorted(r.items())) for r in red.rref_rows()))
+        assert len(results) == 1
+
+
 def test_row_space_basis_is_canonical():
     vecs = [[2, 4], [1, 2], [0, 3]]
     assert row_space_basis(vecs) == [[F(1), F(0)], [F(0), F(1)]]
@@ -139,6 +164,24 @@ def test_symmetric_form_validation():
         SymmetricForm.from_rows([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         congruence_signature([[0, 1], [2, 0]])
+
+
+def test_asymmetric_gram_names_first_entry():
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = F(rng.randint(-2, 2))
+        lower = [(i, j) for i in range(n) for j in range(i)]
+        bad = rng.sample(lower, rng.randint(1, min(3, len(lower))))
+        for i, j in bad:
+            rows[i][j] += 1
+        # the first (i, j), j < i, in row-major order of the lower triangle
+        i, j = min(bad)
+        with pytest.raises(ValueError, match=rf"^Gram matrix not symmetric at \({i},{j}\)$"):
+            SymmetricForm.from_rows(rows)
 
 
 def test_form_apply_and_restrict():

@@ -2,11 +2,12 @@
 
 The split is checked against a brute-force construction from
 ``bracket_basis`` and degree membership, and the natural-reductivity
-verdicts built on it are checked against an oracle that uses only the
-canonical torsion and ``SymmetricForm.apply``.
+verdicts and the refinement built on it are checked against an oracle
+that uses only the canonical torsion and the Gram matrix of the form.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -15,8 +16,10 @@ import pytest
 from gammasym.geometry import ambrose_singer_check, canonical_torsion
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group
-from gammasym.linalg import SymmetricForm
+from gammasym.linalg import RowReducer, SymmetricForm
 from gammasym.metrics import (
+    _reductivity_residuals,
+    _residual_at,
     evaluate_family,
     invariant_family,
     is_adapted,
@@ -101,22 +104,47 @@ def torsions(g):
     return t
 
 
+def omega_table(torsion, form):
+    """w[x][y][z] = B(T(E_x, E_y), E_z), contracted with the Gram matrix."""
+    m = form.dim
+    w = [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            for l, c in enumerate(torsion[x][y]):
+                if c:
+                    for z in range(m):
+                        w[x][y][z] += c * form.entry(l, z)
+    return w
+
+
 def torsion_oracle(torsion, form):
     """Whether (X, Y, Z) -> B(T(X, Y), Z) is alternating on the basis of m."""
     m = form.dim
-    unit = [[int(s == t) for s in range(m)] for t in range(m)]
-
-    def omega(x, y, z):
-        return form.apply(torsion[x][y], unit[z])
-
+    w = omega_table(torsion, form)
     # T makes omega antisymmetric in (X, Y); what remains is antisymmetry in
     # (Y, Z).  The sum below is symmetric in y and z, so z >= y covers it.
     return all(
-        omega(x, y, z) + omega(x, z, y) == 0
+        w[x][y][z] + w[x][z][y] == 0
         for x in range(m)
         for y in range(m)
         for z in range(y, m)
     )
+
+
+def random_symmetric(rng, m):
+    """A form with random entries anywhere: off-diagonal, across components."""
+    rows = [[F(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if rng.random() < 0.3:
+                rows[i][j] = rows[j][i] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return SymmetricForm.from_rows(rows)
+
+
+def single_entry(m, i, j):
+    rows = [[F(0)] * m for _ in range(m)]
+    rows[i][j] = rows[j][i] = F(1)
+    return SymmetricForm.from_rows(rows)
 
 
 def test_adapted_verdicts_match_torsion_oracle():
@@ -141,3 +169,70 @@ def test_adapted_verdicts_match_torsion_oracle():
                 assert ambrose_singer_check(g, form).totally_skew == want, (n, part)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_adapted_verdicts_on_forms_outside_the_family():
+    # the residuals skip triples by the support of the form itself, so
+    # forms that are not invariant, not component-orthogonal or have a
+    # single entry must get the same verdicts as the oracle, and every
+    # nonzero residual must still be generated, once per x and {y, z}
+    rng = random.Random(29)
+    verdicts = set()
+    for n in range(3, 7):
+        for part in compositions(n):
+            g = block_grading(n, part)
+            m = len(g.complement_indices)
+            if m == 0:
+                continue
+            torsion = torsions(g)
+            forms = [random_symmetric(rng, m) for _ in range(2)]
+            pairs = [(i, j) for i in range(m) for j in range(i, m)]
+            forms += [single_entry(m, i, j) for i, j in rng.sample(pairs, min(4, len(pairs)))]
+            for form in forms:
+                w = omega_table(torsion, form)
+                want = Counter(
+                    -(w[x][y][z] + w[x][z][y])
+                    for x in range(m)
+                    for y in range(m)
+                    for z in range(y, m)
+                    if w[x][y][z] + w[x][z][y]
+                )
+                got = Counter(
+                    v
+                    for r in _reductivity_residuals(g, [form])
+                    if (v := _residual_at(r, form))
+                )
+                assert got == want, (n, part, form.nonzero_entries)
+                adapted = not want
+                assert is_adapted(form, g) == adapted, (n, part)
+                assert ambrose_singer_check(g, form).totally_skew == adapted, (n, part)
+                verdicts.add(adapted)
+    assert verdicts == {True, False}
+
+
+def test_refinement_matches_dense_triple_route():
+    # every residual B([X,Y]_m, Z) + B([X,Z]_m, Y) over all x, y, z, with
+    # [X, Y]_m = -T(X, Y) from the canonical torsion, one row per triple
+    count = 0
+    for n in range(3, 7):
+        for part in compositions(n):
+            g = block_grading(n, part)
+            m = len(g.complement_indices)
+            if m == 0:
+                continue
+            fam = invariant_family(g)
+            torsion = torsions(g)
+            tables = [omega_table(torsion, f) for f in fam.basis]
+            red = RowReducer(fam.dimension)
+            for x in range(m):
+                for y in range(m):
+                    for z in range(m):
+                        # the residual of basis form k is -(w_k[x][y][z] + w_k[x][z][y]);
+                        # the sign does not change the row space
+                        pairs = [(w[x][y][z], w[x][z][y]) for w in tables]
+                        red.insert({k: a + b for k, (a, b) in enumerate(pairs) if a or b})
+            refined = naturally_reductive_subfamily(fam)
+            assert refined.parent_coords == red.nullspace_basis(), (n, part)
+            assert refined.basis == [evaluate_family(fam, c) for c in red.nullspace_basis()]
+            count += 1
+    assert count == 179
