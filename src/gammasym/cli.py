@@ -29,6 +29,11 @@ from .metrics import (
 
 _DEFAULT_SAMPLES = ["0.1", "1", "3.141592653589793", "5"]
 
+# The largest accepted --n: the largest n for which ``report`` at a balanced
+# partition is projected to finish within a minute (58 s measured at n=55,
+# about n^5 growth, one core of a 2-CPU x86-64 VM, CPython 3.11).
+MAX_N = 55
+
 
 class CommandError(Exception):
     """User-facing error: bad arguments or unsupported combination."""
@@ -83,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, required=True, help="matrix size n of so(n)")
+        p.add_argument(
+            "--n", type=int, required=True, help=f"matrix size n of so(n), at most {MAX_N}"
+        )
         p.add_argument(
             "--partition",
             type=_parse_partition,
@@ -140,6 +147,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _grading(cfg: RunConfig) -> Grading:
+    if cfg.n > MAX_N:
+        raise CommandError(f"--n {cfg.n} is above the size bound {MAX_N}")
     try:
         return block_grading(cfg.n, cfg.partition)
     except ValueError as exc:

@@ -89,6 +89,27 @@ class Grading:
         return self.component(identity(self.rank)).indices
 
     @cached_property
+    def fixed_generators(self) -> tuple[int, ...]:
+        """Positions in ``fixed_indices`` of a set of Lie generators of g_e.
+
+        E_ij in g_e is kept only when no k with i < k < j has E_ik in g_e.
+        In a grading that verifies, [E_ij, E_jk] = +-E_ik makes the index
+        pairs of g_e disjoint cliques, each spanning so(clique); the kept
+        vectors join consecutive clique members, and those generate it.
+        For a block grading they are the chains E_{i,i+1} inside each block.
+        Invariance under ad(Z) and commuting with ad(Z) both hold on a Lie
+        subalgebra of Z, so checking them on these generators suffices.
+        """
+        pairs = self.algebra.pairs
+        fixed = {pairs[k] for k in self.fixed_indices}
+        keep = []
+        for t, k in enumerate(self.fixed_indices):
+            i, j = pairs[k]
+            if not any((i, m) in fixed for m in range(i + 1, j)):
+                keep.append(t)
+        return tuple(keep)
+
+    @cached_property
     def complement_indices(self) -> tuple[int, ...]:
         """Basis indices of m, ordered component by component."""
         return tuple(k for comp in self.components()[1:] for k in comp.indices)
@@ -200,18 +221,16 @@ def verify_grading(grading: Grading) -> GradingViolation | None:
     """Check bracket additivity on every basis pair.
 
     Returns None when every structure constant respects the grading, or
-    the first (p, q, term) triple that does not.
+    the first (p, q, term) triple that does not.  Pairs with a zero bracket
+    cannot fail, so only the structure constants are read, in their
+    lexicographic (p, q) order.
     """
-    alg = grading.algebra
     assign = grading.assignment
-    for p in range(alg.dim):
-        for q in range(p + 1, alg.dim):
-            expected = assign[p] * assign[q]
-            for k, _ in alg.bracket_basis(p, q):
-                if assign[k] != expected:
-                    return GradingViolation(
-                        p, q, k, expected.label, assign[k].label
-                    )
+    for (p, q), terms in grading.algebra.structure_constants().items():
+        expected = assign[p] * assign[q]
+        for k, _ in terms:
+            if assign[k] != expected:
+                return GradingViolation(p, q, k, expected.label, assign[k].label)
     return None
 
 

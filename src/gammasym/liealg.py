@@ -1,9 +1,10 @@
 """The orthogonal Lie algebras so(n) with exact structure constants.
 
 Basis: E_ij = unit(i,j) - unit(j,i) for 0 <= i < j < n, listed in
-lexicographic order of (i, j).  Structure constants are computed from the
-matrix commutators E_ij E_kl - E_kl E_ij and stored sparsely; for this
-basis a bracket of two basis elements has at most one nonzero term.
+lexicographic order of (i, j).  Structure constants come from the closed
+form of the matrix commutators E_ij E_kl - E_kl E_ij and are stored
+sparsely; for this basis a bracket of two basis elements has at most one
+nonzero term, and only basis pairs sharing exactly one index have one.
 
 Elements of the algebra are coefficient vectors over this basis (exact
 rationals), with conversion to and from skew-symmetric n x n matrices.
@@ -14,31 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, SymmetricForm, Vector, ZERO, frac, zeros
+from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, zeros
 
-# sparse n x n matrix: (row, col) -> coefficient
-SparseMat = dict[tuple[int, int], Fraction]
+MINUS_ONE = -ONE
 
 BracketTerms = tuple[tuple[int, Fraction], ...]
-
-
-def _sparse_commutator(a: SparseMat, b: SparseMat) -> SparseMat:
-    out: SparseMat = {}
-    rows_b: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in b.items():
-        rows_b.setdefault(r, []).append((c, v))
-    rows_a: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in a.items():
-        rows_a.setdefault(r, []).append((c, v))
-    for (r, c), v in a.items():
-        for c2, v2 in rows_b.get(c, ()):
-            key = (r, c2)
-            out[key] = out.get(key, ZERO) + v * v2
-    for (r, c), v in b.items():
-        for c2, v2 in rows_a.get(c, ()):
-            key = (r, c2)
-            out[key] = out.get(key, ZERO) - v * v2
-    return {k: v for k, v in out.items() if v}
 
 
 class LieAlgebra:
@@ -61,28 +42,25 @@ class LieAlgebra:
 
     # -- construction -------------------------------------------------
 
-    def _basis_sparse(self, k: int) -> SparseMat:
-        i, j = self.pairs[k]
-        return {(i, j): Fraction(1), (j, i): Fraction(-1)}
-
-    def _decompose_sparse(self, m: SparseMat) -> BracketTerms:
-        terms = []
-        for (i, j), v in sorted(m.items()):
-            if i < j:
-                if m.get((j, i), ZERO) != -v:
-                    raise ValueError("matrix is not skew-symmetric")
-                terms.append((self.pair_index[(i, j)], v))
-            elif i == j and v:
-                raise ValueError("matrix has nonzero diagonal")
-        return tuple(terms)
-
     def _build_table(self) -> None:
-        mats = [self._basis_sparse(k) for k in range(self.dim)]
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
-                terms = self._decompose_sparse(_sparse_commutator(mats[p], mats[q]))
-                if terms:
-                    self._table[(p, q)] = terms
+        # [E_ab, E_cd] = d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc, so only
+        # pairs sharing exactly one index have a nonzero bracket.  For
+        # (a, b) < (c, d) the shared index is b = c, a = c or b = d, and the
+        # surviving E_xy already has x < y.
+        touching: list[list[int]] = [[] for _ in range(self.n)]
+        for k, (i, j) in enumerate(self.pairs):
+            touching[i].append(k)
+            touching[j].append(k)
+        for p, (a, b) in enumerate(self.pairs):
+            for q in sorted(q for q in {*touching[a], *touching[b]} if q > p):
+                c, d = self.pairs[q]
+                if b == c:
+                    term = (self.pair_index[(a, d)], ONE)
+                elif a == c:
+                    term = (self.pair_index[(b, d)], MINUS_ONE)
+                else:
+                    term = (self.pair_index[(a, c)], MINUS_ONE)
+                self._table[(p, q)] = (term,)
 
     # -- basic data ----------------------------------------------------
 
@@ -125,7 +103,8 @@ class LieAlgebra:
         return out
 
     def structure_constants(self) -> dict[tuple[int, int], BracketTerms]:
-        """Sparse map (p, q) -> terms of [E_p, E_q], for p < q."""
+        """Sparse map (p, q) -> terms of [E_p, E_q], for p < q, in lexicographic
+        order of (p, q); pairs with a zero bracket are absent."""
         return dict(self._table)
 
     # -- matrix conversions --------------------------------------------

@@ -228,18 +228,32 @@ class SymmetricForm:
         return SymmetricForm(tuple(tuple(frac(x) for x in row) for row in rows))
 
     @staticmethod
+    def from_upper(dim: int, upper: Sequence[tuple[int, int, Fraction]]) -> "SymmetricForm":
+        """The form whose nonzero entries with i <= j are ``upper``.
+
+        ``upper`` lists (i, j, value) row by row with nonzero Fraction
+        values, the order of ``nonzero_entries``, which it becomes without
+        a scan of the Gram matrix.
+        """
+        rows = [[ZERO] * dim for _ in range(dim)]
+        for i, j, v in upper:
+            rows[i][j] = rows[j][i] = v
+        form = SymmetricForm(tuple(map(tuple, rows)))
+        form.__dict__["nonzero_entries"] = tuple(upper)  # the cached_property slot
+        return form
+
+    @staticmethod
     def identity(n: int) -> "SymmetricForm":
-        return SymmetricForm.from_rows(mat_identity(n))
+        return SymmetricForm.diagonal([ONE] * n)
 
     @staticmethod
     def zero(n: int) -> "SymmetricForm":
-        return SymmetricForm.from_rows([[ZERO] * n for _ in range(n)])
+        return SymmetricForm.from_upper(n, ())
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymmetricForm":
-        n = len(values)
-        rows = [[frac(values[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-        return SymmetricForm.from_rows(rows)
+        diag = [(i, i, v) for i, v in enumerate(map(frac, values)) if v]
+        return SymmetricForm.from_upper(len(values), diag)
 
     @property
     def dim(self) -> int:
@@ -290,11 +304,13 @@ def congruence_signature(form) -> tuple[int, int, int]:
 
     Exact symmetric elimination: diagonal pivots split off one square each;
     a zero diagonal with a nonzero off-diagonal entry is a hyperbolic pair
-    contributing (1, 1).  No eigenvalues, no floats.
+    contributing (1, 1).  No eigenvalues, no floats.  A ``SymmetricForm``
+    is taken one connected component of the support graph of its nonzero
+    entries at a time: a lone index counts by the sign of its diagonal
+    entry, and only larger components are eliminated, on their own dense
+    block.  A list of rows is validated and eliminated whole.
     """
-    if isinstance(form, SymmetricForm):
-        work = form.rows()
-    else:
+    if not isinstance(form, SymmetricForm):
         work = to_matrix(form)
         n = len(work)
         for i in range(n):
@@ -303,6 +319,41 @@ def congruence_signature(form) -> tuple[int, int, int]:
             for j in range(i):
                 if work[i][j] != work[j][i]:
                     raise ValueError("Gram matrix not symmetric")
+        return _eliminate(work)
+    neighbours: list[list[int]] = [[] for _ in range(form.dim)]
+    for i, j, _ in form.nonzero_entries:
+        if i != j:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    seen = [False] * form.dim
+    pos = neg = zero = 0
+    for start in range(form.dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        if not neighbours[start]:
+            v = form.entries[start][start]
+            if v > 0:
+                pos += 1
+            elif v < 0:
+                neg += 1
+            else:
+                zero += 1
+            continue
+        comp = [start]
+        for i in comp:
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        p, q, z = _eliminate([[form.entries[i][j] for j in comp] for i in comp])
+        pos, neg, zero = pos + p, neg + q, zero + z
+    return pos, neg, zero
+
+
+def _eliminate(work: Matrix) -> tuple[int, int, int]:
+    """Inertia of a symmetric dense matrix, reducing ``work`` in place."""
     idx = list(range(len(work)))
     pos = neg = zero = 0
     while idx:

@@ -91,8 +91,10 @@ def invariant_family(grading: Grading) -> FormFamily:
 
     Per component the unknowns are the entries B(x, y), x <= y; each
     invariance constraint couples at most two of them, so the system is
-    solved as one sparse exact elimination.  The basis is canonical
-    (RREF nullspace) and presented in component / sub-block order.
+    solved as one sparse exact elimination.  Constraints are imposed only
+    for Z in ``grading.fixed_generators``, which generate g_e.  The basis
+    is canonical (RREF nullspace) and presented in component / sub-block
+    order.
     """
     _, _, em = grading.split
     carrier = grading.complement_indices
@@ -113,8 +115,9 @@ def invariant_family(grading: Grading) -> FormFamily:
         return off + x * len(sl) - x * (x - 1) // 2 + (y - x)
 
     reducer = RowReducer(total)
+    actions = [em[z] for z in grading.fixed_generators]
     for sl, off in zip(slices, offsets):
-        for action in em:
+        for action in actions:
             for x in sl:
                 ax = action.get(x)
                 if not ax:
@@ -135,14 +138,14 @@ def invariant_family(grading: Grading) -> FormFamily:
 
     forms = []
     for sol in solutions:
-        rows = [[ZERO] * m_dim for _ in range(m_dim)]
+        upper = []
         for sl, off in zip(slices, offsets):
             for x in sl:
                 for y in range(x, sl.stop):
                     v = sol[unknown(off, sl, x, y)]
                     if v:
-                        rows[x][y] = rows[y][x] = v
-        forms.append(SymmetricForm(tuple(map(tuple, rows))))
+                        upper.append((x, y, v))
+        forms.append(SymmetricForm.from_upper(m_dim, upper))
 
     keyed = []
     for pos, f in enumerate(forms):
@@ -176,11 +179,8 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
             continue
         for i, j, e in f.nonzero_entries:
             total[i, j] = total.get((i, j), ZERO) + fv * e
-    d = len(family.carrier)
-    rows = [[ZERO] * d for _ in range(d)]
-    for (i, j), e in total.items():
-        rows[i][j] = rows[j][i] = e
-    return SymmetricForm(tuple(map(tuple, rows)))
+    upper = sorted((i, j, e) for (i, j), e in total.items() if e)
+    return SymmetricForm.from_upper(len(family.carrier), upper)
 
 
 def _reductivity_residuals(
@@ -340,7 +340,8 @@ def killing_metric_operator(
 
     ``form`` is a member of the invariant family in carrier coordinates.
     Degenerate restrictions are rejected; the commutation of beta with
-    the restricted ad(g_e) action is checked exactly and reported.
+    the restricted ad(g_e) action is checked exactly, on the generators
+    ``grading.fixed_generators``, and reported.
     """
     if gamma.is_identity():
         raise ValueError("operator is defined on the non-identity components")
@@ -348,16 +349,16 @@ def killing_metric_operator(
     if comp.dim == 0:
         raise ValueError(f"component {gamma.label} is zero")
     carrier = grading.carrier_slices[gamma.label]
-    b_rows = form.restrict(carrier).rows()
+    b_form = form.restrict(carrier)
     k_rows = grading.algebra.killing_form().restrict(comp.indices).rows()
-    if congruence_signature(b_rows)[2] != 0:
+    if congruence_signature(b_form)[2] != 0:
         raise ValueError(f"form is degenerate on component {gamma.label}")
-    beta = solve_matrix(b_rows, k_rows)
+    beta = solve_matrix(b_form.rows(), k_rows)
 
     _, _, em = grading.split
     d = comp.dim
     commutes = True
-    for action in em:
+    for action in (em[z] for z in grading.fixed_generators):
         # ad(Z) beta and beta ad(Z), from the nonzero entries of ad(Z)
         left = [[ZERO] * d for _ in range(d)]
         right = [[ZERO] * d for _ in range(d)]

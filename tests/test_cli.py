@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gammasym.cli import main
+from gammasym.cli import MAX_N, main
 
 SO5 = ["--n", "5", "--partition", "2,2,1,0"]
 
@@ -223,6 +223,18 @@ def test_report_validates_before_creating_out(tmp_path, capsys):
     err = run_err(capsys, ["report", "--n", "2", "--partition", "1,1,0,0", "--out", str(outdir)])
     assert "n >= 3" in err
     assert not outdir.exists()
+
+
+def test_n_above_size_bound_is_rejected(tmp_path, capsys):
+    big = MAX_N + 1
+    outdir = tmp_path / "d"
+    for cmd in ("grade", "report"):
+        err = run_err(capsys, [cmd, "--n", str(big), "--partition", f"{big},0,0,0", "--out", str(outdir)])
+        assert f"--n {big} is above the size bound {MAX_N}" in err
+    assert not outdir.exists()
+    with pytest.raises(SystemExit):
+        main(["report", "--help"])
+    assert f"at most {MAX_N}" in capsys.readouterr().out
 
 
 # sha256 of manifest.json, frozen from the dense form loops.  The manifest

@@ -55,19 +55,54 @@ def test_degree_is_multiplicative_on_brackets():
 
 
 def test_corruption_yields_witness():
-    """Flipping one structure constant into the wrong component is caught."""
+    """Flipping one structure constant into the wrong component is caught.
+
+    Every single wrong-term corruption of a bracket is tried, and the
+    witness must be the one a scan of all basis pairs finds first, although
+    verify_grading reads only the structure constants.
+    """
     alg = LieAlgebra(5)
     g = block_grading(5, (2, 2, 1, 0), algebra=alg)
     p = alg.pair_index[(0, 1)]    # E12, degree e
     q = alg.pair_index[(0, 2)]    # E13, degree a
     wrong = alg.pair_index[(0, 4)]  # E15, degree b
     assert verify_grading(g) is None
+    table = dict(alg._table)
     alg._table[(p, q)] = ((wrong, F(-1)),)
     witness = verify_grading(g)
     assert witness is not None
     assert (witness.p, witness.q, witness.term) == (p, q, wrong)
     assert witness.expected == "a"
     assert witness.found == "b"
+    alg._table[(p, q)] = table[(p, q)]
+
+    def first_hit():
+        for p in range(alg.dim):
+            for q in range(p + 1, alg.dim):
+                expected = g.degree(p) * g.degree(q)
+                for k, _ in alg.bracket_basis(p, q):
+                    if g.degree(k) != expected:
+                        return (p, q, k, expected.label, g.degree(k).label)
+        return None
+
+    corrupted = set()
+    for p in range(alg.dim):
+        for q in range(p + 1, alg.dim):
+            for wrong in range(alg.dim):
+                if g.degree(wrong) == g.degree(p) * g.degree(q):
+                    continue
+                alg._table[(p, q)] = ((wrong, F(-1)),)
+                w = verify_grading(g)
+                assert w is not None
+                assert (w.p, w.q, w.term, w.expected, w.found) == first_hit()
+                if (p, q) in table:
+                    alg._table[(p, q)] = table[(p, q)]
+                else:
+                    del alg._table[(p, q)]
+                corrupted.add((p, q))
+    assert len(corrupted) == alg.dim * (alg.dim - 1) // 2
+    assert list(alg._table.items()) == list(table.items())
+    assert verify_grading(g) is None
 
 
 def test_component_accessor_and_errors():

@@ -57,12 +57,14 @@ def test_bracket_antisymmetry_random():
 
 def test_structure_constants_match_dense_commutators():
     """The sparse table must agree with literal matrix commutators."""
-    for n in (4, 5, 6):
+    for n in range(3, 10):
         alg = build_so(n)
+        keys = list(alg.structure_constants())
+        assert keys == sorted(keys)
+        mats = [[[int(x) for x in row] for row in alg.basis_matrix(p)] for p in range(alg.dim)]
         for p in range(alg.dim):
             for q in range(alg.dim):
-                a = alg.basis_matrix(p)
-                b = alg.basis_matrix(q)
+                a, b = mats[p], mats[q]
                 comm = [
                     [
                         sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammasym.linalg import (
     RowReducer,
@@ -157,6 +158,56 @@ def test_signature_congruence_invariant():
         pt = [[p[j][i] for j in range(n)] for i in range(n)]
         cong = mat_mul(pt, mat_mul(to_matrix(sym), p))
         assert congruence_signature(cong) == sig
+
+
+small = st.integers(-3, 3).map(F)
+nonzero = st.integers(1, 3).map(F) | st.integers(-3, -1).map(F)
+
+
+@st.composite
+def sparse_forms(draw):
+    """Gram rows of a block-diagonal symmetric form, indices shuffled.
+
+    The blocks are random symmetric blocks, zero-diagonal hyperbolic pairs
+    or lone zero rows; or the form has a single nonzero entry.
+    """
+    kind = draw(st.sampled_from(["blocks", "hyperbolic", "single"]))
+    if kind == "single":
+        d = draw(st.integers(1, 6))
+        i, j = sorted((draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))))
+        rows = [[F(0)] * d for _ in range(d)]
+        rows[i][j] = rows[j][i] = draw(nonzero)
+    else:
+        blocks = []
+        for _ in range(draw(st.integers(1, 5))):
+            if kind == "hyperbolic":
+                a = draw(nonzero)
+                blocks.append([[F(0), a], [a, F(0)]])
+            else:
+                size = draw(st.integers(1, 4))
+                b = [[F(0)] * size for _ in range(size)]
+                for x in range(size):
+                    for y in range(x, size):
+                        b[x][y] = b[y][x] = draw(small)
+                blocks.append(b)
+        blocks += [[[F(0)]]] * draw(st.integers(0, 3))
+        d = sum(len(b) for b in blocks)
+        rows = [[F(0)] * d for _ in range(d)]
+        start = 0
+        for b in blocks:
+            for x, row in enumerate(b):
+                rows[start + x][start : start + len(b)] = row
+            start += len(b)
+    perm = draw(st.permutations(range(d)))
+    return [[rows[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(sparse_forms())
+def test_signature_by_components_matches_dense_route(rows):
+    form = SymmetricForm.from_rows(rows)
+    assert congruence_signature(form) == congruence_signature(rows)
+    assert sum(congruence_signature(form)) == len(rows)
 
 
 def test_symmetric_form_validation():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from gammasym.grading import block_grading
+from gammasym.grading import Grading, block_grading
 from gammasym.groups import from_label, identity
 from gammasym.linalg import SymmetricForm, congruence_signature, nullspace, row_space_basis
 from gammasym.metrics import (
@@ -64,6 +64,93 @@ def test_family_dimension_invariant_under_block_permutation():
 
     fam = family(7, (2, 2, 2, 1))
     assert Counter(s.split(":")[0] for s in fam.supports) == {"a": 3, "b": 3, "c": 3}
+
+
+def ordered_partitions(lo, hi):
+    return [
+        (n, part)
+        for n in range(lo, hi + 1)
+        for part in product(range(n + 1), repeat=4)
+        if sum(part) == n
+    ]
+
+
+def all_of_g_e(monkeypatch):
+    """Make every basis vector of g_e count as a generator: the full action set."""
+    monkeypatch.setattr(
+        Grading, "fixed_generators", property(lambda g: tuple(range(len(g.fixed_indices))))
+    )
+
+
+def lie_closure_dim(alg, gens):
+    """Dimension of the Lie subalgebra generated by the basis vectors ``gens``."""
+    vecs = [alg.basis_vector(k) for k in gens]
+    span = row_space_basis(vecs)
+    while True:
+        grown = row_space_basis(span + [alg.bracket(v, x) for v in vecs for x in span])
+        if len(grown) == len(span):
+            return len(span)
+        span = grown
+
+
+def test_family_from_generators_matches_full_action_set(monkeypatch):
+    """Invariance under the Lie generators of g_e is invariance under g_e.
+
+    Over all 315 ordered partitions with 3 <= n <= 7 the generators span
+    g_e under brackets, and the family they give has the same basis and
+    names as the family imposed under every basis vector of g_e.
+    """
+    cases = ordered_partitions(3, 7)
+    assert len(cases) == 315
+    by_generators = {}
+    for n, part in cases:
+        g = block_grading(n, part)
+        gens = [g.fixed_indices[t] for t in g.fixed_generators]
+        assert lie_closure_dim(g.algebra, gens) == len(g.fixed_indices)
+        fam = invariant_family(g)
+        by_generators[n, part] = (fam.names, fam.supports, [f.entries for f in fam.basis])
+    all_of_g_e(monkeypatch)
+    for n, part in cases:
+        fam = invariant_family(block_grading(n, part))
+        assert (fam.names, fam.supports, [f.entries for f in fam.basis]) == by_generators[n, part]
+
+
+def invariant_on(g, form, carrier):
+    """B([Z, X], Y) + B(X, [Z, Y]) = 0 for all Z in g_e and X, Y in one component."""
+    alg = g.algebra
+    local = {g.complement_indices[x]: x for x in carrier}
+    for z in g.fixed_indices:
+        for x in carrier:
+            for y in carrier:
+                total = F(0)
+                for r, c in alg.bracket_basis(z, g.complement_indices[x]):
+                    total += c * form.entry(local[r], y)
+                for r, c in alg.bracket_basis(z, g.complement_indices[y]):
+                    total += c * form.entry(x, local[r])
+                if total:
+                    return False
+    return True
+
+
+def test_beta_check_fails_off_the_family_under_both_action_sets(monkeypatch):
+    """A form that is not invariant on a component fails the beta check
+    whether it is run on the generators of g_e or on all of g_e."""
+    rng = random.Random(31)
+    cases = []
+    for n, part in ordered_partitions(4, 6):
+        g = block_grading(n, part)
+        form = SymmetricForm.diagonal([rng.randint(1, 9) for _ in g.complement_indices])
+        for label, carrier in g.carrier_slices.items():
+            if carrier:
+                gamma = from_label(2, label)
+                invariant = invariant_on(g, form, carrier)
+                assert killing_metric_operator(g, form, gamma).commutes is invariant
+                cases.append((n, part, form, gamma, invariant))
+    assert sum(not inv for *_, inv in cases) > len(cases) // 2
+    all_of_g_e(monkeypatch)
+    for n, part, form, gamma, invariant in cases:
+        op = killing_metric_operator(block_grading(n, part), form, gamma)
+        assert op.commutes is invariant
 
 
 def test_family_basis_structure_so5():
@@ -154,6 +241,20 @@ def test_evaluate_family():
     assert [m.entry(i, i) for i in range(7)] == [-1, 1, 1, 1, 1, 1, 1]
     with pytest.raises(ValueError):
         evaluate_family(fam, [1, 2])
+
+
+def test_prebuilt_nonzero_entries_match_a_scan():
+    """Forms built with their nonzero list list what a scan of the Gram matrix finds."""
+    rng = random.Random(9)
+    built = [SymmetricForm.identity(4), SymmetricForm.zero(3), SymmetricForm.diagonal([2, 0, "-1/2"])]
+    for n, part in [(5, (2, 2, 1, 0)), (5, (1, 1, 3, 0)), (7, (2, 2, 2, 1)), (8, (2, 2, 2, 2))]:
+        fam = family(n, part)
+        built += fam.basis + naturally_reductive_subfamily(fam).basis
+        for _ in range(3):
+            vals = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(fam.dimension)]
+            built.append(evaluate_family(fam, vals))
+    for form in built:
+        assert form.nonzero_entries == SymmetricForm(form.entries).nonzero_entries
 
 
 def test_inertia_invariant_under_component_permutation():
