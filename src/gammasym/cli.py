@@ -141,8 +141,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.params = args.params
     if getattr(args, "generator", None) is not None:
         cfg.generator = args.generator
-    if getattr(args, "t_samples", None):
+    if getattr(args, "t_samples", None) is not None:
         cfg.t_samples = [tok.strip() for tok in args.t_samples.split(",") if tok.strip()]
+        if not cfg.t_samples:
+            raise CommandError(f"--t-samples needs at least one number, got {args.t_samples!r}")
     return cfg
 
 

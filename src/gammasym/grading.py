@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .groups import GroupElement, enumerate_group, identity
 from .liealg import BracketTerms, LieAlgebra, build_so
-from .linalg import Vector, row_space_basis, zeros
+from .linalg import ONE, Vector, ZERO
 
 # sub-block names for the rank-2 block gradings, keyed by the pair of
 # block numbers; same-block pairs sit inside g_e and carry no name.
@@ -131,7 +131,8 @@ class Grading:
         Returns (mm, me, em): ``mm[x][y]`` are the terms of [E_x, E_y]_m
         and ``me[x][y]`` those of [E_x, E_y]_{g_e}, for complement
         positions x, y; ``em[z][x]`` are the terms of [Z_z, E_x], for a
-        g_e position z.  Only nonzero brackets are listed.  Raises
+        g_e position z.  Only nonzero brackets are listed, each with the
+        one term of its structure constant.  Raises
         ValueError when the grading does not verify.
         """
         bad = verify_grading(self)
@@ -142,17 +143,16 @@ class Grading:
         mm: Partners = [{} for _ in local_m]
         me: Partners = [{} for _ in local_m]
         em: Partners = [{} for _ in local_e]
-        for (p, q), terms in self.algebra.structure_constants().items():
-            for a, b, sign in ((p, q, 1), (q, p, -1)):
+        for (p, q), ((k, c),) in self.algebra.structure_constants().items():
+            for a, b, coef in ((p, q, c), (q, p, -c)):
                 if b not in local_m:
                     continue
                 if a in local_e:
-                    maps, x, local = em, local_e[a], local_m
-                elif terms[0][0] in local_m:  # one component holds every term
-                    maps, x, local = mm, local_m[a], local_m
+                    em[local_e[a]][local_m[b]] = ((local_m[k], coef),)
+                elif k in local_m:  # one component holds the term
+                    mm[local_m[a]][local_m[b]] = ((local_m[k], coef),)
                 else:
-                    maps, x, local = me, local_m[a], local_e
-                maps[x][local_m[b]] = tuple((local[k], sign * c) for k, c in terms)
+                    me[local_m[a]][local_m[b]] = ((local_e[k], coef),)
         return mm, me, em
 
     def subblock(self, k: int) -> str | None:
@@ -262,23 +262,21 @@ class HolonomySpan:
 def holonomy_span(grading: Grading) -> HolonomySpan:
     """Exact span of all [X, Y] with X, Y in one non-identity component.
 
-    These brackets lie in g_e; the function returns canonical bases for
-    each component's contribution and for their sum.
+    These brackets lie in g_e, and each is +-1 times one basis vector of
+    g_e, so a span is the set of g_e positions hit.  It is returned as
+    unit vectors in position order, the canonical (RREF) basis, for each
+    component's contribution and for their sum.
     """
     fixed = grading.fixed_indices
     _, me, _ = grading.split
+
+    def units(positions: set[int]) -> list[Vector]:
+        return [[ONE if i == t else ZERO for i in range(len(fixed))] for t in sorted(positions)]
+
     per: dict[str, list[Vector]] = {}
-    pooled: list[Vector] = []
+    pooled: set[int] = set()
     for label, carrier in grading.carrier_slices.items():
-        vecs = []
-        for a in carrier:
-            for b, terms in me[a].items():
-                if b > a:
-                    v = zeros(len(fixed))
-                    for t, c in terms:
-                        v[t] = c
-                    vecs.append(v)
-        basis = row_space_basis(vecs)
-        per[label] = basis
-        pooled.extend(basis)
-    return HolonomySpan(fixed, per, row_space_basis(pooled))
+        hit = {t for a in carrier for ((t, _),) in me[a].values()}
+        per[label] = units(hit)
+        pooled |= hit
+    return HolonomySpan(fixed, per, units(pooled))

@@ -5,10 +5,10 @@ on m = sum of the non-identity components such that
 
     B([Z, X], Y) + B(X, [Z, Y]) = 0   for all Z in g_e,
 
-with distinct components B-orthogonal.  The solution set is a finite
-dimensional rational vector space; its canonical basis is returned with
-readable parameter names (t_* for directions touching the diagonal, u_*
-for purely off-diagonal ones).
+with distinct components B-orthogonal.  Each equation ties at most two
+entries of B, so a weighted union-find over the entries solves it; the
+canonical basis is returned with readable parameter names (t_* for
+directions touching the diagonal, u_* for purely off-diagonal ones).
 
 ``naturally_reductive_subfamily`` cuts the family down by the algebraic
 condition B([X, Y]_m, Z) + B([X, Z]_m, Y) = 0 on all of m, which is
@@ -27,6 +27,7 @@ from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
+    RatioUnionFind,
     RowReducer,
     SymmetricForm,
     Vector,
@@ -89,63 +90,43 @@ def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
 def invariant_family(grading: Grading) -> FormFamily:
     """All ad(g_e)-invariant symmetric forms on m, components orthogonal.
 
-    Per component the unknowns are the entries B(x, y), x <= y; each
-    invariance constraint couples at most two of them, so the system is
-    solved as one sparse exact elimination.  Constraints are imposed only
-    for Z in ``grading.fixed_generators``, which generate g_e.  The basis
-    is canonical (RREF nullspace) and presented in component / sub-block
-    order.
+    Per component the unknowns are the entries B(x, y), x <= y.  Brackets
+    of basis vectors have one term, so each constraint, imposed for Z in
+    ``grading.fixed_generators`` (which generate g_e), reads u_p = k * u_q
+    or u_p = 0; ``RatioUnionFind`` solves them.  The basis is canonical
+    (the RREF nullspace basis) and presented in component / sub-block order.
     """
     _, _, em = grading.split
     carrier = grading.complement_indices
     slices = list(grading.carrier_slices.values())
-    m_dim = len(carrier)
 
-    # global unknown numbering: (component, local pair x <= y)
-    offsets = []
-    total = 0
-    for sl in slices:
-        offsets.append(total)
-        total += len(sl) * (len(sl) + 1) // 2
+    # unknowns row by row: column first[x] + y holds B(x, y) for x <= y
+    cells = [(x, y) for sl in slices for x in sl for y in range(x, sl.stop)]
+    first = [k - x for k, (x, y) in enumerate(cells) if x == y]
 
-    def unknown(off: int, sl: range, x: int, y: int) -> int:
-        x, y = x - sl.start, y - sl.start
-        if x > y:
-            x, y = y, x
-        return off + x * len(sl) - x * (x - 1) // 2 + (y - x)
-
-    reducer = RowReducer(total)
+    solver = RatioUnionFind(len(cells))
     actions = [em[z] for z in grading.fixed_generators]
-    for sl, off in zip(slices, offsets):
+    for sl in slices:
         for action in actions:
             for x in sl:
                 ax = action.get(x)
                 if not ax:
                     continue
+                (r, c), = ax
                 for y in sl:
-                    ay = action.get(y, ())
+                    ay = action.get(y)
                     if ay and y < x:
                         continue  # this pair was met as (y, x)
-                    row: dict[int, Fraction] = {}
-                    for r, c in ax:
-                        col = unknown(off, sl, r, y)
-                        row[col] = row.get(col, ZERO) + c
-                    for r, c in ay:
-                        col = unknown(off, sl, x, r)
-                        row[col] = row.get(col, ZERO) + c
-                    reducer.insert(row)
-    solutions = reducer.nullspace_basis()
-
-    forms = []
-    for sol in solutions:
-        upper = []
-        for sl, off in zip(slices, offsets):
-            for x in sl:
-                for y in range(x, sl.stop):
-                    v = sol[unknown(off, sl, x, y)]
-                    if v:
-                        upper.append((x, y, v))
-        forms.append(SymmetricForm.from_upper(m_dim, upper))
+                    col = first[r] + y if r <= y else first[y] + r
+                    if ay:
+                        (s, d), = ay
+                        solver.add(((col, c), (first[x] + s if x <= s else first[s] + x, d)))
+                    else:
+                        solver.add(((col, c),))
+    forms = [
+        SymmetricForm.from_upper(len(carrier), [(*cells[col], v) for col, v in vec])
+        for vec in solver.sparse_nullspace()
+    ]
 
     keyed = []
     for pos, f in enumerate(forms):

@@ -152,6 +152,12 @@ def test_geodesic_generator_errors(capsys):
     assert "t-samples" in run_err(capsys, ["geodesic", *SO5, "--t-samples", "abc"])
 
 
+def test_geodesic_rejects_empty_sample_lists(capsys):
+    for text in ("", ",", " ", " , "):
+        err = run_err(capsys, ["geodesic", *SO5, "--t-samples", text])
+        assert "--t-samples" in err and repr(text) in err
+
+
 def test_geodesic_rejects_non_finite_samples(capsys):
     for tok in ("inf", "1e400", "nan"):
         err = run_err(capsys, ["geodesic", *SO5, "--t-samples", f"0.5,{tok}"])

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gammasym.grading import Grading, block_grading, component, holonomy_span, verify_grading
 from gammasym.groups import enumerate_group, from_label, identity
 from gammasym.liealg import LieAlgebra, build_so
+from gammasym.linalg import row_space_basis
 
 F = Fraction
 
@@ -154,6 +156,37 @@ def test_holonomy_spans_fixed_part():
         hs = holonomy_span(block_grading(n, part))
         assert {k: len(v) for k, v in hs.by_component.items()} == per
         assert hs.spans_fixed_part()
+
+
+def test_holonomy_matches_row_space_route():
+    """Unit vectors at the hit g_e positions equal the RREF span of the
+    bracket vectors, per component and in total, on every ordered
+    partition with 3 <= n <= 7."""
+    cases = [
+        (n, part)
+        for n in range(3, 8)
+        for part in product(range(n + 1), repeat=4)
+        if sum(part) == n
+    ]
+    assert len(cases) == 315
+    for n, part in cases:
+        g = block_grading(n, part)
+        _, me, _ = g.split
+        per, pooled = {}, []
+        for label, carrier in g.carrier_slices.items():
+            vecs = []
+            for a in carrier:
+                for b, terms in me[a].items():
+                    if b > a:
+                        v = [F(0)] * len(g.fixed_indices)
+                        for t, c in terms:
+                            v[t] = c
+                        vecs.append(v)
+            per[label] = row_space_basis(vecs)
+            pooled.extend(per[label])
+        hs = holonomy_span(g)
+        assert hs.by_component == per
+        assert hs.total == row_space_basis(pooled)
 
 
 def test_holonomy_abelian_toy():

@@ -7,8 +7,15 @@ import pytest
 
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import from_label, identity
-from gammasym.linalg import SymmetricForm, congruence_signature, nullspace, row_space_basis
+from gammasym.linalg import (
+    RowReducer,
+    SymmetricForm,
+    congruence_signature,
+    nullspace,
+    row_space_basis,
+)
 from gammasym.metrics import (
+    _classify,
     evaluate_family,
     invariant_family,
     is_adapted,
@@ -113,6 +120,72 @@ def test_family_from_generators_matches_full_action_set(monkeypatch):
     for n, part in cases:
         fam = invariant_family(block_grading(n, part))
         assert (fam.names, fam.supports, [f.entries for f in fam.basis]) == by_generators[n, part]
+
+
+def family_by_row_reduction(g):
+    """The family by general sparse RREF, a second route for the union-find
+    solve: one dict row per constraint, summed per unknown and reduced by
+    ``RowReducer``; the nullspace vectors are read back densely and named
+    as the library names them.
+    """
+    _, _, em = g.split
+    carrier = g.complement_indices
+    slices = list(g.carrier_slices.values())
+    offsets = [sum(len(s) * (len(s) + 1) // 2 for s in slices[:k]) for k in range(len(slices))]
+    total = sum(len(s) * (len(s) + 1) // 2 for s in slices)
+
+    def unknown(off, sl, x, y):
+        x, y = sorted((x - sl.start, y - sl.start))
+        return off + x * len(sl) - x * (x - 1) // 2 + (y - x)
+
+    reducer = RowReducer(total)
+    for sl, off in zip(slices, offsets):
+        for action in (em[z] for z in g.fixed_generators):
+            for x in sl:
+                for y in sl:
+                    ax, ay = action.get(x, ()), action.get(y, ())
+                    if not ax or (ay and y < x):
+                        continue
+                    row = {}
+                    for col, c in [(unknown(off, sl, r, y), c) for r, c in ax] + [
+                        (unknown(off, sl, x, r), c) for r, c in ay
+                    ]:
+                        row[col] = row.get(col, F(0)) + c
+                    reducer.insert(row)
+    forms = []
+    for sol in reducer.nullspace_basis():
+        upper = [
+            (x, y, sol[unknown(off, sl, x, y)])
+            for sl, off in zip(slices, offsets)
+            for x in sl
+            for y in range(x, sl.stop)
+            if sol[unknown(off, sl, x, y)]
+        ]
+        forms.append(SymmetricForm.from_upper(len(carrier), upper))
+    keyed = []
+    for pos, f in enumerate(forms):
+        cpos, sbord, dflag, support, sub = _classify(f, g, carrier)
+        keyed.append(((cpos, sbord, dflag, pos), f, support, sub, dflag))
+    keyed.sort(key=lambda item: item[0])
+    names, supports, used = [], [], Counter()
+    for _, f, support, sub, dflag in keyed:
+        stem = ("t_" if dflag == 0 else "u_") + sub
+        used[stem] += 1
+        names.append(stem if used[stem] == 1 else f"{stem}_{used[stem]}")
+        supports.append(support)
+    return names, supports, [f.entries for _, f, *_ in keyed]
+
+
+def test_family_matches_row_reduction_route():
+    """The union-find family equals the sparse RREF family on every
+    ordered partition with 3 <= n <= 7: names, supports and entries."""
+    cases = ordered_partitions(3, 7)
+    assert len(cases) == 315
+    for n, part in cases:
+        g = block_grading(n, part)
+        fam = invariant_family(g)
+        by_rref = family_by_row_reduction(g)
+        assert (fam.names, fam.supports, [f.entries for f in fam.basis]) == by_rref
 
 
 def invariant_on(g, form, carrier):
