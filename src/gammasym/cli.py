@@ -142,9 +142,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "generator", None) is not None:
         cfg.generator = args.generator
     if getattr(args, "t_samples", None) is not None:
-        cfg.t_samples = [tok.strip() for tok in args.t_samples.split(",") if tok.strip()]
-        if not cfg.t_samples:
-            raise CommandError(f"--t-samples needs at least one number, got {args.t_samples!r}")
+        text = args.t_samples
+        cfg.t_samples = [tok.strip() for tok in text.split(",")]
+        if not any(cfg.t_samples):
+            raise CommandError(f"--t-samples needs at least one number, got {text!r}")
+        bad = [tok for k, tok in enumerate(cfg.t_samples) if not tok or tok in cfg.t_samples[:k]]
+        if bad:
+            raise CommandError(f"--t-samples entry {bad[0]!r} is empty or repeated in {text!r}")
     return cfg
 
 

@@ -365,9 +365,9 @@ def congruence_signature(form) -> tuple[int, int, int]:
     a zero diagonal with a nonzero off-diagonal entry is a hyperbolic pair
     contributing (1, 1).  No eigenvalues, no floats.  A ``SymmetricForm``
     is taken one connected component of the support graph of its nonzero
-    entries at a time: a lone index counts by the sign of its diagonal
-    entry, and only larger components are eliminated, on their own dense
-    block.  A list of rows is validated and eliminated whole.
+    entries at a time (``support_components``): an index on no entry is a
+    zero row, and each component is eliminated on its own dense block.  A
+    list of rows is validated and eliminated whole.
     """
     if not isinstance(form, SymmetricForm):
         work = to_matrix(form)
@@ -379,36 +379,39 @@ def congruence_signature(form) -> tuple[int, int, int]:
                 if work[i][j] != work[j][i]:
                     raise ValueError("Gram matrix not symmetric")
         return _eliminate(work)
-    neighbours: list[list[int]] = [[] for _ in range(form.dim)]
-    for i, j, _ in form.nonzero_entries:
-        if i != j:
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-    seen = [False] * form.dim
-    pos = neg = zero = 0
-    for start in range(form.dim):
-        if seen[start]:
-            continue
-        seen[start] = True
-        if not neighbours[start]:
-            v = form.entries[start][start]
-            if v > 0:
-                pos += 1
-            elif v < 0:
-                neg += 1
-            else:
-                zero += 1
-            continue
-        comp = [start]
-        for i in comp:
-            for j in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-        comp.sort()
+    comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
+    pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
+    for comp in comps:
         p, q, z = _eliminate([[form.entries[i][j] for j in comp] for i in comp])
         pos, neg, zero = pos + p, neg + q, zero + z
     return pos, neg, zero
+
+
+def support_components(dim: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on range(dim) with edges ``pairs``,
+    as sorted index lists by smallest index.  Only indices on some pair are
+    covered; a pair (i, i) covers i alone."""
+    neighbours: list[list[int]] = [[] for _ in range(dim)]
+    touched = [False] * dim  # on some pair and not yet in a component
+    for i, j in pairs:
+        touched[i] = touched[j] = True
+        if i != j:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    comps = []
+    for start in range(dim):
+        if not touched[start]:
+            continue
+        touched[start] = False
+        comp = [start]
+        for i in comp:
+            for j in neighbours[i]:
+                if touched[j]:
+                    touched[j] = False
+                    comp.append(j)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def _eliminate(work: Matrix) -> tuple[int, int, int]:

@@ -36,6 +36,7 @@ from .linalg import (
     char_poly,
     frac,
     solve_matrix,
+    support_components,
     zeros,
 )
 
@@ -269,24 +270,43 @@ class SignatureReport:
 def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     """Inertia of every +-1 assignment on the diagonal-supported parameters.
 
-    Off-diagonal parameters are held at 0.  Sign vectors are enumerated
-    in lexicographic order with -1 before +1, so the first Lorentzian
-    assignment reported by ``lorentzian_search`` is well defined.
+    Off-diagonal parameters are held at 0.  Forms whose supports share an
+    index are grouped (``support_components``); each member is block
+    diagonal over the groups plus zero rows, and inertia adds over blocks.
+    A group's inertia is computed once per sign key on its own block; the
+    negated key swaps the positive and negative counts.  Sign vectors are
+    enumerated in lexicographic order with -1 before +1, so the first
+    Lorentzian assignment reported by ``lorentzian_search`` is well defined.
     """
     diag = family.diagonal_parameters()
     m_dim = len(family.carrier)
-    for signs in iter_product((Fraction(-1), ONE), repeat=len(diag)):
+    forms = [family.basis[k].nonzero_entries for k in diag]
+    supports = [sorted({i for e in f for i in e[:2]}) for f in forms]
+    groups = support_components(m_dim, [(s[0], i) for s in supports for i in s])
+    members = [[t for t, s in enumerate(supports) if s and s[0] in comp] for comp in groups]
+    untouched = m_dim - sum(map(len, groups))
+    cache: list[dict] = [{} for _ in groups]
+
+    def group_inertia(g: int, key: tuple[int, ...]) -> tuple[int, int, int]:
+        if key not in cache[g]:
+            local = {i: a for a, i in enumerate(groups[g])}
+            total: dict[tuple[int, int], Fraction] = {}
+            for t, s in zip(members[g], key):
+                for i, j, e in forms[t]:
+                    total[local[i], local[j]] = total.get((local[i], local[j]), ZERO) + s * e
+            upper = sorted((i, j, e) for (i, j), e in total.items() if e)
+            p, n, z = congruence_signature(SymmetricForm.from_upper(len(local), upper))
+            cache[g][key], cache[g][tuple(-s for s in key)] = (p, n, z), (n, p, z)
+        return cache[g][key]
+
+    unit = {-1: Fraction(-1), 1: ONE}
+    for signs in iter_product((-1, 1), repeat=len(diag)):
         values = zeros(family.dimension)
         for pos, s in zip(diag, signs):
-            values[pos] = s
-        form = evaluate_family(family, values)
-        inertia = congruence_signature(form)
-        yield SignatureReport(
-            list(family.names),
-            values,
-            inertia,
-            inertia == (m_dim - 1, 1, 0),
-        )
+            values[pos] = unit[s]
+        parts = [group_inertia(g, tuple(signs[t] for t in ts)) for g, ts in enumerate(members)]
+        inertia = tuple(map(sum, zip((0, 0, untouched), *parts)))
+        yield SignatureReport(list(family.names), values, inertia, inertia == (m_dim - 1, 1, 0))
 
 
 def lorentzian_search(family: FormFamily) -> SignatureReport | None:

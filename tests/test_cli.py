@@ -158,6 +158,14 @@ def test_geodesic_rejects_empty_sample_lists(capsys):
         assert "--t-samples" in err and repr(text) in err
 
 
+def test_geodesic_rejects_empty_and_repeated_samples(capsys):
+    for text, tok in (("1,,2", ""), ("1, ,2", ""), ("0.5,", ""), ("1,1", "1"), ("1,2, 1", "1")):
+        err = run_err(capsys, ["geodesic", *SO5, "--t-samples", text])
+        assert f"--t-samples entry {tok!r} is empty or repeated in {text!r}" in err
+    doc = json.loads(run_ok(capsys, ["geodesic", *SO5, "--t-samples", "1,1.0"]))
+    assert len(doc["samples"]) == 2
+
+
 def test_geodesic_rejects_non_finite_samples(capsys):
     for tok in ("inf", "1e400", "nan"):
         err = run_err(capsys, ["geodesic", *SO5, "--t-samples", f"0.5,{tok}"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import from_label, identity
@@ -15,6 +16,7 @@ from gammasym.linalg import (
     row_space_basis,
 )
 from gammasym.metrics import (
+    FormFamily,
     _classify,
     evaluate_family,
     invariant_family,
@@ -417,6 +419,73 @@ def test_signature_scan_order():
     assert len(reports) == 8
     assert reports[0].parameter_values == [F(-1)] * 3
     assert reports[-1].parameter_values == [F(1)] * 3
+
+
+def scan_by_gram_matrices(fam):
+    """The scan as one full member and one signature per sign vector:
+    (names, values, inertia, lorentzian) for each report, in scan order."""
+    diag = fam.diagonal_parameters()
+    m_dim = len(fam.carrier)
+    for signs in product((F(-1), F(1)), repeat=len(diag)):
+        values = [F(0)] * fam.dimension
+        for pos, s in zip(diag, signs):
+            values[pos] = s
+        inertia = congruence_signature(evaluate_family(fam, values))
+        yield fam.names, values, inertia, inertia == (m_dim - 1, 1, 0)
+
+
+def scan_reports(fam):
+    return [
+        (rep.parameter_names, rep.parameter_values, rep.inertia, rep.lorentzian)
+        for rep in signature_scan(fam)
+    ]
+
+
+def test_signature_scan_matches_gram_matrix_route():
+    """Block-wise inertia with cached groups equals one signature of the
+    full member per sign vector, report by report, for the invariant and
+    the refined family of every ordered partition with 3 <= n <= 7 and of
+    n=8 (2,2,2,2)."""
+    cases = ordered_partitions(3, 7) + [(8, (2, 2, 2, 2))]
+    for n, part in cases:
+        fam = family(n, part)
+        for f in (fam, naturally_reductive_subfamily(fam)):
+            assert scan_reports(f) == list(scan_by_gram_matrices(f)), (n, part)
+
+
+@st.composite
+def coupled_families(draw):
+    """Hand-built families on one component.  The diagonal-supported forms
+    share indices, cancel on shared cells, may be a zero-diagonal
+    hyperbolic pair and leave indices untouched; off-diagonal-supported
+    forms sit beside them and must be held at 0."""
+    dim = draw(st.integers(2, 7))
+    index = st.integers(0, dim - 1)
+    value = st.sampled_from([F(-2), F(-1), F(1), F(1, 2), F(3)])
+    forms, supports = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(index), draw(index)
+        cells = {(min(i, j), max(i, j)): draw(value)}  # alone, i != j is a hyperbolic pair
+        for a, b in draw(st.lists(st.tuples(index, index), max_size=3)):
+            cells[min(a, b), max(a, b)] = draw(value)
+        if forms and draw(st.booleans()):  # cancel an earlier form on a shared cell
+            a, b, v = draw(st.sampled_from(forms[-1].nonzero_entries))
+            cells[a, b] = -v
+        forms.append(SymmetricForm.from_upper(dim, sorted((a, b, v) for (a, b), v in cells.items())))
+        supports.append("a:diag:A1" if draw(st.booleans()) else "a:offdiag:A1")
+    return FormFamily(
+        block_grading(3, (1, 1, 1, 0)),
+        tuple(range(dim)),
+        [f"p{k}" for k in range(len(forms))],
+        supports,
+        forms,
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(coupled_families())
+def test_signature_scan_coupled_groups_match_gram_matrix_route(fam):
+    assert scan_reports(fam) == list(scan_by_gram_matrices(fam))
 
 
 # -- Killing comparison operator -------------------------------------------
