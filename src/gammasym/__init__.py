@@ -7,7 +7,7 @@ reductivity, classify signatures, and evaluate curvature and geodesics.
 """
 
 from .groups import GroupElement, enumerate_group, from_label, identity, product
-from .liealg import LieAlgebra, bracket, build_so, killing_form
+from .liealg import LieAlgebra, build_so
 from .linalg import (
     RowReducer,
     SymmetricForm,
@@ -22,7 +22,6 @@ from .grading import (
     GradingViolation,
     HolonomySpan,
     block_grading,
-    component,
     holonomy_span,
     verify_grading,
 )
@@ -45,7 +44,6 @@ from .geometry import (
     ambrose_singer_check,
     canonical_curvature,
     canonical_torsion,
-    geodesic_closed_form,
     geodesic_curve,
     matrix_exp_numeric,
     sectional_table,
@@ -71,23 +69,19 @@ __all__ = [
     "SymmetricForm",
     "ambrose_singer_check",
     "block_grading",
-    "bracket",
     "build_so",
     "canonical_curvature",
     "canonical_torsion",
     "char_poly",
-    "component",
     "congruence_signature",
     "enumerate_group",
     "evaluate_family",
     "from_label",
-    "geodesic_closed_form",
     "geodesic_curve",
     "holonomy_span",
     "identity",
     "invariant_family",
     "is_adapted",
-    "killing_form",
     "killing_metric_operator",
     "lorentzian_search",
     "matrix_exp_numeric",

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .metrics import (
     naturally_reductive_subfamily,
 )
 
-_DEFAULT_SAMPLES = ["0.1", "1", "3.141592653589793", "5"]
+_DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
 # The largest accepted --n: the largest n for which ``report`` at a balanced
 # partition is projected to finish within a minute (58 s measured at n=55,
@@ -37,18 +36,6 @@ MAX_N = 55
 
 class CommandError(Exception):
     """User-facing error: bad arguments or unsupported combination."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    partition: tuple[int, int, int, int]
-    fmt: str = "json"
-    out: str | None = None
-    params: list[Fraction] | None = None
-    generator: str | None = None
-    t_samples: list[str] = field(default_factory=lambda: list(_DEFAULT_SAMPLES))
 
 
 def _parse_partition(text: str) -> tuple[int, int, int, int]:
@@ -122,48 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--t-samples",
-                default=",".join(_DEFAULT_SAMPLES),
+                default=_DEFAULT_SAMPLES,
                 metavar="t1,t2,...",
                 help="comma separated sample parameters",
             )
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        partition=args.partition,
-        fmt=args.fmt,
-        out=args.out,
-    )
-    if getattr(args, "params", None) is not None:
-        cfg.params = args.params
-    if getattr(args, "generator", None) is not None:
-        cfg.generator = args.generator
-    if getattr(args, "t_samples", None) is not None:
-        text = args.t_samples
-        cfg.t_samples = [tok.strip() for tok in text.split(",")]
-        if not any(cfg.t_samples):
-            raise CommandError(f"--t-samples needs at least one number, got {text!r}")
-        bad = [tok for k, tok in enumerate(cfg.t_samples) if not tok or tok in cfg.t_samples[:k]]
-        if bad:
-            raise CommandError(f"--t-samples entry {bad[0]!r} is empty or repeated in {text!r}")
-    return cfg
-
-
-def _grading(cfg: RunConfig) -> Grading:
-    if cfg.n > MAX_N:
-        raise CommandError(f"--n {cfg.n} is above the size bound {MAX_N}")
+def _grading(args: argparse.Namespace) -> Grading:
+    if args.n > MAX_N:
+        raise CommandError(f"--n {args.n} is above the size bound {MAX_N}")
     try:
-        return block_grading(cfg.n, cfg.partition)
+        return block_grading(args.n, args.partition)
     except ValueError as exc:
         raise CommandError(str(exc))
 
 
-def _no_csv(cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        raise CommandError(f"csv format is not supported for '{cfg.command}'")
+def _no_csv(args: argparse.Namespace) -> None:
+    if args.fmt == "csv":
+        raise CommandError(f"csv format is not supported for '{args.command}'")
 
 
 def _generator_index(grading: Grading, label: str | None) -> int:
@@ -207,50 +171,50 @@ def _write(path: Path, payload: bytes) -> None:
 # -- command bodies ---------------------------------------------------------
 
 
-def _run_grade(cfg: RunConfig) -> str:
-    g = _grading(cfg)
+def _run_grade(args: argparse.Namespace) -> str:
+    g = _grading(args)
     ok = verify_grading(g) is None
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return serialize.grading_text(g, ok)
-    _no_csv(cfg)
+    _no_csv(args)
     return serialize.dumps(serialize.grading_doc(g, ok))
 
 
-def _run_metrics(cfg: RunConfig) -> str:
-    g = _grading(cfg)
+def _run_metrics(args: argparse.Namespace) -> str:
+    g = _grading(args)
     family = invariant_family(g)
     refined = naturally_reductive_subfamily(family)
     evaluation = None
-    if cfg.params is not None:
-        if len(cfg.params) != family.dimension:
+    if args.params is not None:
+        if len(args.params) != family.dimension:
             raise CommandError(
                 f"--params expects {family.dimension} values for this family, "
-                f"got {len(cfg.params)}"
+                f"got {len(args.params)}"
             )
-        form = evaluate_family(family, cfg.params)
+        form = evaluate_family(family, args.params)
         evaluation = {
-            "values": serialize.vector_json(cfg.params),
+            "values": serialize.vector_json(args.params),
             "inertia": list(congruence_signature(form)),
         }
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         text = serialize.family_text(family, refined.dimension)
         if evaluation is not None:
             p, n, z = evaluation["inertia"]
             text += f"inertia at given values: ({p}, {n}, {z})\n"
         return text
-    _no_csv(cfg)
+    _no_csv(args)
     doc = serialize.family_doc(family, refined.dimension)
     if evaluation is not None:
         doc["evaluation"] = evaluation
     return serialize.dumps(doc)
 
 
-def _run_reductive(cfg: RunConfig) -> str:
-    g = _grading(cfg)
+def _run_reductive(args: argparse.Namespace) -> str:
+    g = _grading(args)
     refined = naturally_reductive_subfamily(invariant_family(g))
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return serialize.reductive_text(refined)
-    _no_csv(cfg)
+    _no_csv(args)
     return serialize.dumps(serialize.reductive_doc(refined))
 
 
@@ -260,32 +224,39 @@ def _curvature_table(g: Grading):
     return sectional_table(g, b_m, b_e)
 
 
-def _run_curvature(cfg: RunConfig) -> str:
-    g = _grading(cfg)
+def _run_curvature(args: argparse.Namespace) -> str:
+    g = _grading(args)
     table = _curvature_table(g)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return serialize.curvature_csv(table)
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return serialize.curvature_text(table)
     return serialize.dumps(serialize.curvature_doc(g, table))
 
 
-def _run_lorentz(cfg: RunConfig) -> str:
-    g = _grading(cfg)
+def _run_lorentz(args: argparse.Namespace) -> str:
+    g = _grading(args)
     report = lorentzian_search(invariant_family(g))
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return serialize.lorentz_text(report)
-    _no_csv(cfg)
+    _no_csv(args)
     return serialize.dumps(serialize.lorentz_doc(g, report))
 
 
-def _run_geodesic(cfg: RunConfig) -> str:
-    g = _grading(cfg)
-    idx = _generator_index(g, cfg.generator)
+def _run_geodesic(args: argparse.Namespace) -> str:
+    text = args.t_samples
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not any(tokens):
+        raise CommandError(f"--t-samples needs at least one number, got {text!r}")
+    bad = [tok for k, tok in enumerate(tokens) if not tok or tok in tokens[:k]]
+    if bad:
+        raise CommandError(f"--t-samples entry {bad[0]!r} is empty or repeated in {text!r}")
+    g = _grading(args)
+    idx = _generator_index(g, args.generator)
     label = g.algebra.basis_label(idx)
     curve = geodesic_curve(g.algebra.basis_matrix(idx))
     samples = {}
-    for tok in cfg.t_samples:
+    for tok in tokens:
         try:
             t = float(tok)
         except ValueError:
@@ -293,21 +264,21 @@ def _run_geodesic(cfg: RunConfig) -> str:
         if not math.isfinite(t):
             raise CommandError(f"--t-samples needs finite numbers, got {tok!r}")
         samples[tok] = t
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return serialize.geodesic_text(label, curve, samples)
-    _no_csv(cfg)
+    _no_csv(args)
     return serialize.dumps(serialize.geodesic_doc(g, label, curve, samples))
 
 
-def _run_report(cfg: RunConfig) -> str:
-    if cfg.out is None:
+def _run_report(args: argparse.Namespace) -> str:
+    if args.out is None:
         raise CommandError("report requires --out DIRECTORY")
-    g = _grading(cfg)
-    outdir = Path(cfg.out)
+    g = _grading(args)
+    outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CommandError(f"cannot create --out directory {cfg.out!r}: {exc.strerror or exc}")
+        raise CommandError(f"cannot create --out directory {args.out!r}: {exc.strerror or exc}")
     ok = verify_grading(g) is None
     family = invariant_family(g)
     refined = naturally_reductive_subfamily(family)
@@ -335,7 +306,7 @@ def _run_report(cfg: RunConfig) -> str:
         ),
         "lorentz.json": serialize.dumps(serialize.lorentz_doc(g, lor)),
     }
-    manifest = {"command": "report", "n": cfg.n, "partition": list(cfg.partition), "files": {}}
+    manifest = {"command": "report", "n": args.n, "partition": list(args.partition), "files": {}}
     for name in sorted(docs):
         payload = docs[name].encode("utf-8")
         _write(outdir / name, payload)
@@ -359,19 +330,12 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> str:
-    """Execute one configured command and return its payload text."""
-    return _RUNNERS[cfg.command](cfg)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        payload = run(cfg)
-        if cfg.out is not None and cfg.command != "report":
-            _write(Path(cfg.out), payload.encode("utf-8"))
+        payload = _RUNNERS[args.command](args)
+        if args.out is not None and args.command != "report":
+            _write(Path(args.out), payload.encode("utf-8"))
         else:
             sys.stdout.write(payload)
     except CommandError as exc:

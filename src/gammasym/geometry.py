@@ -2,8 +2,10 @@
 
 The canonical connection of the reductive split g = g_e + m has torsion
 -[X,Y]_m and curvature -[[X,Y]_{g_e}, Z]; the associated torsion-free
-connection adds the 1/4 and 1/2 bracket corrections.  All of that is
-exact rational arithmetic on coefficient vectors.
+connection adds the 1/4 and 1/2 bracket corrections.  Every restricted
+bracket is read from the partner lists of ``Grading.split``, so the
+grading must verify; vectors enter and leave as dim-length coefficient
+vectors, and all arithmetic is exact.
 
 Geodesics through the origin are matrix curves t -> exp(tE).  For the
 generators occurring here E^3 = -E, so the exponential collapses to
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .grading import Grading
-from .linalg import Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, mat_mul
+from .grading import Grading, Partners
+from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, mat_mul, zeros
 from .metrics import is_adapted
 
 if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
@@ -32,32 +34,52 @@ if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
 # scaling-and-squaring on top of expm, to keep 1e-12 agreement honest
 _NORM_LIMIT = 32.0
 
+# a vector of m or of g_e as its nonzero coefficients, keyed by local position
+Local = dict[int, Fraction]
 
-def _require_complement(grading: Grading, vec: Sequence, who: str) -> Vector:
+
+def _local(grading: Grading, vec: Sequence, who: str) -> Local:
     v = [frac(c) for c in vec]
     if len(v) != grading.algebra.dim:
         raise ValueError(f"{who}: expected a coefficient vector of length {grading.algebra.dim}")
-    if not grading.in_complement(v):
+    local = {t: v[k] for t, k in enumerate(grading.complement_indices) if v[k]}
+    if len(local) != sum(1 for c in v if c):
         raise ValueError(f"{who}: vector has support outside the complement m")
-    return v
+    return local
+
+
+def _apply(partners: Partners, x: Local, y: Local) -> Local:
+    """The restricted bracket of two sparse local vectors, from its partner lists."""
+    out: Local = {}
+    for a, ca in x.items():
+        row = partners[a]
+        for b, cb in y.items():
+            for l, c in row.get(b, ()):
+                out[l] = out.get(l, ZERO) + ca * cb * c
+    return out
+
+
+def _combine(grading: Grading, *terms: tuple[Fraction, Local]) -> Vector:
+    """The sum of coef * v over the terms, as a dim-length coefficient vector."""
+    out = zeros(grading.algebra.dim)
+    for coef, v in terms:
+        for l, c in v.items():
+            out[grading.complement_indices[l]] += coef * c
+    return out
 
 
 def canonical_torsion(grading: Grading, x: Sequence, y: Sequence) -> Vector:
     """Torsion T(X, Y) = -[X, Y]_m of the canonical connection."""
-    vx = _require_complement(grading, x, "canonical_torsion")
-    vy = _require_complement(grading, y, "canonical_torsion")
-    b = grading.algebra.bracket(vx, vy)
-    return [-c for c in grading.project_complement(b)]
+    vx, vy = (_local(grading, v, "canonical_torsion") for v in (x, y))
+    mm, _, _ = grading.split
+    return _combine(grading, (-ONE, _apply(mm, vx, vy)))
 
 
 def canonical_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequence) -> Vector:
     """Curvature R(X, Y)Z = -[[X, Y]_{g_e}, Z] of the canonical connection."""
-    vx = _require_complement(grading, x, "canonical_curvature")
-    vy = _require_complement(grading, y, "canonical_curvature")
-    vz = _require_complement(grading, z, "canonical_curvature")
-    alg = grading.algebra
-    he = grading.project_fixed(alg.bracket(vx, vy))
-    return [-c for c in alg.bracket(he, vz)]
+    vx, vy, vz = (_local(grading, v, "canonical_curvature") for v in (x, y, z))
+    _, me, em = grading.split
+    return _combine(grading, (-ONE, _apply(em, _apply(me, vx, vy), vz)))
 
 
 def torsionfree_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequence) -> Vector:
@@ -66,22 +88,15 @@ def torsionfree_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequenc
     R(X,Y)Z = 1/4 [X,[Y,Z]_m]_m - 1/4 [Y,[X,Z]_m]_m - 1/2 [[X,Y]_m, Z]_m
               - [[X,Y]_{g_e}, Z]
     """
-    vx = _require_complement(grading, x, "torsionfree_curvature")
-    vy = _require_complement(grading, y, "torsionfree_curvature")
-    vz = _require_complement(grading, z, "torsionfree_curvature")
-    alg = grading.algebra
-    q = Fraction(1, 4)
-    h = Fraction(1, 2)
-    byz = grading.project_complement(alg.bracket(vy, vz))
-    bxz = grading.project_complement(alg.bracket(vx, vz))
-    bxy = alg.bracket(vx, vy)
-    bxy_m = grading.project_complement(bxy)
-    bxy_e = grading.project_fixed(bxy)
-    t1 = grading.project_complement(alg.bracket(vx, byz))
-    t2 = grading.project_complement(alg.bracket(vy, bxz))
-    t3 = grading.project_complement(alg.bracket(bxy_m, vz))
-    t4 = alg.bracket(bxy_e, vz)
-    return [q * a - q * b - h * c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+    vx, vy, vz = (_local(grading, v, "torsionfree_curvature") for v in (x, y, z))
+    mm, me, em = grading.split
+    return _combine(
+        grading,
+        (Fraction(1, 4), _apply(mm, vx, _apply(mm, vy, vz))),
+        (Fraction(-1, 4), _apply(mm, vy, _apply(mm, vx, vz))),
+        (Fraction(-1, 2), _apply(mm, _apply(mm, vx, vy), vz)),
+        (-ONE, _apply(em, _apply(me, vx, vy), vz)),
+    )
 
 
 @dataclass(frozen=True)
@@ -194,6 +209,8 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
 
 def _check_skew(e: Matrix) -> None:
     n = len(e)
+    if not n:
+        raise ValueError("generator must be a nonempty matrix")
     for row in e:
         if len(row) != n:
             raise ValueError("generator must be square")
@@ -256,11 +273,6 @@ def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
     return GeodesicCurve(freeze(em), freeze(const), freeze(em), freeze(neg_e2))
 
 
-def geodesic_closed_form(e: Sequence[Sequence], t: float) -> np.ndarray:
-    """Value of the closed-form exponential curve at parameter t."""
-    return geodesic_curve(e).at(t)
-
-
 def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     """Floating-point exp(tX) oracle, independent of the closed form.
 
@@ -272,9 +284,9 @@ def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     import numpy as np
     from scipy.linalg import expm
 
-    a = np.array([[float(v) for v in row] for row in x], dtype=float) * float(t)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = np.array(x, dtype=float) * float(t)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     nrm = np.linalg.norm(a, 2)
     squarings = 0
     if nrm > _NORM_LIMIT:

@@ -11,7 +11,6 @@ the tangent complement m is the sum of the other components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -172,20 +171,6 @@ class Grading:
                 return b
         raise ValueError(f"index {i} outside partition {self.partition}")
 
-    # -- projections ----------------------------------------------------
-
-    def project_fixed(self, x: Sequence) -> Vector:
-        keep = set(self.fixed_indices)
-        return [Fraction(c) if k in keep else Fraction(0) for k, c in enumerate(x)]
-
-    def project_complement(self, x: Sequence) -> Vector:
-        keep = set(self.complement_indices)
-        return [Fraction(c) if k in keep else Fraction(0) for k, c in enumerate(x)]
-
-    def in_complement(self, x: Sequence) -> bool:
-        fixed = set(self.fixed_indices)
-        return not any(c and k in fixed for k, c in enumerate(x))
-
 
 def block_grading(
     n: int, partition: Sequence[int], algebra: LieAlgebra | None = None
@@ -232,11 +217,6 @@ def verify_grading(grading: Grading) -> GradingViolation | None:
             if assign[k] != expected:
                 return GradingViolation(p, q, k, expected.label, assign[k].label)
     return None
-
-
-def component(grading: Grading, gamma: GroupElement) -> ComponentView:
-    """Module-level alias for ``grading.component``."""
-    return grading.component(gamma)
 
 
 @dataclass(frozen=True)

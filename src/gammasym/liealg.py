@@ -132,33 +132,14 @@ class LieAlgebra:
             v[k] = frac(m[i][j])
         return v
 
-    # -- adjoint maps and the Killing form -----------------------------
-
-    def ad_map(self, p: int) -> dict[int, BracketTerms]:
-        """ad(E_p) as a sparse map basis index -> terms of [E_p, E_k]."""
-        out = {}
-        for k in range(self.dim):
-            terms = self.bracket_basis(p, k)
-            if terms:
-                out[k] = terms
-        return out
+    # -- the Killing form ----------------------------------------------
 
     def killing_form(self) -> SymmetricForm:
-        """K(X, Y) = trace(ad X . ad Y), computed from the sparse ad maps."""
+        """K(X, Y) = trace(ad X . ad Y) = (n-2) tr(XY), so on the E_ij basis
+        K = -2(n-2) I, since tr(E_ij E_ij) = -2 and distinct E_ij are
+        trace-orthogonal.  Built once and cached."""
         if self._killing is None:
-            ads = [self.ad_map(p) for p in range(self.dim)]
-            rows = [[ZERO] * self.dim for _ in range(self.dim)]
-            for p in range(self.dim):
-                for q in range(p, self.dim):
-                    total = ZERO
-                    for k, terms_q in ads[q].items():
-                        for r, cq in terms_q:
-                            for s, cp in ads[p].get(r, ()):
-                                if s == k:
-                                    total += cq * cp
-                    rows[p][q] = total
-                    rows[q][p] = total
-            self._killing = SymmetricForm.from_rows(rows)
+            self._killing = SymmetricForm.diagonal([-2 * (self.n - 2)] * self.dim)
         return self._killing
 
 
@@ -171,12 +152,3 @@ def build_so(n: int) -> LieAlgebra:
         _cache[n] = LieAlgebra(n)
     return _cache[n]
 
-
-def bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """Module-level alias for ``algebra.bracket``."""
-    return algebra.bracket(x, y)
-
-
-def killing_form(algebra: LieAlgebra) -> SymmetricForm:
-    """Module-level alias for ``algebra.killing_form``."""
-    return algebra.killing_form()

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .geometry import CurvatureTable, GeodesicCurve
 from .grading import Grading
-from .linalg import SymmetricForm
 from .metrics import FormFamily, SignatureReport
 
 
@@ -29,20 +28,6 @@ def rat_str(x: Fraction) -> str:
 
 def vector_json(v: Sequence) -> list[list[int]]:
     return [rat(c) for c in v]
-
-
-def form_json(f: SymmetricForm) -> dict:
-    return {
-        "size": f.dim,
-        "entries": [rat(f.entry(i, j)) for i in range(f.dim) for j in range(f.dim)],
-    }
-
-
-def matrix_json(rows: Sequence[Sequence]) -> dict:
-    return {
-        "size": len(rows),
-        "entries": [rat(x) for row in rows for x in row],
-    }
 
 
 def partition_json(grading: Grading) -> list[int] | None:

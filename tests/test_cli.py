@@ -253,12 +253,12 @@ def test_n_above_size_bound_is_rejected(tmp_path, capsys):
 
 # sha256 of manifest.json, frozen from the dense form loops.  The manifest
 # holds the sha256 of every report document, so this pins all their bytes.
-# n=13 (3,3,3,4) gives
-# 2b110e5aca58ac87548e0079ab265f5158234bc232a92e73fa99e16b64d55337,
-# too slow for this suite.
 MANIFEST_SHA256 = {
     ("5", "2,2,1,0"): "7726916cef1ced473082d34d480259485650942018025b63b46340e2d68fa81f",
+    ("5", "1,1,3,0"): "864b9dd54f56ecd5b7ac1ee7d5f9c72bc06a20a36d8cd01c5e6454b78b6b52b7",
+    ("7", "2,2,2,1"): "1c78fc5d8507c84a6ea02865c250bd06fc6fd331e3ea52f263063f3a8f044d90",
     ("8", "2,2,2,2"): "8e93250f0e709e9553b54350400b11778bead7499dfacdd06949c1a21e7c32d9",
+    ("13", "3,3,3,4"): "2b110e5aca58ac87548e0079ab265f5158234bc232a92e73fa99e16b64d55337",
 }
 
 

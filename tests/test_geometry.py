@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from gammasym.geometry import (
     ambrose_singer_check,
     canonical_curvature,
     canonical_torsion,
-    geodesic_closed_form,
     geodesic_curve,
     matrix_exp_numeric,
     sectional_table,
@@ -77,6 +77,60 @@ def test_torsionfree_first_bianchi():
                     )
                 ]
                 assert all(v == 0 for v in total)
+
+
+def dense_route(g, x, y, z):
+    """Torsion and both curvatures from the dense bracket and a projection
+    by degree, with no use of the split."""
+    alg = g.algebra
+    fixed = [g.degree(k).is_identity() for k in range(alg.dim)]
+
+    def m_part(v):
+        return [F(0) if fixed[k] else c for k, c in enumerate(v)]
+
+    def e_part(v):
+        return [c if fixed[k] else F(0) for k, c in enumerate(v)]
+
+    br = alg.bracket
+    bxy = br(x, y)
+    t1 = m_part(br(x, m_part(br(y, z))))
+    t2 = m_part(br(y, m_part(br(x, z))))
+    t3 = m_part(br(m_part(bxy), z))
+    t4 = br(e_part(bxy), z)
+    q, h = F(1, 4), F(1, 2)
+    torsion = [-c for c in m_part(bxy)]
+    canonical = [-c for c in t4]
+    torsionfree = [q * a - q * b - h * c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+    return torsion, canonical, torsionfree
+
+
+def test_curvature_matches_dense_route():
+    rng = random.Random(41)
+    cases = [(n, p) for n in range(3, 6) for p in product(range(n + 1), repeat=4) if sum(p) == n]
+    sixes = [p for p in product(range(7), repeat=4) if sum(p) == 6]
+    cases += [(6, p) for p in rng.sample(sixes, 6)]
+    checked = 0
+    for n, part in cases:
+        g = block_grading(n, part)
+        alg, carrier = g.algebra, g.complement_indices
+        if not carrier:
+            continue
+        basis = [alg.basis_vector(k) for k in carrier]
+        # every basis pair, against a random basis vector
+        triples = [(x, y, rng.choice(basis)) for i, x in enumerate(basis) for y in basis[i:]]
+        for _ in range(4):  # random rational m-vectors
+            vecs = [[F(0)] * alg.dim for _ in range(3)]
+            for v in vecs:
+                for k in carrier:
+                    v[k] = F(rng.randint(-4, 4), rng.randint(1, 3))
+            triples.append(tuple(vecs))
+        for x, y, z in triples:
+            torsion, canonical, torsionfree = dense_route(g, x, y, z)
+            assert canonical_torsion(g, x, y) == torsion, (n, part)
+            assert canonical_curvature(g, x, y, z) == canonical, (n, part)
+            assert torsionfree_curvature(g, x, y, z) == torsionfree, (n, part)
+            checked += 1
+    assert checked == 2385
 
 
 # frozen sectional numerators, complement positions 0..7
@@ -192,17 +246,14 @@ def test_geodesic_generator_validation():
         geodesic_curve([[0, 1], [0, 0]])          # not skew
     with pytest.raises(ValueError):
         geodesic_curve([[0, 1, 0], [-1, 0, 0]])    # not square
+    with pytest.raises(ValueError, match="nonempty"):
+        geodesic_curve([])
     mixed = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
     with pytest.raises(ValueError, match="matrix_exp_numeric"):
         geodesic_curve(mixed)
     # but the numeric oracle happily exponentiates it
     r = matrix_exp_numeric(mixed, 1.0)
     assert np.abs(r @ r.T - np.eye(4)).max() <= 1e-10
-
-
-def test_geodesic_closed_form_helper():
-    e = ALG.basis_matrix(M[3])
-    assert np.allclose(geodesic_closed_form(e, 0.7), matrix_exp_numeric(e, 0.7), atol=1e-12)
 
 
 def test_matrix_exp_numeric_inverse_pairs():
@@ -220,10 +271,13 @@ def test_matrix_exp_numeric_large_argument():
     # exact closed form of the same generator
     e = ALG.basis_matrix(M[0])
     t = 100.0
-    gap = np.abs(matrix_exp_numeric(e, t) - geodesic_closed_form(e, t)).max()
+    gap = np.abs(matrix_exp_numeric(e, t) - geodesic_curve(e).at(t)).max()
     assert gap <= 1e-10
 
 
 def test_matrix_exp_numeric_rejects_nonsquare():
     with pytest.raises(ValueError):
         matrix_exp_numeric([[0.0, 1.0]])
+    for bad in ([], [0.0, 1.0], np.zeros(3), [[]]):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            matrix_exp_numeric(bad)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from gammasym.grading import Grading, block_grading, component, holonomy_span, verify_grading
+from gammasym.grading import Grading, block_grading, holonomy_span, verify_grading
 from gammasym.groups import enumerate_group, from_label, identity
 from gammasym.liealg import LieAlgebra, build_so
 from gammasym.linalg import row_space_basis
@@ -109,7 +109,7 @@ def test_corruption_yields_witness():
 
 def test_component_accessor_and_errors():
     g = block_grading(5, (2, 2, 1, 0))
-    a = component(g, from_label(2, "a"))
+    a = g.component(from_label(2, "a"))
     assert a.dim == 4
     assert [g.algebra.basis_label(k) for k in a.indices] == ["E13", "E14", "E23", "E24"]
     with pytest.raises(ValueError):
@@ -131,16 +131,6 @@ def test_subblock_names():
     assert g.subblock(alg.pair_index[(0, 4)]) == "B1"   # E15
     assert g.subblock(alg.pair_index[(2, 4)]) == "C2"   # E35
     assert g.subblock(alg.pair_index[(0, 1)]) is None   # E12 inside g_e
-
-
-def test_projections():
-    g = block_grading(5, (2, 2, 1, 0))
-    v = [F(1)] * g.algebra.dim
-    pm = g.project_complement(v)
-    pe = g.project_fixed(v)
-    assert [a + b for a, b in zip(pm, pe)] == v
-    assert g.in_complement(pm)
-    assert not g.in_complement(v)
 
 
 # -- holonomy --------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammasym.liealg import LieAlgebra, bracket, build_so, killing_form
+from gammasym.liealg import LieAlgebra, build_so
 from gammasym.linalg import mat_mul
 
 F = Fraction
@@ -109,13 +109,6 @@ def test_jacobi_identity_so5():
                 assert [a + b + c for a, b, c in zip(total, t2, t3)] == zero
 
 
-def test_module_level_bracket_alias():
-    alg = build_so(4)
-    assert bracket(alg, unit(alg, 1, 2), unit(alg, 2, 3)) == alg.bracket(
-        unit(alg, 1, 2), unit(alg, 2, 3)
-    )
-
-
 # -- Killing form ----------------------------------------------------------
 
 
@@ -169,9 +162,26 @@ def test_killing_ad_invariance_all_basis_triples():
                 assert lhs + rhs == 0
 
 
+def test_killing_matches_ad_trace():
+    """K(E_p, E_q) = sum_k of the E_k coefficient of [E_p, [E_q, E_k]],
+    the trace of ad E_p . ad E_q, from the structure constants alone."""
+    for n in (3, 4, 5, 7):
+        alg = build_so(n)
+        k = alg.killing_form()
+        for p in range(alg.dim):
+            for q in range(p, alg.dim):
+                trace = F(0)
+                for j in range(alg.dim):
+                    for r, c in alg.bracket_basis(q, j):
+                        for s, d in alg.bracket_basis(p, r):
+                            if s == j:
+                                trace += c * d
+                assert k.entry(p, q) == k.entry(q, p) == trace, (n, p, q)
+
+
 def test_killing_form_alias_and_cache():
     alg = build_so(4)
-    assert killing_form(alg) is alg.killing_form()
+    assert alg.killing_form() is alg.killing_form()
 
 
 def test_build_so_cached():

@@ -3,7 +3,8 @@
 The split is checked against a brute-force construction from
 ``bracket_basis`` and degree membership, and the natural-reductivity
 verdicts and the refinement built on it are checked against an oracle
-that uses only the canonical torsion and the Gram matrix of the form.
+that uses only the dense bracket, the degrees and the Gram matrix of the
+form.
 """
 
 import random
@@ -13,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from gammasym.geometry import ambrose_singer_check, canonical_torsion
+from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group
 from gammasym.linalg import RowReducer, SymmetricForm
@@ -91,15 +92,16 @@ def test_split_needs_a_verified_grading():
 
 
 def torsions(g):
-    """T(E_x, E_y) in complement coordinates, from the canonical torsion."""
+    """T(E_x, E_y) = -[E_x, E_y]_m in complement coordinates, from the dense
+    bracket read at the basis vectors of non-identity degree."""
     alg = g.algebra
     carrier = g.complement_indices
     basis = [alg.basis_vector(k) for k in carrier]
     t = [[[F(0)] * len(carrier) for _ in carrier] for _ in carrier]
     for x in range(len(carrier)):
         for y in range(x + 1, len(carrier)):
-            v = canonical_torsion(g, basis[x], basis[y])
-            t[x][y] = [v[k] for k in carrier]
+            v = alg.bracket(basis[x], basis[y])
+            t[x][y] = [-v[k] for k in carrier]
             t[y][x] = [-c for c in t[x][y]]
     return t
 
@@ -212,7 +214,7 @@ def test_adapted_verdicts_on_forms_outside_the_family():
 
 def test_refinement_matches_dense_triple_route():
     # every residual B([X,Y]_m, Z) + B([X,Z]_m, Y) over all x, y, z, with
-    # [X, Y]_m = -T(X, Y) from the canonical torsion, one row per triple
+    # [X, Y]_m = -T(X, Y) from the dense bracket, one row per triple
     count = 0
     for n in range(3, 7):
         for part in compositions(n):
