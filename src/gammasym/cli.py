@@ -9,7 +9,6 @@ reruns with the same arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -85,13 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="r1,r2,r3,r4",
             help="four block sizes summing to n",
         )
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("json", "csv", "text"),
-            default="json",
-            help="output format (csv only where tabular)",
-        )
+        if name != "report":
+            p.add_argument(
+                "--format",
+                dest="fmt",
+                choices=("json", "csv", "text"),
+                default="json",
+                help="output format (csv only for curvature)",
+            )
         p.add_argument("--out", default=None, help="output file (directory for report)")
         if name == "metrics":
             p.add_argument(
@@ -125,11 +125,6 @@ def _grading(args: argparse.Namespace) -> Grading:
         raise CommandError(str(exc))
 
 
-def _no_csv(args: argparse.Namespace) -> None:
-    if args.fmt == "csv":
-        raise CommandError(f"csv format is not supported for '{args.command}'")
-
-
 def _generator_index(grading: Grading, label: str | None) -> int:
     carrier = grading.complement_indices
     if not carrier:
@@ -138,24 +133,12 @@ def _generator_index(grading: Grading, label: str | None) -> int:
         return carrier[0]
     alg = grading.algebra
     text = label.strip()
-    if text and text[0] in "Ee":
-        text = text[1:]
-    if "," in text:
-        bits = text.split(",")
-    elif "_" in text:
-        bits = text.split("_")
-    elif len(text) == 2:
-        bits = [text[0], text[1]]
-    else:
-        raise CommandError(f"cannot parse generator label {label!r}")
-    try:
-        i, j = (int(b) for b in bits)
-    except ValueError:
-        raise CommandError(f"cannot parse generator label {label!r}")
-    key = (min(i, j) - 1, max(i, j) - 1)
-    if key not in alg.pair_index:
-        raise CommandError(f"generator {label!r} is not a basis vector of so({alg.n})")
-    idx = alg.pair_index[key]
+    idx = next((k for k in range(alg.dim) if alg.basis_label(k) == text), None)
+    if idx is None:
+        raise CommandError(
+            f"generator {label!r} is not a basis vector of so({alg.n}); "
+            f"labels run {alg.basis_label(0)} to {alg.basis_label(alg.dim - 1)}"
+        )
     if idx not in carrier:
         raise CommandError(f"generator {label!r} lies in the fixed part, not in m")
     return idx
@@ -176,7 +159,6 @@ def _run_grade(args: argparse.Namespace) -> str:
     ok = verify_grading(g) is None
     if args.fmt == "text":
         return serialize.grading_text(g, ok)
-    _no_csv(args)
     return serialize.dumps(serialize.grading_doc(g, ok))
 
 
@@ -202,7 +184,6 @@ def _run_metrics(args: argparse.Namespace) -> str:
             p, n, z = evaluation["inertia"]
             text += f"inertia at given values: ({p}, {n}, {z})\n"
         return text
-    _no_csv(args)
     doc = serialize.family_doc(family, refined.dimension)
     if evaluation is not None:
         doc["evaluation"] = evaluation
@@ -214,7 +195,6 @@ def _run_reductive(args: argparse.Namespace) -> str:
     refined = naturally_reductive_subfamily(invariant_family(g))
     if args.fmt == "text":
         return serialize.reductive_text(refined)
-    _no_csv(args)
     return serialize.dumps(serialize.reductive_doc(refined))
 
 
@@ -239,7 +219,6 @@ def _run_lorentz(args: argparse.Namespace) -> str:
     report = lorentzian_search(invariant_family(g))
     if args.fmt == "text":
         return serialize.lorentz_text(report)
-    _no_csv(args)
     return serialize.dumps(serialize.lorentz_doc(g, report))
 
 
@@ -266,7 +245,6 @@ def _run_geodesic(args: argparse.Namespace) -> str:
         samples[tok] = t
     if args.fmt == "text":
         return serialize.geodesic_text(label, curve, samples)
-    _no_csv(args)
     return serialize.dumps(serialize.geodesic_doc(g, label, curve, samples))
 
 
@@ -296,26 +274,14 @@ def _run_report(args: argparse.Namespace) -> str:
         "reductive.json": serialize.dumps(serialize.reductive_doc(refined)),
         "curvature.json": serialize.dumps(serialize.curvature_doc(g, table)),
         "curvature.csv": serialize.curvature_csv(table),
-        "connection.json": serialize.dumps(
-            {
-                "n": g.algebra.n,
-                "partition": serialize.partition_json(g),
-                "contraction_vanishes": asr.contraction_vanishes,
-                "totally_skew": asr.totally_skew,
-            }
-        ),
+        "connection.json": serialize.dumps(serialize.connection_doc(g, asr)),
         "lorentz.json": serialize.dumps(serialize.lorentz_doc(g, lor)),
     }
-    manifest = {"command": "report", "n": args.n, "partition": list(args.partition), "files": {}}
-    for name in sorted(docs):
-        payload = docs[name].encode("utf-8")
+    payloads = {name: docs[name].encode("utf-8") for name in sorted(docs)}
+    for name, payload in payloads.items():
         _write(outdir / name, payload)
-        manifest["files"][name] = {
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "bytes": len(payload),
-        }
-    manifest_text = serialize.dumps(manifest)
-    _write(outdir / "manifest.json", manifest_text.encode("utf-8"))
+    manifest = serialize.dumps(serialize.manifest_doc(g, payloads))
+    _write(outdir / "manifest.json", manifest.encode("utf-8"))
     return f"wrote {len(docs) + 1} files to {outdir}\n"
 
 
@@ -333,6 +299,8 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command not in ("curvature", "report") and args.fmt == "csv":
+            raise CommandError(f"csv format is not supported for '{args.command}'")
         payload = _RUNNERS[args.command](args)
         if args.out is not None and args.command != "report":
             _write(Path(args.out), payload.encode("utf-8"))

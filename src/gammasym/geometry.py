@@ -207,19 +207,21 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
 # ---------------------------------------------------------------------------
 
 
-def _check_skew(e: Matrix) -> None:
+def _skew_matrix(e: Sequence[Sequence]) -> Matrix:
+    """``e`` as an exact matrix, checked nonempty, square and skew."""
     n = len(e)
     if not n:
         raise ValueError("generator must be a nonempty matrix")
-    for row in e:
-        if len(row) != n:
-            raise ValueError("generator must be square")
+    if not all(hasattr(row, "__len__") and len(row) == n for row in e):
+        raise ValueError("generator must be square")
+    e = [[frac(x) for x in row] for row in e]
     for i in range(n):
         if e[i][i]:
             raise ValueError("generator must have zero diagonal")
         for j in range(i + 1, n):
             if e[i][j] != -e[j][i]:
                 raise ValueError("generator must be skew-symmetric")
+    return e
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,7 @@ class GeodesicCurve:
 
 def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
     """Build the closed-form curve; requires E skew with E^3 = -E exactly."""
-    em = [[frac(x) for x in row] for row in e]
-    _check_skew(em)
+    em = _skew_matrix(e)
     e2 = mat_mul(em, em)
     e3 = mat_mul(e2, em)
     if any(e3[i][j] != -em[i][j] for i in range(len(em)) for j in range(len(em))):

@@ -265,41 +265,36 @@ def rank(matrix: Sequence[Sequence]) -> int:
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """A symmetric bilinear form given by its exact Gram matrix."""
+    """A symmetric bilinear form on Q^dim, given by its nonzero entries.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    ``nonzero_entries`` lists (i, j, value) for every nonzero entry with
+    i <= j, row by row, with Fraction values.  The dense Gram matrix is
+    built only on request (``rows``, ``entries``); ``from_rows`` is the one
+    constructor that takes and validates one.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        # nearly free when mirrored entries are the same object; the scan
-        # only runs to name the first asymmetric entry
-        if tuple(zip(*self.entries)) != self.entries:
-            for i in range(n):
-                for j in range(i):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+    dim: int
+    nonzero_entries: tuple[tuple[int, int, Fraction], ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymmetricForm":
-        return SymmetricForm(tuple(tuple(frac(x) for x in row) for row in rows))
+        """The form with Gram matrix ``rows``, which must be square and symmetric."""
+        gram = to_matrix(rows)
+        n = len(gram)
+        for i, row in enumerate(gram):
+            if len(row) != n:
+                raise ValueError("Gram matrix must be square")
+            for j in range(i):
+                if row[j] != gram[j][i]:
+                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        upper = [(i, j, v) for i, row in enumerate(gram) for j, v in enumerate(row[i:], i) if v]
+        return SymmetricForm(n, tuple(upper))
 
     @staticmethod
-    def from_upper(dim: int, upper: Sequence[tuple[int, int, Fraction]]) -> "SymmetricForm":
-        """The form whose nonzero entries with i <= j are ``upper``.
-
-        ``upper`` lists (i, j, value) row by row with nonzero Fraction
-        values, the order of ``nonzero_entries``, which it becomes without
-        a scan of the Gram matrix.
-        """
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for i, j, v in upper:
-            rows[i][j] = rows[j][i] = v
-        form = SymmetricForm(tuple(map(tuple, rows)))
-        form.__dict__["nonzero_entries"] = tuple(upper)  # the cached_property slot
-        return form
+    def from_upper(dim: int, upper: Iterable[tuple[int, int, Fraction]]) -> "SymmetricForm":
+        """The form whose nonzero entries with i <= j are ``upper``, listed
+        row by row with nonzero Fraction values."""
+        return SymmetricForm(dim, tuple(upper))
 
     @staticmethod
     def identity(n: int) -> "SymmetricForm":
@@ -307,55 +302,75 @@ class SymmetricForm:
 
     @staticmethod
     def zero(n: int) -> "SymmetricForm":
-        return SymmetricForm.from_upper(n, ())
+        return SymmetricForm(n, ())
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymmetricForm":
         diag = [(i, i, v) for i, v in enumerate(map(frac, values)) if v]
-        return SymmetricForm.from_upper(len(values), diag)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return SymmetricForm(len(values), tuple(diag))
 
     @cached_property
-    def nonzero_entries(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """(i, j, value) for every nonzero entry with i <= j, row by row."""
-        return tuple(
-            (i, j, v)
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row[i:], i)
-            if v
-        )
+    def _index(self) -> dict[tuple[int, int], Fraction]:
+        """(i, j) -> value for every nonzero entry, in both orders."""
+        index = {}
+        for i, j, v in self.nonzero_entries:
+            index[i, j] = index[j, i] = v
+        return index
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self._index.get((i, j), ZERO)
 
     def rows(self) -> Matrix:
-        return [list(r) for r in self.entries]
+        """The dense Gram matrix, built on each call."""
+        out = [[ZERO] * self.dim for _ in range(self.dim)]
+        for i, j, v in self.nonzero_entries:
+            out[i][j] = out[j][i] = v
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense Gram matrix as a tuple of rows, built on each call."""
+        return tuple(map(tuple, self.rows()))
 
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match form dimension")
+        x, y = [frac(c) for c in x], [frac(c) for c in y]
         total = ZERO
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.entries[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += frac(xi) * row[j] * frac(yj)
+        for i, j, v in self.nonzero_entries:
+            total += v * (x[i] * y[j] + x[j] * y[i] if i != j else x[i] * y[i])
         return total
 
     def restrict(self, indices: Sequence[int]) -> "SymmetricForm":
-        return SymmetricForm.from_rows(
-            [[self.entries[i][j] for j in indices] for i in indices]
-        )
+        """The form on the span of the basis vectors ``indices`` (distinct),
+        in that order."""
+        local = {k: a for a, k in enumerate(indices)}
+        if len(local) != len(indices):
+            raise ValueError("restrict needs distinct indices")
+        upper = []
+        for i, j, v in self.nonzero_entries:
+            if i in local and j in local:
+                a, b = local[i], local[j]
+                upper.append((a, b, v) if a <= b else (b, a, v))
+        upper.sort()
+        return SymmetricForm(len(local), tuple(upper))
 
     def is_identity(self) -> bool:
-        return self.entries == SymmetricForm.identity(self.dim).entries
+        return self == SymmetricForm.identity(self.dim)
 
     def inertia(self) -> tuple[int, int, int]:
         return congruence_signature(self)
+
+
+def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm]) -> SymmetricForm:
+    """The form sum(c * f) on Q^dim over paired ``coeffs`` and ``forms``."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for c, f in zip(coeffs, forms):
+        c = frac(c)
+        if c:
+            for i, j, e in f.nonzero_entries:
+                total[i, j] = total.get((i, j), ZERO) + c * e
+    return SymmetricForm(dim, tuple(sorted((i, j, e) for (i, j), e in total.items() if e)))
 
 
 def congruence_signature(form) -> tuple[int, int, int]:
@@ -366,8 +381,9 @@ def congruence_signature(form) -> tuple[int, int, int]:
     contributing (1, 1).  No eigenvalues, no floats.  A ``SymmetricForm``
     is taken one connected component of the support graph of its nonzero
     entries at a time (``support_components``): an index on no entry is a
-    zero row, and each component is eliminated on its own dense block.  A
-    list of rows is validated and eliminated whole.
+    zero row, and each component is eliminated on its own dense block,
+    filled from the nonzero entries.  A list of rows is validated and
+    eliminated whole.
     """
     if not isinstance(form, SymmetricForm):
         work = to_matrix(form)
@@ -380,9 +396,15 @@ def congruence_signature(form) -> tuple[int, int, int]:
                     raise ValueError("Gram matrix not symmetric")
         return _eliminate(work)
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
-    pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
-    for comp in comps:
-        p, q, z = _eliminate([[form.entries[i][j] for j in comp] for i in comp])
+    blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
+    where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}
+    for i, j, v in form.nonzero_entries:
+        block, a = where[i]
+        b = where[j][1]
+        block[a][b] = block[b][a] = v
+    pos, neg, zero = 0, 0, form.dim - len(where)
+    for block in blocks:
+        p, q, z = _eliminate(block)
         pos, neg, zero = pos + p, neg + q, zero + z
     return pos, neg, zero
 

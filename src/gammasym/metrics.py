@@ -34,7 +34,7 @@ from .linalg import (
     ZERO,
     congruence_signature,
     char_poly,
-    frac,
+    linear_combination,
     solve_matrix,
     support_components,
     zeros,
@@ -154,15 +154,7 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
         raise ValueError(
             f"expected {family.dimension} parameter values, got {len(values)}"
         )
-    total: dict[tuple[int, int], Fraction] = {}
-    for v, f in zip(values, family.basis):
-        fv = frac(v)
-        if not fv:
-            continue
-        for i, j, e in f.nonzero_entries:
-            total[i, j] = total.get((i, j), ZERO) + fv * e
-    upper = sorted((i, j, e) for (i, j), e in total.items() if e)
-    return SymmetricForm.from_upper(len(family.carrier), upper)
+    return linear_combination(len(family.carrier), values, family.basis)
 
 
 def _reductivity_residuals(
@@ -198,7 +190,7 @@ def _reductivity_residuals(
 def _residual_at(residual: list[tuple[Fraction, int, int]], form: SymmetricForm) -> Fraction:
     total = ZERO
     for c, i, j in residual:
-        e = form.entries[i][j]
+        e = form.entry(i, j)
         if e:
             total += c * e
     return total
@@ -280,8 +272,8 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     """
     diag = family.diagonal_parameters()
     m_dim = len(family.carrier)
-    forms = [family.basis[k].nonzero_entries for k in diag]
-    supports = [sorted({i for e in f for i in e[:2]}) for f in forms]
+    forms = [family.basis[k] for k in diag]
+    supports = [sorted({i for e in f.nonzero_entries for i in e[:2]}) for f in forms]
     groups = support_components(m_dim, [(s[0], i) for s in supports for i in s])
     members = [[t for t, s in enumerate(supports) if s and s[0] in comp] for comp in groups]
     untouched = m_dim - sum(map(len, groups))
@@ -289,13 +281,8 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
 
     def group_inertia(g: int, key: tuple[int, ...]) -> tuple[int, int, int]:
         if key not in cache[g]:
-            local = {i: a for a, i in enumerate(groups[g])}
-            total: dict[tuple[int, int], Fraction] = {}
-            for t, s in zip(members[g], key):
-                for i, j, e in forms[t]:
-                    total[local[i], local[j]] = total.get((local[i], local[j]), ZERO) + s * e
-            upper = sorted((i, j, e) for (i, j), e in total.items() if e)
-            p, n, z = congruence_signature(SymmetricForm.from_upper(len(local), upper))
+            member = linear_combination(m_dim, key, [forms[t] for t in members[g]])
+            p, n, z = congruence_signature(member.restrict(groups[g]))
             cache[g][key], cache[g][tuple(-s for s in key)] = (p, n, z), (n, p, z)
         return cache[g][key]
 

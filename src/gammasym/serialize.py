@@ -8,11 +8,12 @@ are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import CurvatureTable, GeodesicCurve
+from .geometry import AmbroseSingerReport, CurvatureTable, GeodesicCurve
 from .grading import Grading
 from .metrics import FormFamily, SignatureReport
 
@@ -30,8 +31,10 @@ def vector_json(v: Sequence) -> list[list[int]]:
     return [rat(c) for c in v]
 
 
-def partition_json(grading: Grading) -> list[int] | None:
-    return list(grading.partition) if grading.partition else None
+def _header(grading: Grading) -> dict:
+    """The so(n) size and block partition that every document opens with."""
+    partition = list(grading.partition) if grading.partition else None
+    return {"n": grading.algebra.n, "partition": partition}
 
 
 def dumps(doc) -> str:
@@ -54,8 +57,7 @@ def grading_doc(grading: Grading, verified: bool) -> dict:
             }
         )
     return {
-        "n": grading.algebra.n,
-        "partition": partition_json(grading),
+        **_header(grading),
         "components": comps,
         "verified": verified,
     }
@@ -73,8 +75,7 @@ def grading_text(grading: Grading, verified: bool) -> str:
 def family_doc(family: FormFamily, nat_reductive_dim: int) -> dict:
     g = family.grading
     return {
-        "n": g.algebra.n,
-        "partition": partition_json(g),
+        **_header(g),
         "family_dim": family.dimension,
         "parameters": [
             {"name": n, "support": s} for n, s in zip(family.names, family.supports)
@@ -95,8 +96,7 @@ def reductive_doc(refined: FormFamily) -> dict:
     g = refined.grading
     assert refined.parent is not None and refined.parent_coords is not None
     return {
-        "n": g.algebra.n,
-        "partition": partition_json(g),
+        **_header(g),
         "parent_parameters": list(refined.parent.names),
         "dim": refined.dimension,
         "directions": [vector_json(c) for c in refined.parent_coords],
@@ -116,8 +116,7 @@ def reductive_text(refined: FormFamily) -> str:
 
 def curvature_doc(grading: Grading, table: CurvatureTable) -> dict:
     return {
-        "n": grading.algebra.n,
-        "partition": partition_json(grading),
+        **_header(grading),
         "basis": list(table.labels),
         "entries": [
             {"i": i, "j": j, "value": [num, den]}
@@ -138,23 +137,24 @@ def curvature_text(table: CurvatureTable) -> str:
     return "".join(line + "\n" for line in table.text_lines())
 
 
-def lorentz_doc(grading: Grading, report: SignatureReport | None) -> dict:
-    base = {
-        "n": grading.algebra.n,
-        "partition": partition_json(grading),
+def connection_doc(grading: Grading, report: AmbroseSingerReport) -> dict:
+    return {
+        **_header(grading),
+        "contraction_vanishes": report.contraction_vanishes,
+        "totally_skew": report.totally_skew,
     }
+
+
+def lorentz_doc(grading: Grading, report: SignatureReport | None) -> dict:
     if report is None:
-        base.update({"found": False, "message": "none found"})
-        return base
-    base.update(
-        {
-            "found": True,
-            "assignment": {k: rat(v) for k, v in report.assignment().items()},
-            "values": vector_json(report.parameter_values),
-            "inertia": list(report.inertia),
-        }
-    )
-    return base
+        return {**_header(grading), "found": False, "message": "none found"}
+    return {
+        **_header(grading),
+        "found": True,
+        "assignment": {k: rat(v) for k, v in report.assignment().items()},
+        "values": vector_json(report.parameter_values),
+        "inertia": list(report.inertia),
+    }
 
 
 def lorentz_text(report: SignatureReport | None) -> str:
@@ -167,8 +167,7 @@ def lorentz_text(report: SignatureReport | None) -> str:
 
 def geodesic_doc(grading: Grading, label: str, curve: GeodesicCurve, samples: dict[str, float]) -> dict:
     return {
-        "n": grading.algebra.n,
-        "partition": partition_json(grading),
+        **_header(grading),
         "generator": label,
         "closed": True,
         "period": curve.period(),
@@ -183,3 +182,12 @@ def geodesic_text(label: str, curve: GeodesicCurve, samples: dict[str, float]) -
         for row in curve.values(t):
             lines.append("  " + "  ".join(f"{x: .12f}" for x in row))
     return "\n".join(lines) + "\n"
+
+
+def manifest_doc(grading: Grading, payloads: dict[str, bytes]) -> dict:
+    """The checksum manifest of the ``report`` documents, by file name."""
+    files = {
+        name: {"sha256": hashlib.sha256(p).hexdigest(), "bytes": len(p)}
+        for name, p in payloads.items()
+    }
+    return {"command": "report", **_header(grading), "files": files}

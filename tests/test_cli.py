@@ -80,6 +80,18 @@ def test_internal_value_error_is_not_a_user_error(monkeypatch):
         main(["metrics", *SO5])
 
 
+def test_csv_is_rejected_before_any_work(monkeypatch, capsys):
+    def broken(grading):
+        raise AssertionError("the family was solved before the format was checked")
+
+    monkeypatch.setattr("gammasym.cli.invariant_family", broken)
+    for cmd in ("metrics", "reductive", "lorentz"):
+        assert f"csv format is not supported for '{cmd}'" in run_err(capsys, [cmd, *SO5, "--format", "csv"])
+    # report writes the same documents whatever the format, so it takes none
+    with pytest.raises(SystemExit):
+        main(["report", *SO5, "--format", "json", "--out", "unused"])
+
+
 def test_reductive_json(capsys):
     doc = json.loads(run_ok(capsys, ["reductive", *SO5]))
     assert doc["dim"] == 1
@@ -150,6 +162,17 @@ def test_geodesic_generator_errors(capsys):
     assert "not a basis" in run_err(capsys, ["geodesic", *SO5, "--generator", "E19"])
     assert "generator" in run_err(capsys, ["geodesic", *SO5, "--generator", "banana"])
     assert "t-samples" in run_err(capsys, ["geodesic", *SO5, "--t-samples", "abc"])
+
+
+def test_geodesic_generator_is_a_printed_basis_label(capsys):
+    doc = json.loads(run_ok(capsys, ["geodesic", *SO5, "--generator", " E13 "]))
+    assert doc["generator"] == "E13"
+    for other in ("e13", "E1_3", "13", "1_3", "E1,3", "E31"):
+        err = run_err(capsys, ["geodesic", *SO5, "--generator", other])
+        assert "not a basis vector" in err and repr(other) in err
+    big = ["geodesic", "--n", "10", "--partition", "3,3,3,1"]
+    assert json.loads(run_ok(capsys, [*big, "--generator", "E1_10"]))["generator"] == "E1_10"
+    assert "not a basis vector" in run_err(capsys, [*big, "--generator", "E110"])
 
 
 def test_geodesic_rejects_empty_sample_lists(capsys):
@@ -259,6 +282,8 @@ MANIFEST_SHA256 = {
     ("7", "2,2,2,1"): "1c78fc5d8507c84a6ea02865c250bd06fc6fd331e3ea52f263063f3a8f044d90",
     ("8", "2,2,2,2"): "8e93250f0e709e9553b54350400b11778bead7499dfacdd06949c1a21e7c32d9",
     ("13", "3,3,3,4"): "2b110e5aca58ac87548e0079ab265f5158234bc232a92e73fa99e16b64d55337",
+    ("17", "4,4,4,5"): "fd7552c968bdb5a36dcfa078309db883c366f8a90d17de3fd598bcdbdd2b5aaa",
+    ("21", "5,5,5,6"): "62555e968ce031dce0c8b0ccd6771acb545f36ad58bfbbd2628a54724bf21f78",
 }
 
 
@@ -268,3 +293,13 @@ def test_report_manifest_bytes_pinned(tmp_path, capsys, n, part):
     run_ok(capsys, ["report", "--n", n, "--partition", part, "--out", str(outdir)])
     digest = hashlib.sha256((outdir / "manifest.json").read_bytes()).hexdigest()
     assert digest == MANIFEST_SHA256[n, part]
+
+
+def test_report_builds_no_dense_form(tmp_path, capsys, monkeypatch):
+    """The exact pipeline reads forms through their nonzero entries only."""
+
+    def dense(form):
+        raise AssertionError("a dense Gram matrix was built")
+
+    monkeypatch.setattr("gammasym.linalg.SymmetricForm.rows", dense)
+    run_ok(capsys, ["report", "--n", "8", "--partition", "2,2,2,2", "--out", str(tmp_path / "rep")])

@@ -248,6 +248,8 @@ def test_geodesic_generator_validation():
         geodesic_curve([[0, 1, 0], [-1, 0, 0]])    # not square
     with pytest.raises(ValueError, match="nonempty"):
         geodesic_curve([])
+    with pytest.raises(ValueError, match="square"):
+        geodesic_curve([0, 1])                      # one row, not a matrix
     mixed = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
     with pytest.raises(ValueError, match="matrix_exp_numeric"):
         geodesic_curve(mixed)

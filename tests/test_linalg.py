@@ -10,6 +10,7 @@ from gammasym.linalg import (
     SymmetricForm,
     char_poly,
     congruence_signature,
+    linear_combination,
     mat_mul,
     nullspace,
     rank,
@@ -312,6 +313,36 @@ def test_form_apply_and_restrict():
     assert f.restrict([1]).entries == ((F(3),),)
     with pytest.raises(ValueError):
         f.apply([1], [0, 1])
+
+
+def test_sparse_form_reads_match_the_gram_matrix():
+    """Every read of the nonzero entries agrees with the dense Gram matrix."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        grams = []
+        for _ in range(2):
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.4:
+                        rows[i][j] = rows[j][i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+            grams.append(rows)
+        (a, b), (f, g) = grams, map(SymmetricForm.from_rows, grams)
+        assert f.rows() == a and f.dim == n
+        assert all(f.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
+        x, y = random_matrix(rng, 2, n)
+        assert f.apply(x, y) == sum(x[i] * a[i][j] * y[j] for i in range(n) for j in range(n))
+        idx = rng.sample(range(n), rng.randint(0, n))
+        sub = [[a[i][j] for j in idx] for i in idx]
+        assert f.restrict(idx) == SymmetricForm.from_rows(sub)
+        c, d = F(rng.randint(-2, 2)), F(rng.randint(-2, 2), 3)
+        combo = [[c * a[i][j] + d * b[i][j] for j in range(n)] for i in range(n)]
+        assert linear_combination(n, [c, d], [f, g]) == SymmetricForm.from_rows(combo)
+        assert f.is_identity() == (a == [[F(i == j) for j in range(n)] for i in range(n)])
+    assert SymmetricForm.from_rows([[1, 0], [0, 1]]).is_identity()
+    with pytest.raises(ValueError, match="distinct"):
+        SymmetricForm.identity(3).restrict([0, 0])
 
 
 # -- solving and characteristic polynomials --------------------------------

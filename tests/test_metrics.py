@@ -329,7 +329,7 @@ def test_prebuilt_nonzero_entries_match_a_scan():
             vals = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(fam.dimension)]
             built.append(evaluate_family(fam, vals))
     for form in built:
-        assert form.nonzero_entries == SymmetricForm(form.entries).nonzero_entries
+        assert form.nonzero_entries == SymmetricForm.from_rows(form.entries).nonzero_entries
 
 
 def test_inertia_invariant_under_component_permutation():
