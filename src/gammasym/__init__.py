@@ -8,14 +8,7 @@ reductivity, classify signatures, and evaluate curvature and geodesics.
 
 from .groups import GroupElement, enumerate_group, from_label, identity, product
 from .liealg import LieAlgebra, build_so
-from .linalg import (
-    RowReducer,
-    SymmetricForm,
-    char_poly,
-    congruence_signature,
-    nullspace,
-    row_space_basis,
-)
+from .linalg import RowReducer, SymmetricForm, char_poly, congruence_signature
 from .grading import (
     ComponentView,
     Grading,
@@ -86,9 +79,7 @@ __all__ = [
     "lorentzian_search",
     "matrix_exp_numeric",
     "naturally_reductive_subfamily",
-    "nullspace",
     "product",
-    "row_space_basis",
     "sectional_table",
     "signature_scan",
     "torsionfree_curvature",

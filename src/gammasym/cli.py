@@ -48,12 +48,24 @@ def _parse_partition(text: str) -> tuple[int, int, int, int]:
 
 
 def _parse_params(text: str) -> list[Fraction]:
+    # Fraction() builds 10**exponent before anything can be checked, so an
+    # exponent above twice the digit limit is rejected first: int() caps the
+    # mantissa at the limit, so a nonzero one then gives too many digits
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     out = []
     for tok in text.split(","):
+        exp = tok.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        too_big = exp.isdecimal() and (len(exp) > len(str(2 * limit)) or int(exp) > 2 * limit)
         try:
-            out.append(Fraction(tok.strip()))
+            value = None if too_big else Fraction(tok.strip())
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"cannot parse rational value {tok!r}")
+        if value is None or max(abs(value.numerator), value.denominator) >= 10**limit:
+            raise argparse.ArgumentTypeError(
+                f"rational value {tok!r} is out of range: numerator and denominator "
+                f"take at most {limit} digits, an exponent at most {2 * limit}"
+            )
+        out.append(value)
     return out
 
 

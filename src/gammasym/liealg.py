@@ -7,15 +7,14 @@ sparsely; for this basis a bracket of two basis elements has at most one
 nonzero term, and only basis pairs sharing exactly one index have one.
 
 Elements of the algebra are coefficient vectors over this basis (exact
-rationals), with conversion to and from skew-symmetric n x n matrices.
+rationals); ``basis_matrix`` gives the n x n matrix of a basis element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, zeros
+from .linalg import ONE, Matrix, SymmetricForm, ZERO
 
 MINUS_ONE = -ONE
 
@@ -71,14 +70,8 @@ class LieAlgebra:
     def basis_matrix(self, k: int) -> Matrix:
         m = [[ZERO] * self.n for _ in range(self.n)]
         i, j = self.pairs[k]
-        m[i][j] = Fraction(1)
-        m[j][i] = Fraction(-1)
+        m[i][j], m[j][i] = ONE, MINUS_ONE
         return m
-
-    def basis_vector(self, k: int) -> Vector:
-        v = zeros(self.dim)
-        v[k] = Fraction(1)
-        return v
 
     def bracket_basis(self, p: int, q: int) -> BracketTerms:
         """[E_p, E_q] as sparse terms over the basis."""
@@ -88,49 +81,10 @@ class LieAlgebra:
             return self._table.get((p, q), ())
         return tuple((k, -c) for k, c in self._table.get((q, p), ()))
 
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """Bracket of two coefficient vectors, exactly."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("coefficient vector has wrong length")
-        out = zeros(self.dim)
-        nx = [(k, frac(c)) for k, c in enumerate(x) if c]
-        ny = [(k, frac(c)) for k, c in enumerate(y) if c]
-        for p, cx in nx:
-            for q, cy in ny:
-                c = cx * cy
-                for k, s in self.bracket_basis(p, q):
-                    out[k] += c * s
-        return out
-
     def structure_constants(self) -> dict[tuple[int, int], BracketTerms]:
         """Sparse map (p, q) -> terms of [E_p, E_q], for p < q, in lexicographic
         order of (p, q); pairs with a zero bracket are absent."""
         return dict(self._table)
-
-    # -- matrix conversions --------------------------------------------
-
-    def vector_to_matrix(self, x: Sequence) -> Matrix:
-        m = [[ZERO] * self.n for _ in range(self.n)]
-        for k, c in enumerate(x):
-            if c:
-                i, j = self.pairs[k]
-                m[i][j] = frac(c)
-                m[j][i] = -frac(c)
-        return m
-
-    def matrix_to_vector(self, m: Sequence[Sequence]) -> Vector:
-        if len(m) != self.n or any(len(r) != self.n for r in m):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        for i in range(self.n):
-            if m[i][i]:
-                raise ValueError("matrix has nonzero diagonal")
-            for j in range(i + 1, self.n):
-                if frac(m[i][j]) != -frac(m[j][i]):
-                    raise ValueError("matrix is not skew-symmetric")
-        v = zeros(self.dim)
-        for k, (i, j) in enumerate(self.pairs):
-            v[k] = frac(m[i][j])
-        return v
 
     # -- the Killing form ----------------------------------------------
 

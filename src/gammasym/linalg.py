@@ -5,9 +5,9 @@ exact and reproducible.  Dense matrices are lists of lists; sparse
 systems are dict rows mapping column -> coefficient, or, when no row has
 more than two terms (the invariance constraints), a weighted union-find.
 
-The reduced row echelon form of a matrix is unique, which makes every
-derived object (nullspace bases, row-space bases) canonical: independent
-of the order in which rows are fed in.
+The reduced row echelon form of a matrix is unique, which makes the
+nullspace basis canonical: independent of the order in which rows are
+fed in.
 """
 
 from __future__ import annotations
@@ -132,13 +132,6 @@ class RowReducer:
             self._colmap.setdefault(cc, set()).add(c)
         return c
 
-    def extend(self, rows: Iterable[SparseRow]) -> None:
-        for row in rows:
-            self.insert(row)
-
-    def rref_rows(self) -> list[SparseRow]:
-        return [self.pivots[c] for c in sorted(self.pivots)]
-
     def nullspace_basis(self) -> list[Vector]:
         """Canonical basis of the solution set, one vector per free column."""
         free = [c for c in range(self.ncols) if c not in self.pivots]
@@ -211,51 +204,6 @@ class RatioUnionFind:
         for c in self._zeros:
             trees.pop(self._find(c)[0], None)
         return [cols for _, cols in sorted(trees.items())]
-
-
-def _dense_to_sparse(rows: Sequence[Sequence]) -> tuple[list[SparseRow], int]:
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        out.append({j: frac(x) for j, x in enumerate(row) if x})
-    return out, ncols
-
-
-def nullspace(matrix: Sequence[Sequence]) -> list[Vector]:
-    """Canonical rational basis of ``{v : matrix @ v = 0}``.
-
-    Deterministic: pivots are the leftmost independent columns, and each
-    basis vector has a 1 in one free column and 0 in the others.
-    """
-    sparse, ncols = _dense_to_sparse(matrix)
-    red = RowReducer(ncols)
-    red.extend(sparse)
-    return red.nullspace_basis()
-
-
-def row_space_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    sparse, ncols = _dense_to_sparse(vectors)
-    red = RowReducer(ncols)
-    red.extend(sparse)
-    out = []
-    for row in red.rref_rows():
-        v = zeros(ncols)
-        for c, val in row.items():
-            v[c] = val
-        out.append(v)
-    return out
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    sparse, ncols = _dense_to_sparse(matrix)
-    red = RowReducer(ncols)
-    red.extend(sparse)
-    return red.rank
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +306,6 @@ class SymmetricForm:
     def is_identity(self) -> bool:
         return self == SymmetricForm.identity(self.dim)
 
-    def inertia(self) -> tuple[int, int, int]:
-        return congruence_signature(self)
-
 
 def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm]) -> SymmetricForm:
     """The form sum(c * f) on Q^dim over paired ``coeffs`` and ``forms``."""
@@ -373,28 +318,17 @@ def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm
     return SymmetricForm(dim, tuple(sorted((i, j, e) for (i, j), e in total.items() if e)))
 
 
-def congruence_signature(form) -> tuple[int, int, int]:
+def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric form.
 
     Exact symmetric elimination: diagonal pivots split off one square each;
     a zero diagonal with a nonzero off-diagonal entry is a hyperbolic pair
-    contributing (1, 1).  No eigenvalues, no floats.  A ``SymmetricForm``
-    is taken one connected component of the support graph of its nonzero
-    entries at a time (``support_components``): an index on no entry is a
-    zero row, and each component is eliminated on its own dense block,
-    filled from the nonzero entries.  A list of rows is validated and
-    eliminated whole.
+    contributing (1, 1).  No eigenvalues, no floats.  The form is taken one
+    connected component of the support graph of its nonzero entries at a
+    time (``support_components``): an index on no entry is a zero row, and
+    each component is eliminated on its own dense block, filled from the
+    nonzero entries.
     """
-    if not isinstance(form, SymmetricForm):
-        work = to_matrix(form)
-        n = len(work)
-        for i in range(n):
-            if len(work[i]) != n:
-                raise ValueError("Gram matrix must be square")
-            for j in range(i):
-                if work[i][j] != work[j][i]:
-                    raise ValueError("Gram matrix not symmetric")
-        return _eliminate(work)
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
     blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
     where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}

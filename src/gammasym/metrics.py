@@ -157,24 +157,30 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return linear_combination(len(family.carrier), values, family.basis)
 
 
-def _reductivity_residuals(
+def _reductivity_rows(
     grading: Grading, forms: Sequence[SymmetricForm]
-) -> Iterator[list[tuple[Fraction, int, int]]]:
-    """B([X,Y]_m, Z) + B([X,Z]_m, Y) for each basis triple of m that can be nonzero.
+) -> Iterator[dict[int, Fraction]]:
+    """B_k([X,Y]_m, Z) + B_k([X,Z]_m, Y) over ``forms``, per basis triple of m.
 
-    A residual is a list of terms (c, i, j) standing for the sum of
-    c * B(E_i, E_j) over complement positions.  It is symmetric in Y and Z,
-    so each unordered pair {Y, Z} is met once.  Only triples with [X, Y]_m
-    nonzero and with Z a bracket partner of X, or in the row support (in
-    one of ``forms``) of a term of [X, Y]_m, are yielded: every other
-    residual vanishes on each of ``forms``, whatever they are.
+    Each row maps k to the residual of ``forms[k]``; a value may be zero,
+    and the row is empty when no term reaches an entry of any form.  The
+    residual is symmetric in Y and Z, so each unordered pair {Y, Z} is met
+    once.  Only triples with [X, Y]_m nonzero and with Z a bracket partner
+    of X, or in the row support (in one of ``forms``) of a term of
+    [X, Y]_m, are visited: every other residual vanishes on each of
+    ``forms``, whatever they are.
     """
     mm, _, _ = grading.split
+    # (i, j) -> [(k, B_k(E_i, E_j))], in both orders
+    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for k, f in enumerate(forms):
+        for i, j, e in f.nonzero_entries:
+            index.setdefault((i, j), []).append((k, e))
+            if i != j:
+                index.setdefault((j, i), []).append((k, e))
     support: list[set[int]] = [set() for _ in mm]
-    for form in forms:
-        for i, j, _ in form.nonzero_entries:
-            support[i].add(j)
-            support[j].add(i)
+    for i, j in index:
+        support[i].add(j)
     for x, partners in enumerate(mm):
         for y, bxy in partners.items():
             reach = set(partners)
@@ -184,16 +190,12 @@ def _reductivity_residuals(
                 bxz = partners.get(z, ())
                 if bxz and z < y:
                     continue  # this triple was met as (x, z, y)
-                yield [(c, l, z) for l, c in bxy] + [(c, l, y) for l, c in bxz]
-
-
-def _residual_at(residual: list[tuple[Fraction, int, int]], form: SymmetricForm) -> Fraction:
-    total = ZERO
-    for c, i, j in residual:
-        e = form.entry(i, j)
-        if e:
-            total += c * e
-    return total
+                row: dict[int, Fraction] = {}
+                for terms, w in ((bxy, z), (bxz, y)):
+                    for l, c in terms:
+                        for k, e in index.get((l, w), ()):
+                            row[k] = row.get(k, ZERO) + c * e
+                yield row
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
@@ -204,30 +206,16 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     each refined basis form as a coefficient vector over the parent basis.
     """
     nf = family.dimension
-    # (i, j) -> [(k, B_k(E_i, E_j))] over the basis forms B_k
-    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for k, f in enumerate(family.basis):
-        for i, j, e in f.nonzero_entries:
-            index.setdefault((i, j), []).append((k, e))
-            if i != j:
-                index.setdefault((j, i), []).append((k, e))
     reducer = RowReducer(nf)
-    for residual in _reductivity_residuals(family.grading, family.basis):
+    for row in _reductivity_rows(family.grading, family.basis):
         if reducer.rank == nf:
             break
-        row: dict[int, Fraction] = {}
-        for c, i, j in residual:
-            for k, e in index.get((i, j), ()):
-                row[k] = row.get(k, ZERO) + c * e
         if any(row.values()):
             reducer.insert(row)
     coords = reducer.nullspace_basis()
     basis = [evaluate_family(family, c) for c in coords]
     names = [f"s{k + 1}" for k in range(len(basis))]
-    supports = []
-    for f in basis:
-        _, _, _, support, _ = _classify(f, family.grading, family.carrier)
-        supports.append(support)
+    supports = [_classify(f, family.grading, family.carrier)[3] for f in basis]
     return FormFamily(
         family.grading,
         family.carrier,
@@ -243,7 +231,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     """Whether the form satisfies the natural-reductivity identity on m."""
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
-    return not any(_residual_at(r, form) for r in _reductivity_residuals(grading, [form]))
+    return not any(any(row.values()) for row in _reductivity_rows(grading, [form]))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +70,18 @@ def test_metrics_params_evaluation(capsys):
 def test_metrics_params_wrong_count(capsys):
     err = run_err(capsys, ["metrics", *SO5, "--params", "1,2"])
     assert "expects 4" in err
+
+
+def test_params_beyond_the_digit_limit_exit_2_at_once(capsys):
+    limit = sys.get_int_max_str_digits()
+    for tok in ("1e999999", "1e9999999", f"1e{limit}", f"1e-{limit}"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", *SO5, "--params", f"1,0,1,{tok}"])
+        assert exc.value.code == 2 and time.perf_counter() - start < 0.5, tok
+        assert repr(tok) in capsys.readouterr().err
+    doc = json.loads(run_ok(capsys, ["metrics", *SO5, "--params", f"1,0,1,5e-{limit}"]))
+    assert doc["evaluation"]["values"][3] == [1, 2 * 10 ** (limit - 1)]
 
 
 def test_internal_value_error_is_not_a_user_error(monkeypatch):

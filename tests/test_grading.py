@@ -6,7 +6,7 @@ import pytest
 from gammasym.grading import Grading, block_grading, holonomy_span, verify_grading
 from gammasym.groups import enumerate_group, from_label, identity
 from gammasym.liealg import LieAlgebra, build_so
-from gammasym.linalg import row_space_basis
+from oracles import row_space_basis
 
 F = Fraction
 

@@ -1,4 +1,9 @@
-"""numpy and scipy load only where a caller asks for an ndarray."""
+"""What importing gammasym loads and exports.
+
+numpy and scipy load only where a caller asks for an ndarray; every
+exported name exists; the benchmark's tracer still finds every entry point
+it wraps.
+"""
 
 import json
 import os
@@ -68,3 +73,26 @@ def test_float_oracle_still_returns_ndarrays():
     r = geodesic_curve(e).at(0.5)
     assert isinstance(r, np.ndarray) and r.dtype == float
     assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-12
+
+
+def test_every_exported_name_exists():
+    assert [name for name in gammasym.__all__ if not hasattr(gammasym, name)] == []
+    namespace: dict = {}
+    exec("from gammasym import *", namespace)
+    assert set(gammasym.__all__) <= set(namespace)
+
+
+def test_benchmark_traced_run_finds_its_entry_points():
+    # perfbench/tracing.py wraps library functions by name from outside src/
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    body = (
+        "import gammasym, libworker, tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+        "libworker.analyse(gammasym, 4, (1, 1, 1, 1))\n"
+        "print('returned')"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(perfbench)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", body], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["returned"], proc.stderr

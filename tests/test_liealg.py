@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gammasym.liealg import LieAlgebra, build_so
-from gammasym.linalg import mat_mul
+from gammasym.linalg import congruence_signature, mat_mul
+from oracles import basis_vector, bracket, vector_to_matrix
 
 F = Fraction
 
@@ -31,16 +32,16 @@ def idx(alg, i, j):
 
 
 def unit(alg, i, j):
-    return alg.basis_vector(idx(alg, i, j))
+    return basis_vector(alg, idx(alg, i, j))
 
 
 def test_specific_brackets():
     alg = build_so(5)
     # [E12, E23] = E13; [E12, E34] = 0; [E13, E34] = E14
-    out = alg.bracket(unit(alg, 1, 2), unit(alg, 2, 3))
+    out = bracket(alg, unit(alg, 1, 2), unit(alg, 2, 3))
     assert out == unit(alg, 1, 3)
-    assert alg.bracket(unit(alg, 1, 2), unit(alg, 3, 4)) == [F(0)] * alg.dim
-    assert alg.bracket(unit(alg, 1, 3), unit(alg, 3, 4)) == unit(alg, 1, 4)
+    assert bracket(alg, unit(alg, 1, 2), unit(alg, 3, 4)) == [F(0)] * alg.dim
+    assert bracket(alg, unit(alg, 1, 3), unit(alg, 3, 4)) == unit(alg, 1, 4)
 
 
 def test_bracket_antisymmetry_random():
@@ -49,10 +50,10 @@ def test_bracket_antisymmetry_random():
     for _ in range(20):
         x = [F(rng.randint(-3, 3)) for _ in range(alg.dim)]
         y = [F(rng.randint(-3, 3)) for _ in range(alg.dim)]
-        xy = alg.bracket(x, y)
-        yx = alg.bracket(y, x)
+        xy = bracket(alg, x, y)
+        yx = bracket(alg, y, x)
         assert xy == [-c for c in yx]
-        assert alg.bracket(x, x) == [F(0)] * alg.dim
+        assert bracket(alg, x, x) == [F(0)] * alg.dim
 
 
 def test_structure_constants_match_dense_commutators():
@@ -72,25 +73,8 @@ def test_structure_constants_match_dense_commutators():
                     ]
                     for i in range(n)
                 ]
-                via_table = alg.bracket(alg.basis_vector(p), alg.basis_vector(q))
-                assert alg.matrix_to_vector(comm) == via_table
-
-
-def test_bracket_length_check():
-    alg = build_so(4)
-    with pytest.raises(ValueError):
-        alg.bracket([F(1)] * 3, alg.basis_vector(0))
-
-
-def test_matrix_roundtrip_and_validation():
-    alg = build_so(4)
-    rng = random.Random(8)
-    v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(alg.dim)]
-    assert alg.matrix_to_vector(alg.vector_to_matrix(v)) == v
-    with pytest.raises(ValueError):
-        alg.matrix_to_vector([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    with pytest.raises(ValueError):
-        alg.matrix_to_vector([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+                via_table = bracket(alg, basis_vector(alg, p), basis_vector(alg, q))
+                assert vector_to_matrix(alg, via_table) == comm
 
 
 def test_jacobi_identity_so5():
@@ -98,14 +82,14 @@ def test_jacobi_identity_so5():
     d = alg.dim
     zero = [F(0)] * d
     for p in range(d):
-        x = alg.basis_vector(p)
+        x = basis_vector(alg, p)
         for q in range(p + 1, d):
-            y = alg.basis_vector(q)
+            y = basis_vector(alg, q)
             for r in range(q + 1, d):
-                z = alg.basis_vector(r)
-                total = alg.bracket(x, alg.bracket(y, z))
-                t2 = alg.bracket(y, alg.bracket(z, x))
-                t3 = alg.bracket(z, alg.bracket(x, y))
+                z = basis_vector(alg, r)
+                total = bracket(alg, x, bracket(alg, y, z))
+                t2 = bracket(alg, y, bracket(alg, z, x))
+                t3 = bracket(alg, z, bracket(alg, x, y))
                 assert [a + b + c for a, b, c in zip(total, t2, t3)] == zero
 
 
@@ -130,7 +114,7 @@ def test_killing_orthogonal_basis_pairs():
 
 
 def test_killing_negative_definite_so5():
-    assert build_so(5).killing_form().inertia() == (0, 10, 0)
+    assert congruence_signature(build_so(5).killing_form()) == (0, 10, 0)
 
 
 def test_killing_equals_trace_form():
@@ -142,8 +126,8 @@ def test_killing_equals_trace_form():
         for _ in range(10):
             x = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
             y = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
-            mx = alg.vector_to_matrix(x)
-            my = alg.vector_to_matrix(y)
+            mx = vector_to_matrix(alg, x)
+            my = vector_to_matrix(alg, y)
             tr = sum(mat_mul(mx, my)[i][i] for i in range(n))
             assert k.apply(x, y) == (n - 2) * tr
 
@@ -152,13 +136,13 @@ def test_killing_ad_invariance_all_basis_triples():
     alg = build_so(5)
     k = alg.killing_form()
     for z in range(alg.dim):
-        vz = alg.basis_vector(z)
+        vz = basis_vector(alg, z)
         for p in range(alg.dim):
-            adzp = alg.bracket(vz, alg.basis_vector(p))
+            adzp = bracket(alg, vz, basis_vector(alg, p))
             for q in range(alg.dim):
-                adzq = alg.bracket(vz, alg.basis_vector(q))
-                lhs = k.apply(adzp, alg.basis_vector(q))
-                rhs = k.apply(alg.basis_vector(p), adzq)
+                adzq = bracket(alg, vz, basis_vector(alg, q))
+                lhs = k.apply(adzp, basis_vector(alg, q))
+                rhs = k.apply(basis_vector(alg, p), adzq)
                 assert lhs + rhs == 0
 
 

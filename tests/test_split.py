@@ -13,19 +13,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group
 from gammasym.linalg import RowReducer, SymmetricForm
 from gammasym.metrics import (
-    _reductivity_residuals,
-    _residual_at,
+    _reductivity_rows,
     evaluate_family,
     invariant_family,
     is_adapted,
     naturally_reductive_subfamily,
 )
+from oracles import basis_vector, bracket
 
 F = Fraction
 
@@ -96,11 +97,11 @@ def torsions(g):
     bracket read at the basis vectors of non-identity degree."""
     alg = g.algebra
     carrier = g.complement_indices
-    basis = [alg.basis_vector(k) for k in carrier]
+    basis = [basis_vector(alg, k) for k in carrier]
     t = [[[F(0)] * len(carrier) for _ in carrier] for _ in carrier]
     for x in range(len(carrier)):
         for y in range(x + 1, len(carrier)):
-            v = alg.bracket(basis[x], basis[y])
+            v = bracket(alg, basis[x], basis[y])
             t[x][y] = [-v[k] for k in carrier]
             t[y][x] = [-c for c in t[x][y]]
     return t
@@ -199,11 +200,7 @@ def test_adapted_verdicts_on_forms_outside_the_family():
                     for z in range(y, m)
                     if w[x][y][z] + w[x][z][y]
                 )
-                got = Counter(
-                    v
-                    for r in _reductivity_residuals(g, [form])
-                    if (v := _residual_at(r, form))
-                )
+                got = Counter(row[0] for row in _reductivity_rows(g, [form]) if row.get(0))
                 assert got == want, (n, part, form.nonzero_entries)
                 adapted = not want
                 assert is_adapted(form, g) == adapted, (n, part)
@@ -238,3 +235,18 @@ def test_refinement_matches_dense_triple_route():
             assert refined.basis == [evaluate_family(fam, c) for c in red.nullspace_basis()]
             count += 1
     assert count == 179
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.sampled_from(compositions(n))), st.data())
+def test_family_rows_contract_to_the_member_walk(part, data):
+    # the refinement's rows over the basis, contracted with c, give the
+    # nonzero residuals that is_adapted meets on the member at c
+    g = block_grading(sum(part), part)
+    fam = invariant_family(g)
+    rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    c = data.draw(st.lists(rational, min_size=fam.dimension, max_size=fam.dimension))
+    rows = _reductivity_rows(g, fam.basis)
+    contracted = Counter(v for row in rows if (v := sum(c[k] * e for k, e in row.items())))
+    member = _reductivity_rows(g, [evaluate_family(fam, c)])
+    assert contracted == Counter(row[0] for row in member if row.get(0))
