@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,14 +49,18 @@ def _parse_partition(text: str) -> tuple[int, int, int, int]:
 
 
 def _parse_params(text: str) -> list[Fraction]:
-    # Fraction() builds 10**exponent before anything can be checked, so an
-    # exponent above twice the digit limit is rejected first: int() caps the
-    # mantissa at the limit, so a nonzero one then gives too many digits
+    # Fraction() builds 10**exponent before anything can be checked, and
+    # int() refuses a run of more digits than the limit, so both are bounded
+    # first: a mantissa run above the limit, or an exponent above twice the
+    # limit (a nonzero mantissa then gives too many digits), is out of range
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     out = []
     for tok in text.split(","):
-        exp = tok.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        too_big = exp.isdecimal() and (len(exp) > len(str(2 * limit)) or int(exp) > 2 * limit)
+        mantissa, _, exp = tok.lower().replace("_", "").partition("e")
+        exp = exp.strip().lstrip("+-").lstrip("0")
+        too_big = any(len(run) > limit for run in re.findall(r"\d+", mantissa)) or (
+            exp.isdecimal() and (len(exp) > len(str(2 * limit)) or int(exp) > 2 * limit)
+        )
         try:
             value = None if too_big else Fraction(tok.strip())
         except (ValueError, ZeroDivisionError):

@@ -2,8 +2,7 @@
 
 Everything here works with ``fractions.Fraction`` entries, so results are
 exact and reproducible.  Dense matrices are lists of lists; sparse
-systems are dict rows mapping column -> coefficient, or, when no row has
-more than two terms (the invariance constraints), a weighted union-find.
+systems are dict rows mapping column -> coefficient.
 
 The reduced row echelon form of a matrix is unique, which makes the
 nullspace basis canonical: independent of the order in which rows are
@@ -145,65 +144,6 @@ class RowReducer:
                     v[p] = -coef
             basis.append(v)
         return basis
-
-
-class RatioUnionFind:
-    """Nullspace of rational rows with at most two terms each.
-
-    A row a*u_p + b*u_q = 0 (p != q, a, b nonzero) joins p and q in a forest
-    where u_c = ratio[c] * u_parent[c] and the root is the largest column;
-    other nonzero rows force an unknown to 0.  A tree with a forced zero or a
-    cycle whose ratios disagree is zero; each other tree gives one vector,
-    its ratios to the root: the RREF basis, whose free column is the last.
-    """
-
-    def __init__(self, ncols: int):
-        self._parent = list(range(ncols))
-        self._ratio = [ONE] * ncols
-        self._zeros: set[int] = set()  # columns whose tree is zero
-
-    def _find(self, c: int) -> tuple[int, Fraction]:
-        """(root, r) with u_c = r * u_root; compresses the path."""
-        parent, ratio = self._parent, self._ratio
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        for p in reversed(path[:-1]):
-            ratio[p] *= ratio[parent[p]]
-            parent[p] = c
-        return c, ratio[path[0]] if path else ONE
-
-    def add(self, terms: Sequence[tuple[int, Fraction]]) -> None:
-        """Impose the row sum(coef * u_col) = 0, given as (col, coef) terms."""
-        if len(terms) > 2:
-            raise ValueError(f"row has {len(terms)} terms; at most 2 are supported")
-        if len(terms) == 2 and terms[0][0] == terms[1][0]:
-            terms = ((terms[0][0], terms[0][1] + terms[1][1]),)
-        if len(terms) < 2 or not (terms[0][1] and terms[1][1]):
-            for c, v in terms:
-                if v:
-                    self._zeros.add(c)
-            return
-        (p, a), (q, b) = terms
-        (rp, x), (rq, y) = self._find(p), self._find(q)
-        if rp > rq:
-            rp, rq, x, y, a, b = rq, rp, y, x, b, a
-        if rp != rq:  # a*x * u_rp + b*y * u_rq = 0
-            self._parent[rp] = rq
-            self._ratio[rp] = -b * y / (a * x)
-        elif a * x + b * y:
-            self._zeros.add(rp)
-
-    def sparse_nullspace(self) -> list[list[tuple[int, Fraction]]]:
-        """The basis vectors as (col, value) lists, ordered by last column."""
-        trees: dict[int, list[tuple[int, Fraction]]] = {}
-        for c in range(len(self._parent)):
-            root, r = self._find(c)
-            trees.setdefault(root, []).append((c, r))
-        for c in self._zeros:
-            trees.pop(self._find(c)[0], None)
-        return [cols for _, cols in sorted(trees.items())]
 
 
 # ---------------------------------------------------------------------------

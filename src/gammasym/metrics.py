@@ -1,14 +1,13 @@
 """Invariant inner products on the tangent complement of a graded so(n).
 
-``invariant_family`` solves, exactly, for all symmetric bilinear forms B
-on m = sum of the non-identity components such that
+``invariant_family`` gives, in closed form, a basis of all symmetric
+bilinear forms B on m = sum of the non-identity components such that
 
     B([Z, X], Y) + B(X, [Z, Y]) = 0   for all Z in g_e,
 
-with distinct components B-orthogonal.  Each equation ties at most two
-entries of B, so a weighted union-find over the entries solves it; the
-canonical basis is returned with readable parameter names (t_* for
-directions touching the diagonal, u_* for purely off-diagonal ones).
+with distinct components B-orthogonal; the parameters have readable
+names (t_* for directions touching the diagonal, u_* for purely
+off-diagonal ones).
 
 ``naturally_reductive_subfamily`` cuts the family down by the algebraic
 condition B([X, Y]_m, Z) + B([X, Z]_m, Y) = 0 on all of m, which is
@@ -23,11 +22,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
-from .grading import _SUBBLOCK, Grading
+from .grading import _SUBBLOCK, Grading, block_grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
-    RatioUnionFind,
     RowReducer,
     SymmetricForm,
     Vector,
@@ -88,63 +86,68 @@ def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
     )
 
 
+def _block_partition(grading: Grading) -> tuple[int, ...]:
+    """The partition of a grading that is ``block_grading(n, partition)``."""
+    part, alg = grading.partition, grading.algebra
+    try:
+        if part is not None and block_grading(alg.n, part, alg).assignment == grading.assignment:
+            return tuple(part)
+    except ValueError:  # the partition is not one of n
+        pass
+    grading.split  # raises "not a grading" when brackets break additivity
+    raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
+
+
 def invariant_family(grading: Grading) -> FormFamily:
     """All ad(g_e)-invariant symmetric forms on m, components orthogonal.
 
-    Per component the unknowns are the entries B(x, y), x <= y.  Brackets
-    of basis vectors have one term, so each constraint, imposed for Z in
-    ``grading.fixed_generators`` (which generate g_e), reads u_p = k * u_q
-    or u_p = 0; ``RatioUnionFind`` solves them.  The basis is canonical
-    (the RREF nullspace basis) and presented in component / sub-block order.
+    The family has a closed form.  For the block grading of (r0, r1, r2,
+    r3), m is the sum of the sub-blocks V_bc = span{E_pq : p in block b,
+    q in block c}, b < c, and V_bc is R^{r_b} (x) R^{r_c}.  G_e = prod
+    SO(r_b) is connected, so ad(g_e)-invariance is G_e-invariance, and
+
+        Sym^2(V_bc)^{G_e} = Sym^2(R^{r_b})^SO (x) Sym^2(R^{r_c})^SO
+                            + Lambda^2(R^{r_b})^SO (x) Lambda^2(R^{r_c})^SO:
+
+    the identity, plus omega (x) omega when r_b = r_c = 2.  The two
+    sub-blocks of one component pair up only when every factor R^{r_b} of
+    their tensor product has SO(r_b)-fixed vectors, that is when all four
+    blocks have one row: (1, 1, 1, 1).
+
+    The basis is emitted component by component, sub-blocks in
+    ``_SUBBLOCK`` order: t_X, the identity on each nonempty V_bc; u_X when
+    r_b = r_c = 2, -1 at (E_p0q0, E_p1q1) and +1 at (E_p0q1, E_p1q0); and
+    for (1, 1, 1, 1) one u per component joining its two cells, named
+    after the first sub-block.  Each form is scaled to 1 on its last cell,
+    the canonical (RREF nullspace) basis of the invariance system.  The
+    dimension is the number of nonempty sub-blocks, plus one per 2 x 2
+    sub-block, plus 3 for (1, 1, 1, 1).  Gradings that are not block
+    gradings raise ValueError.
     """
-    _, _, em = grading.split
+    part = _block_partition(grading)
     carrier = grading.complement_indices
-    slices = list(grading.carrier_slices.values())
-
-    # unknowns row by row: column first[x] + y holds B(x, y) for x <= y
-    cells = [(x, y) for sl in slices for x in sl for y in range(x, sl.stop)]
-    first = [k - x for k, (x, y) in enumerate(cells) if x == y]
-
-    solver = RatioUnionFind(len(cells))
-    actions = [em[z] for z in grading.fixed_generators]
-    for sl in slices:
-        for action in actions:
-            for x in sl:
-                ax = action.get(x)
-                if not ax:
-                    continue
-                (r, c), = ax
-                for y in sl:
-                    ay = action.get(y)
-                    if ay and y < x:
-                        continue  # this pair was met as (y, x)
-                    col = first[r] + y if r <= y else first[y] + r
-                    if ay:
-                        (s, d), = ay
-                        solver.add(((col, c), (first[x] + s if x <= s else first[s] + x, d)))
-                    else:
-                        solver.add(((col, c),))
-    forms = [
-        SymmetricForm.from_upper(len(carrier), [(*cells[col], v) for col, v in vec])
-        for vec in solver.sparse_nullspace()
-    ]
-
-    keyed = []
-    for pos, f in enumerate(forms):
-        cpos, sbord, dflag, support, sub = _classify(f, grading, carrier)
-        keyed.append(((cpos, sbord, dflag, pos), f, support, sub, dflag))
-    keyed.sort(key=lambda item: item[0])
-
+    cells: dict[str, list[int]] = {sub: [] for sub in _SUBBLOCK.values()}
+    for x, k in enumerate(carrier):
+        cells[grading.subblock(k)].append(x)
+    labels = enumerate_group(2)
     names: list[str] = []
     supports: list[str] = []
     basis: list[SymmetricForm] = []
-    used: dict[str, int] = {}
-    for _, f, support, sub, dflag in keyed:
-        stem = ("t_" if dflag == 0 else "u_") + sub
-        used[stem] = used.get(stem, 0) + 1
-        names.append(stem if used[stem] == 1 else f"{stem}_{used[stem]}")
-        supports.append(support)
-        basis.append(f)
+    for (b, c), sub in _SUBBLOCK.items():
+        label = (labels[b] * labels[c]).label
+        forms = []
+        if cells[sub]:
+            forms.append(("t_", "diag", [(x, x, ONE) for x in cells[sub]]))
+        if part[b] == part[c] == 2:
+            x00, x01, x10, x11 = cells[sub]
+            forms.append(("u_", "offdiag", [(x00, x11, -ONE), (x01, x10, ONE)]))
+        if part == (1, 1, 1, 1) and b == 0:
+            partner = _SUBBLOCK[tuple(sorted({1, 2, 3} - {c}))]
+            forms.append(("u_", "offdiag", [(cells[sub][0], cells[partner][0], ONE)]))
+        for stem, kind, upper in forms:
+            names.append(stem + sub)
+            supports.append(f"{label}:{kind}:{sub}")
+            basis.append(SymmetricForm.from_upper(len(carrier), upper))
     return FormFamily(grading, carrier, names, supports, basis)
 
 

@@ -74,14 +74,18 @@ def test_metrics_params_wrong_count(capsys):
 
 def test_params_beyond_the_digit_limit_exit_2_at_once(capsys):
     limit = sys.get_int_max_str_digits()
-    for tok in ("1e999999", "1e9999999", f"1e{limit}", f"1e-{limit}"):
+    long_mantissas = ("1" * (limit + 1), "0." + "0" * limit + "1")
+    for tok in ("1e999999", "1e9999999", f"1e{limit}", f"1e-{limit}", *long_mantissas):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(["metrics", *SO5, "--params", f"1,0,1,{tok}"])
         assert exc.value.code == 2 and time.perf_counter() - start < 0.5, tok
-        assert repr(tok) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(tok) in err and "out of range" in err, tok
     doc = json.loads(run_ok(capsys, ["metrics", *SO5, "--params", f"1,0,1,5e-{limit}"]))
     assert doc["evaluation"]["values"][3] == [1, 2 * 10 ** (limit - 1)]
+    doc = json.loads(run_ok(capsys, ["metrics", *SO5, "--params", "1,0,1," + "7" * limit]))
+    assert doc["evaluation"]["values"][3] == [int("7" * limit), 1]
 
 
 def test_internal_value_error_is_not_a_user_error(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammasym.linalg import (
-    RatioUnionFind,
     RowReducer,
     SymmetricForm,
     char_poly,
@@ -120,75 +119,6 @@ def test_row_reducer_duplicate_rows_in_any_order():
             assert red.nullspace_basis() == nullspace(dense)
             results.add(tuple(tuple(sorted(red.pivots[c].items())) for c in sorted(red.pivots)))
         assert len(results) == 1
-
-
-rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-nonzero_rational = st.builds(F, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3))
-
-
-@st.composite
-def two_term_systems(draw):
-    """Rows of 0, 1 or 2 (column, coefficient) terms over a few columns.
-
-    Besides free random rows there are rows kept by a hidden solution (so
-    cycles close consistently), earlier rows repeated or with the sign of
-    their second term flipped (an inconsistent two-cycle), and same-column
-    pairs that cancel or double.
-    """
-    ncols = draw(st.integers(1, 7))
-    col = st.integers(0, ncols - 1)
-    hidden = draw(st.lists(rational, min_size=ncols, max_size=ncols))
-    rows = []
-    for _ in range(draw(st.integers(0, 14))):
-        kind = draw(
-            st.sampled_from(["none", "one", "two", "kept", "cancel", "double", "repeat", "flip"])
-        )
-        p, q, a = draw(col), draw(col), draw(nonzero_rational)
-        if kind == "one":
-            rows.append(((p, a),))
-        elif kind == "two":
-            rows.append(((p, a), (q, draw(nonzero_rational))))
-        elif kind == "kept" and hidden[q]:
-            rows.append(((p, a), (q, -a * hidden[p] / hidden[q])))
-        elif kind == "kept":
-            rows.append(((q, a),))
-        elif kind == "cancel":
-            rows.append(((p, a), (p, -a)))
-        elif kind == "double":
-            rows.append(((p, a), (p, a)))
-        elif kind == "repeat" and rows:
-            rows.append(draw(st.sampled_from(rows)))
-        elif kind == "flip" and rows:  # closes a two-cycle with the other ratio
-            old = draw(st.sampled_from(rows))
-            rows.append(old[:1] + tuple((c, -v) for c, v in old[1:]))
-        else:
-            rows.append(())
-    return ncols, rows
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(two_term_systems())
-def test_ratio_union_find_matches_row_reducer(system):
-    ncols, rows = system
-    solver, reducer = RatioUnionFind(ncols), RowReducer(ncols)
-    for row in rows:
-        solver.add(row)
-        merged = {}
-        for c, v in row:
-            merged[c] = merged.get(c, F(0)) + v
-        reducer.insert(merged)
-    dense = []
-    for vec in solver.sparse_nullspace():
-        assert [c for c, _ in vec] == sorted({c for c, _ in vec})
-        assert all(v for _, v in vec)
-        dense.append([dict(vec).get(c, F(0)) for c in range(ncols)])
-    assert dense == reducer.nullspace_basis()
-
-
-def test_ratio_union_find_rejects_three_terms():
-    solver = RatioUnionFind(3)
-    with pytest.raises(ValueError, match="3 terms"):
-        solver.add(((0, F(1)), (1, F(1)), (2, F(1))))
 
 
 def test_row_space_basis_is_canonical():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammasym.grading import Grading, block_grading
+from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import from_label, identity
 from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature
 from gammasym.metrics import (
@@ -97,33 +97,40 @@ def lie_closure_dim(alg, gens):
         span = grown
 
 
+def family_key(fam):
+    return fam.names, fam.supports, [f.entries for f in fam.basis]
+
+
 def test_family_from_generators_matches_full_action_set(monkeypatch):
     """Invariance under the Lie generators of g_e is invariance under g_e.
 
     Over all 315 ordered partitions with 3 <= n <= 7 the generators span
-    g_e under brackets, and the family they give has the same basis and
-    names as the family imposed under every basis vector of g_e.
+    g_e under brackets, and the row-reduction route gives the closed-form
+    family both when invariance is imposed under the generators and when
+    it is imposed under every basis vector of g_e; the beta commutation
+    check of ``killing_metric_operator`` runs on the generators alone.
     """
     cases = ordered_partitions(3, 7)
     assert len(cases) == 315
-    by_generators = {}
+    closed = {}
     for n, part in cases:
         g = block_grading(n, part)
         gens = [g.fixed_indices[t] for t in g.fixed_generators]
         assert lie_closure_dim(g.algebra, gens) == len(g.fixed_indices)
-        fam = invariant_family(g)
-        by_generators[n, part] = (fam.names, fam.supports, [f.entries for f in fam.basis])
+        closed[n, part] = family_key(invariant_family(g))
+        assert family_by_row_reduction(g) == closed[n, part]
     all_of_g_e(monkeypatch)
     for n, part in cases:
-        fam = invariant_family(block_grading(n, part))
-        assert (fam.names, fam.supports, [f.entries for f in fam.basis]) == by_generators[n, part]
+        assert family_by_row_reduction(block_grading(n, part)) == closed[n, part]
 
 
 def family_by_row_reduction(g):
-    """The family by general sparse RREF, a second route for the union-find
-    solve: one dict row per constraint, summed per unknown and reduced by
-    ``RowReducer``; the nullspace vectors are read back densely and named
-    as the library names them.
+    """The family by general sparse RREF, a second route for the closed
+    form: one dict row per invariance constraint under each of
+    ``g.fixed_generators``, summed per unknown and reduced by
+    ``RowReducer``; the nullspace vectors are read back densely, sorted by
+    component, sub-block and diagonal flag, and named as the library
+    names them.
     """
     _, _, em = g.split
     carrier = g.complement_indices
@@ -174,15 +181,33 @@ def family_by_row_reduction(g):
 
 
 def test_family_matches_row_reduction_route():
-    """The union-find family equals the sparse RREF family on every
-    ordered partition with 3 <= n <= 7: names, supports and entries."""
+    """The closed-form family equals the sparse RREF family, names,
+    supports and entries, on every ordered partition with 3 <= n <= 7 and
+    on all 241 with every block at most 3: the closed form reads a block
+    only as 0, 1, 2 or at least 3 rows, so these meet every case it
+    distinguishes.  Larger blocks are checked at a few partitions."""
     cases = ordered_partitions(3, 7)
     assert len(cases) == 315
+    small_blocks = [(sum(p), p) for p in product(range(4), repeat=4) if sum(p) >= 3]
+    assert len(small_blocks) == 241
+    cases += [c for c in small_blocks if c[0] > 7]
+    cases += [(17, (4, 4, 4, 5)), (22, (2, 2, 9, 9)), (16, (1, 1, 1, 13))]
     for n, part in cases:
         g = block_grading(n, part)
-        fam = invariant_family(g)
-        by_rref = family_by_row_reduction(g)
-        assert (fam.names, fam.supports, [f.entries for f in fam.basis]) == by_rref
+        assert family_key(invariant_family(g)) == family_by_row_reduction(g), part
+
+
+def test_family_needs_a_block_grading():
+    """Gradings that verify but are not ``block_grading(n, partition)``
+    are refused: one without a partition, and one with the labels a and b
+    swapped (an automorphism of the Klein group, so it still verifies)."""
+    g = block_grading(6, (2, 2, 1, 1))
+    swap = {"a": from_label(2, "b"), "b": from_label(2, "a")}
+    relabelled = tuple(swap.get(x.label, x) for x in g.assignment)
+    for other in (Grading(g.algebra, 2, g.assignment), Grading(g.algebra, 2, relabelled, g.partition)):
+        assert verify_grading(other) is None
+        with pytest.raises(ValueError, match="needs a block grading"):
+            invariant_family(other)
 
 
 def invariant_on(g, form, carrier):
