@@ -48,29 +48,38 @@ def _parse_partition(text: str) -> tuple[int, int, int, int]:
     return parts  # type: ignore[return-value]
 
 
+# a literal as Fraction() reads it, with one underscore allowed between digits;
+# compiled on first use (re caches it), so importing the CLI stays cheap
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = (
+    rf"(?i)\s*([-+]?)(?=\d|\.\d)((?:{_DIGITS})?)(?:/({_DIGITS})"
+    rf"|(?:\.((?:{_DIGITS})?))?(?:e([-+]?)({_DIGITS}))?)\s*"
+)
+
+
 def _parse_params(text: str) -> list[Fraction]:
-    # Fraction() builds 10**exponent before anything can be checked, and
-    # int() refuses a run of more digits than the limit, so both are bounded
-    # first: a mantissa run above the limit, or an exponent above twice the
-    # limit (a nonzero mantissa then gives too many digits), is out of range
+    # Fraction() builds 10**exponent and int() refuses a run of more digits
+    # than the limit, so a literal is read by its significant digits: none is
+    # 0 whatever the exponent; more than the limit, or a decimal point moved
+    # over the limit right or twice it left, gives too many digits in a term
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     out = []
     for tok in text.split(","):
-        mantissa, _, exp = tok.lower().replace("_", "").partition("e")
-        exp = exp.strip().lstrip("+-").lstrip("0")
-        too_big = any(len(run) > limit for run in re.findall(r"\d+", mantissa)) or (
-            exp.isdecimal() and (len(exp) > len(str(2 * limit)) or int(exp) > 2 * limit)
-        )
-        try:
-            value = None if too_big else Fraction(tok.strip())
-        except (ValueError, ZeroDivisionError):
+        match = re.fullmatch(_RATIONAL, tok)
+        if match is None or (match[3] and not match[3].strip("0_")):  # or a zero denominator
             raise argparse.ArgumentTypeError(f"cannot parse rational value {tok!r}")
-        if value is None or max(abs(value.numerator), value.denominator) >= 10**limit:
+        sign, whole, den, point, exp_sign, exp = (g.replace("_", "") for g in match.groups(""))
+        mantissa, power = (whole + point).rstrip("0"), exp_sign + (exp.lstrip("0") or "0")
+        digits, den = mantissa.lstrip("0"), den.lstrip("0") or "1"
+        shift = len(whole) - len(mantissa) + int(power) if len(power) <= limit else limit + 1
+        value = None if digits else Fraction(0)
+        if digits and max(len(digits), len(den)) <= limit and -2 * limit <= shift <= limit:
+            value = Fraction(int(digits) * 10 ** max(shift, 0), int(den) * 10 ** max(-shift, 0))
+        if value is None or max(value.numerator, value.denominator) >= 10**limit:
             raise argparse.ArgumentTypeError(
-                f"rational value {tok!r} is out of range: numerator and denominator "
-                f"take at most {limit} digits, an exponent at most {2 * limit}"
+                f"rational value {tok!r} is out of range: it needs more than {limit} digits"
             )
-        out.append(value)
+        out.append(-value if sign == "-" else value)
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -144,7 +145,9 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
         1/4 |[E_i, E_j]_m|^2  +  |[E_i, E_j]_{g_e}|^2_{B_e},
 
     both norms exact.  ``b_m`` must be the identity in carrier
-    coordinates (that is what makes the basis orthonormal).
+    coordinates (that is what makes the basis orthonormal).  [E_i, E_j] is
+    0 or +-1 times one basis vector, so the numerator is 1/4 when it lands
+    in m, B_e(E_t, E_t) when it is +-E_t in g_e, and 0 otherwise.
     """
     carrier = grading.complement_indices
     fixed = grading.fixed_indices
@@ -155,16 +158,13 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
     if b_e.dim != len(fixed):
         raise ValueError("b_e dimension does not match the fixed part")
     mm, me, _ = grading.split
-    q = Fraction(1, 4)
+    quarter = Fraction(1, 4)
+    norm_e = [b_e.entry(t, t) for t in range(len(fixed))]
     entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(len(carrier)):
+    for i, (in_m, in_e) in enumerate(zip(mm, me)):
         for j in range(i + 1, len(carrier)):
-            val = ZERO
-            for l, c in mm[i].get(j, ()):
-                val += q * c * c * b_m.entry(l, l)
-            for t, c in me[i].get(j, ()):
-                val += c * c * b_e.entry(t, t)
-            entries[(i, j)] = val
+            terms = in_e.get(j)
+            entries[i, j] = quarter if j in in_m else norm_e[terms[0][0]] if terms else ZERO
     labels = tuple(grading.algebra.basis_label(k) for k in carrier)
     return CurvatureTable(tuple(carrier), labels, entries)
 
@@ -186,14 +186,15 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
     if b_m.dim != len(grading.complement_indices):
         raise ValueError("b_m dimension does not match the complement")
     mm, _, _ = grading.split
-    half = Fraction(1, 2)
     contraction = True
-    for x, partners in enumerate(mm):
-        # T(E_i, X) = -1/2 [E_x, E_i]_m
+    for partners in mm:
+        # T(E_i, X) = -1/2 [E_x, E_i]_m = -+1/2 E_l; the -1/2 cannot change
+        # whether the sum vanishes, so only the signed B(E_l, E_i) are added
         total = ZERO
-        for i, terms in partners.items():
-            for l, c in terms:
-                total -= half * c * b_m.entry(l, i)
+        for i, ((l, c),) in partners.items():
+            e = b_m.entry(l, i)
+            if e:
+                total += e if c.numerator > 0 else -e
         if total:
             contraction = False
             break
@@ -241,13 +242,15 @@ class GeodesicCurve:
     def size(self) -> int:
         return len(self.generator)
 
+    @cached_property
+    def _float_rows(self) -> list[tuple[tuple[float, ...], ...]]:
+        parts = zip(self.constant_part, self.sin_part, self.cos_part)
+        return [tuple(tuple(map(float, row)) for row in rows) for rows in parts]
+
     def values(self, t: float) -> list[list[float]]:
         """exp(tE) as rows of plain floats, with no numpy import."""
         s, c = math.sin(t), math.cos(t)
-        return [
-            [float(a) + s * float(b) + c * float(d) for a, b, d in zip(*rows)]
-            for rows in zip(self.constant_part, self.sin_part, self.cos_part)
-        ]
+        return [[a + s * b + c * d for a, b, d in zip(*rows)] for rows in self._float_rows]
 
     def at(self, t: float) -> np.ndarray:
         import numpy as np

@@ -127,12 +127,12 @@ class Grading:
     def split(self) -> tuple[Partners, Partners, Partners]:
         """The brackets restricted to m and to g_e, in local coordinates.
 
-        Returns (mm, me, em): ``mm[x][y]`` are the terms of [E_x, E_y]_m
-        and ``me[x][y]`` those of [E_x, E_y]_{g_e}, for complement
-        positions x, y; ``em[z][x]`` are the terms of [Z_z, E_x], for a
-        g_e position z.  Only nonzero brackets are listed, each with the
-        one term of its structure constant.  Raises
-        ValueError when the grading does not verify.
+        Returns (mm, me, em): ``mm[x][y]`` are the terms of [E_x, E_y]_m and
+        ``me[x][y]`` those of [E_x, E_y]_{g_e}, for complement positions x,
+        y; ``em[z][x]`` are the terms of [Z_z, E_x], for a g_e position z.
+        Only nonzero brackets are listed, each with its one structure
+        constant term, a +-1 that the reductivity, contraction and sectional
+        kernels read as a sign.  Raises ValueError if the grading does not verify.
         """
         bad = verify_grading(self)
         if bad is not None:

@@ -165,40 +165,32 @@ def _reductivity_rows(
 ) -> Iterator[dict[int, Fraction]]:
     """B_k([X,Y]_m, Z) + B_k([X,Z]_m, Y) over ``forms``, per basis triple of m.
 
-    Each row maps k to the residual of ``forms[k]``; a value may be zero,
-    and the row is empty when no term reaches an entry of any form.  The
-    residual is symmetric in Y and Z, so each unordered pair {Y, Z} is met
-    once.  Only triples with [X, Y]_m nonzero and with Z a bracket partner
-    of X, or in the row support (in one of ``forms``) of a term of
-    [X, Y]_m, are visited: every other residual vanishes on each of
-    ``forms``, whatever they are.
+    With M_x[y][z] = B_k([E_x, E_y]_m, E_z) the residual at (x, y, z) is
+    M_x[y][z] + M_x[z][y].  [E_x, E_y]_m is +-E_l (``Grading.split``), so
+    row y of M_x is +-B_k(E_l, .), read off the row support of each form
+    with its sign.  One row is yielded per unordered pair {y, z} in the
+    support of M_x (2 M_x[y][y] when y = z); every other pair has a zero
+    residual, whatever the forms.  A row maps k to the residual of
+    ``forms[k]``, and a value may be zero.
     """
     mm, _, _ = grading.split
-    # (i, j) -> [(k, B_k(E_i, E_j))], in both orders
-    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    # l -> [(z, k, B_k(E_l, E_z), -B_k(E_l, E_z))], each entry in both orders
+    by_row: list[list[tuple[int, int, Fraction, Fraction]]] = [[] for _ in mm]
     for k, f in enumerate(forms):
         for i, j, e in f.nonzero_entries:
-            index.setdefault((i, j), []).append((k, e))
+            by_row[i].append((j, k, e, -e))
             if i != j:
-                index.setdefault((j, i), []).append((k, e))
-    support: list[set[int]] = [set() for _ in mm]
-    for i, j in index:
-        support[i].add(j)
-    for x, partners in enumerate(mm):
-        for y, bxy in partners.items():
-            reach = set(partners)
-            for l, _ in bxy:
-                reach |= support[l]
-            for z in sorted(reach):
-                bxz = partners.get(z, ())
-                if bxz and z < y:
-                    continue  # this triple was met as (x, z, y)
-                row: dict[int, Fraction] = {}
-                for terms, w in ((bxy, z), (bxz, y)):
-                    for l, c in terms:
-                        for k, e in index.get((l, w), ()):
-                            row[k] = row.get(k, ZERO) + c * e
-                yield row
+                by_row[j].append((i, k, e, -e))
+    for partners in mm:
+        skew: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for y, ((l, c),) in partners.items():
+            for z, k, e, neg in by_row[l]:
+                v = e if c.numerator > 0 else neg
+                if z == y:
+                    v += v
+                cell = skew.setdefault((y, z) if y < z else (z, y), {})
+                cell[k] = cell[k] + v if k in cell else v
+        yield from skew.values()
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
@@ -210,23 +202,19 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     """
     nf = family.dimension
     reducer = RowReducer(nf)
+    seen: set[frozenset] = set()
     for row in _reductivity_rows(family.grading, family.basis):
         if reducer.rank == nf:
             break
-        if any(row.values()):
+        if any(row.values()) and (key := frozenset(row.items())) not in seen:
+            seen.add(key)  # many residuals repeat one row; it is reduced once
             reducer.insert(row)
     coords = reducer.nullspace_basis()
     basis = [evaluate_family(family, c) for c in coords]
     names = [f"s{k + 1}" for k in range(len(basis))]
     supports = [_classify(f, family.grading, family.carrier)[3] for f in basis]
     return FormFamily(
-        family.grading,
-        family.carrier,
-        names,
-        supports,
-        basis,
-        parent=family,
-        parent_coords=coords,
+        family.grading, family.carrier, names, supports, basis, parent=family, parent_coords=coords
     )
 
 

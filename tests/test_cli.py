@@ -88,6 +88,31 @@ def test_params_beyond_the_digit_limit_exit_2_at_once(capsys):
     assert doc["evaluation"]["values"][3] == [int("7" * limit), 1]
 
 
+def test_params_are_bounded_by_significant_digits(capsys):
+    # a zero mantissa is 0 whatever its exponent, and zeros that only pad a
+    # literal count for nothing, however many the digit limit would refuse
+    limit = sys.get_int_max_str_digits()
+    for tok, want in (
+        ("0e9000", [0, 1]),
+        ("0" * (limit + 1) + "5", [5, 1]),
+        ("-0.000e-99999999", [0, 1]),
+        ("0." + "0" * limit + "5e" + str(limit + 1), [5, 1]),
+        ("1." + "0" * (limit + 1), [1, 1]),
+        ("0" * (limit + 1) + "3/0" + "0" * limit + "6", [1, 2]),
+    ):
+        doc = json.loads(run_ok(capsys, ["metrics", *SO5, f"--params=1,0,1,{tok}"]))
+        assert doc["evaluation"]["values"][3] == want, tok[:20]
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", *SO5, "--params", "1,0,1,1e9000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'1e9000'" in err and "out of range" in err
+    for tok in ("1/0", "0/0_0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", *SO5, "--params", f"1,0,1,{tok}"])
+        assert exc.value.code == 2 and "cannot parse" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_user_error(monkeypatch):
     # exit 2 is for bad input; a fault inside the library must surface
     def broken(grading):

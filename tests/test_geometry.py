@@ -179,6 +179,34 @@ def test_sectional_requires_orthonormal_basis():
         sectional_table(GRADING, SymmetricForm.identity(8), SymmetricForm.identity(3))
 
 
+def test_sectional_matches_bracket_norms_with_random_b_e():
+    # 1/4 |[E_i, E_j]_m|^2 + B_e([E_i, E_j]_e, [E_i, E_j]_e) from the dense
+    # bracket, with a random rational b_e that has off-diagonal entries too
+    rng = random.Random(17)
+    count = 0
+    for n in range(3, 7):
+        for part in (p for p in product(range(n + 1), repeat=4) if sum(p) == n):
+            g = block_grading(n, part)
+            alg, carrier, fixed = g.algebra, g.complement_indices, g.fixed_indices
+            ks = range(len(fixed))
+            rows = [[F(0)] * len(fixed) for _ in fixed]
+            for s in ks:
+                for t in range(s, len(fixed)):
+                    if s == t or rng.random() < 0.5:
+                        rows[s][t] = rows[t][s] = F(rng.randint(-5, 5), rng.randint(1, 4))
+            b_e = SymmetricForm.from_rows(rows)
+            table = sectional_table(g, SymmetricForm.identity(len(carrier)), b_e)
+            for i in range(len(carrier)):
+                for j in range(i + 1, len(carrier)):
+                    v = bracket(alg, basis_vector(alg, carrier[i]), basis_vector(alg, carrier[j]))
+                    want = sum((v[k] * v[k] for k in carrier), F(0)) / 4
+                    e = [v[k] for k in fixed]
+                    want += sum(e[s] * e[t] * rows[s][t] for s in ks for t in ks)
+                    assert table.entry(i, j) == want, (part, i, j)
+            count += 1
+    assert count == 195
+
+
 def test_ambrose_singer():
     rep = ambrose_singer_check(GRADING, SymmetricForm.identity(8))
     assert rep.contraction_vanishes and rep.totally_skew

@@ -26,13 +26,16 @@ from gammasym.metrics import (
     is_adapted,
     naturally_reductive_subfamily,
 )
-from oracles import basis_vector, bracket
+from oracles import basis_vector, bracket, rank
 
 F = Fraction
 
 
 def compositions(n):
     return [p for p in product(range(n + 1), repeat=4) if sum(p) == n]
+
+
+SMALL_PARTITIONS = st.integers(3, 6).flatmap(lambda n: st.sampled_from(compositions(n)))
 
 
 def brute_split(g):
@@ -238,7 +241,7 @@ def test_refinement_matches_dense_triple_route():
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(st.integers(3, 6).flatmap(lambda n: st.sampled_from(compositions(n))), st.data())
+@given(SMALL_PARTITIONS, st.data())
 def test_family_rows_contract_to_the_member_walk(part, data):
     # the refinement's rows over the basis, contracted with c, give the
     # nonzero residuals that is_adapted meets on the member at c
@@ -250,3 +253,61 @@ def test_family_rows_contract_to_the_member_walk(part, data):
     contracted = Counter(v for row in rows if (v := sum(c[k] * e for k, e in row.items())))
     member = _reductivity_rows(g, [evaluate_family(fam, c)])
     assert contracted == Counter(row[0] for row in member if row.get(0))
+
+
+def test_contraction_matches_dense_route_on_non_invariant_forms():
+    # sum_i B(T(E_i, E_x), E_i) for every x, from the dense bracket, against
+    # the signed sum of the library, on random forms outside the family.  The
+    # sum is the trace of B times ad(E_x) restricted to m, which is skew on
+    # the orthonormal E_ij basis, so it vanishes for every symmetric B: the
+    # dense terms cancel in pairs, and a kernel that loses a sign gets False
+    rng = random.Random(31)
+    verdicts, cancelling = Counter(), 0
+    for n in range(3, 7):
+        for part in compositions(n):
+            g = block_grading(n, part)
+            m = len(g.complement_indices)
+            if m == 0:
+                continue
+            torsion = torsions(g)
+            values = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+            diagonal = SymmetricForm.diagonal(values)
+            for form in (random_symmetric(rng, m), random_symmetric(rng, m), diagonal):
+                terms = [
+                    [t * form.entry(l, i) for i in range(m) for l, t in enumerate(torsion[i][x]) if t]
+                    for x in range(m)
+                ]
+                want = all(sum(t, F(0)) == 0 for t in terms)
+                assert ambrose_singer_check(g, form).contraction_vanishes == want, (n, part)
+                verdicts[want] += 1
+                cancelling += any(map(any, terms))
+    assert verdicts == Counter({True: 537})
+    assert cancelling >= 150
+
+
+def test_refinement_is_idempotent():
+    count = 0
+    for n in range(3, 7):
+        for part in compositions(n):
+            refined = naturally_reductive_subfamily(invariant_family(block_grading(n, part)))
+            assert naturally_reductive_subfamily(refined).basis == refined.basis, part
+            count += 1
+    assert count == 195
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(SMALL_PARTITIONS, st.booleans(), st.data())
+def test_adapted_exactly_on_the_refined_span(part, inside, data):
+    # a member is adapted exactly when its parameters lie in the span of the
+    # refined directions; half the draws are built inside that span
+    g = block_grading(sum(part), part)
+    fam = invariant_family(g)
+    coords = naturally_reductive_subfamily(fam).parent_coords
+    rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    if inside:
+        a = data.draw(st.lists(rational, min_size=len(coords), max_size=len(coords)))
+        c = [sum((ak * v[j] for ak, v in zip(a, coords)), F(0)) for j in range(fam.dimension)]
+    else:
+        c = data.draw(st.lists(rational, min_size=fam.dimension, max_size=fam.dimension))
+    in_span = rank(coords + [c]) == rank(coords) if coords else not any(c)
+    assert is_adapted(evaluate_family(fam, c), g) == in_span
