@@ -56,10 +56,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Reduced row echelon form, kept fully reduced while rows are inserted.
 # ---------------------------------------------------------------------------
@@ -252,9 +248,10 @@ def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm
     total: dict[tuple[int, int], Fraction] = {}
     for c, f in zip(coeffs, forms):
         c = frac(c)
-        if c:
-            for i, j, e in f.nonzero_entries:
-                total[i, j] = total.get((i, j), ZERO) + c * e
+        sign = 1 if c == ONE else -1 if c == -ONE else 0  # a +-1 is read as a sign
+        for i, j, e in f.nonzero_entries if c else ():
+            t = e if sign > 0 else -e if sign else c * e
+            total[i, j] = total[i, j] + t if (i, j) in total else t
     return SymmetricForm(dim, tuple(sorted((i, j, e) for (i, j), e in total.items() if e)))
 
 
@@ -270,14 +267,8 @@ def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     nonzero entries.
     """
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
-    blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
-    where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}
-    for i, j, v in form.nonzero_entries:
-        block, a = where[i]
-        b = where[j][1]
-        block[a][b] = block[b][a] = v
-    pos, neg, zero = 0, 0, form.dim - len(where)
-    for block in blocks:
+    pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
+    for block in dense_blocks(form, comps):
         p, q, z = _eliminate(block)
         pos, neg, zero = pos + p, neg + q, zero + z
     return pos, neg, zero
@@ -308,6 +299,18 @@ def support_components(dim: int, pairs: Iterable[tuple[int, int]]) -> list[list[
         comp.sort()
         comps.append(comp)
     return comps
+
+
+def dense_blocks(form: SymmetricForm, comps: Sequence[Sequence[int]]) -> list[Matrix]:
+    """The dense restriction of ``form`` to each of ``comps``: disjoint
+    index lists that cover its support, such as ``support_components``."""
+    blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
+    where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}
+    for i, j, v in form.nonzero_entries:
+        block, a = where[i]
+        b = where[j][1]
+        block[a][b] = block[b][a] = v
+    return blocks
 
 
 def _eliminate(work: Matrix) -> tuple[int, int, int]:
@@ -401,7 +404,7 @@ def char_poly(m: Sequence[Sequence]) -> list[Fraction]:
         for i in range(n):
             nk[i][i] += coeffs[-1]
         mk = mat_mul(mm, nk)
-        ak = -mat_trace(mk) / k
+        ak = -sum((mk[i][i] for i in range(n)), ZERO) / k
         coeffs.append(ak)
         nk = mk
     return coeffs

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .grading import _SUBBLOCK, Grading, block_grading
 from .groups import GroupElement, enumerate_group
@@ -32,6 +33,7 @@ from .linalg import (
     ZERO,
     congruence_signature,
     char_poly,
+    dense_blocks,
     linear_combination,
     solve_matrix,
     support_components,
@@ -65,9 +67,9 @@ class FormFamily:
         return [k for k, s in enumerate(self.supports) if ":diag:" in s]
 
 
-def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int]):
-    """(component position, sub-block ordinal, diag flag, support string)."""
-    order = {g.label: p for p, g in enumerate(enumerate_group(grading.rank))}
+def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int], order: dict[str, int]):
+    """(component position, sub-block ordinal, diag flag, support string);
+    ``order`` maps each label to its position in ``enumerate_group``."""
     entries = form.nonzero_entries
     if not entries:
         raise ValueError("zero form in family basis")
@@ -212,7 +214,8 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     coords = reducer.nullspace_basis()
     basis = [evaluate_family(family, c) for c in coords]
     names = [f"s{k + 1}" for k in range(len(basis))]
-    supports = [_classify(f, family.grading, family.carrier)[3] for f in basis]
+    order = {g.label: p for p, g in enumerate(enumerate_group(family.grading.rank))}
+    supports = [_classify(f, family.grading, family.carrier, order)[3] for f in basis]
     return FormFamily(
         family.grading, family.carrier, names, supports, basis, parent=family, parent_coords=coords
     )
@@ -303,12 +306,15 @@ class KillingMetricOperator:
 def killing_metric_operator(
     grading: Grading, form: SymmetricForm, gamma: GroupElement
 ) -> KillingMetricOperator:
-    """Solve B_gamma . beta = K_gamma on the component of ``gamma``.
+    """Solve B_gamma . beta = K_gamma on the component of ``gamma``, block by block.
 
     ``form`` is a member of the invariant family in carrier coordinates.
-    Degenerate restrictions are rejected; the commutation of beta with
-    the restricted ad(g_e) action is checked exactly, on the generators
-    ``grading.fixed_generators``, and reported.
+    K = -2(n-2) I, so B and beta = B^-1 K are block diagonal over the
+    connected components of the supports of B and K (an index where B
+    vanishes is a 1 x 1 block).  char_poly is the product of the blocks'
+    ones; a singular block means B is degenerate on the component, which
+    is rejected.  beta commuting with ad(Z) for Z in
+    ``grading.fixed_generators`` is checked over its nonzero entries.
     """
     if gamma.is_identity():
         raise ValueError("operator is defined on the non-identity components")
@@ -317,25 +323,49 @@ def killing_metric_operator(
         raise ValueError(f"component {gamma.label} is zero")
     carrier = grading.carrier_slices[gamma.label]
     b_form = form.restrict(carrier)
-    k_rows = grading.algebra.killing_form().restrict(comp.indices).rows()
-    if congruence_signature(b_form)[2] != 0:
-        raise ValueError(f"form is degenerate on component {gamma.label}")
-    beta = solve_matrix(b_form.rows(), k_rows)
+    k_form = grading.algebra.killing_form().restrict(comp.indices)
+    d = comp.dim
+    blocks = support_components(d, [e[:2] for f in (b_form, k_form) for e in f.nonzero_entries])
+    beta, polys = [[ZERO] * d for _ in range(d)], []
+    # the nonzero entries of beta by row and by column: (column or row, value, -value)
+    by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
+    for blk, b_blk, k_blk in zip(blocks, dense_blocks(b_form, blocks), dense_blocks(k_form, blocks)):
+        try:
+            sol = solve_matrix(b_blk, k_blk)
+        except ValueError:
+            raise ValueError(f"form is degenerate on component {gamma.label}") from None
+        polys.append(char_poly(sol))
+        for i, row in zip(blk, sol):
+            for j, v in zip(blk, row):
+                if v:
+                    beta[i][j] = v
+                    by_row[i].append((j, v, -v))
+                    by_col[j].append((i, v, -v))
 
     _, _, em = grading.split
-    d = comp.dim
-    commutes = True
-    for action in (em[z] for z in grading.fixed_generators):
-        # ad(Z) beta and beta ad(Z), from the nonzero entries of ad(Z)
-        left = [[ZERO] * d for _ in range(d)]
-        right = [[ZERO] * d for _ in range(d)]
+    # ad(Z) beta - beta ad(Z) per generator Z, with [Z, E_x] = +-E_r read as a sign
+    diff: dict[tuple[int, int, int], Fraction] = {}
+    for z in grading.fixed_generators:
         for x in carrier:
-            for r, c in action.get(x, ()):
-                src, dst = x - carrier.start, r - carrier.start
-                for j in range(d):
-                    left[dst][j] += c * beta[src][j]
-                    right[j][src] += beta[j][dst] * c
-        if left != right:
-            commutes = False
-            break
-    return KillingMetricOperator(gamma, beta, char_poly(beta), commutes)
+            for r, c in em[z].get(x, ()):
+                src, dst, up = x - carrier.start, r - carrier.start, c.numerator > 0
+                terms = [((z, dst, j), v if up else neg) for j, v, neg in by_row[src]]
+                terms += [((z, i, src), neg if up else v) for i, v, neg in by_col[dst]]
+                for key, w in terms:
+                    diff[key] = diff[key] + w if key in diff else w
+    return KillingMetricOperator(gamma, beta, _poly_product(polys), not any(diff.values()))
+
+
+def _poly_product(polys: Iterable[Vector]) -> Vector:
+    """The product of monic rational polynomials, over the integers: each
+    factor is scaled by the lcm of its denominators, the product is divided once."""
+    out = [1]
+    for p in polys:
+        den = lcm(*(c.denominator for c in p))
+        nxt = [0] * (len(out) + len(p) - 1)
+        for j, c in enumerate(p):
+            y = c.numerator * (den // c.denominator)
+            for i, x in enumerate(out):
+                nxt[i + j] += x * y
+        out = nxt
+    return [Fraction(c, out[0]) for c in out]

@@ -2,12 +2,24 @@
 
 Tests check the sparse library against these: the nullspace, row space
 and rank of a dense matrix (one ``RowReducer`` fed row by row), the
-inertia of a dense symmetric matrix eliminated whole, and so(n) elements
+inertia of a dense symmetric matrix eliminated whole, so(n) elements
 as coefficient vectors, with their bracket from the structure constants
-and their skew-symmetric matrices.
+and their skew-symmetric matrices, and the Killing comparison operator
+beta solved on a whole component at once.
 """
 
-from gammasym.linalg import ONE, ZERO, RowReducer, _eliminate, to_matrix, zeros
+from gammasym.linalg import (
+    ONE,
+    ZERO,
+    RowReducer,
+    _eliminate,
+    char_poly,
+    congruence_signature,
+    solve_matrix,
+    to_matrix,
+    zeros,
+)
+from gammasym.metrics import KillingMetricOperator
 
 
 def _reduced(rows) -> RowReducer:
@@ -60,3 +72,38 @@ def vector_to_matrix(alg, x):
     for (i, j), c in zip(alg.pairs, x):
         m[i][j], m[j][i] = c, -c
     return m
+
+
+def dense_killing_metric_operator(grading, form, gamma):
+    """beta with B_gamma . beta = K_gamma on the whole component: a
+    signature check, one dense solve, ``char_poly`` on the full beta, and
+    ad(Z) beta = beta ad(Z) compared as zero-filled d x d matrices for each
+    generator Z of g_e.  The same errors as ``killing_metric_operator``."""
+    if gamma.is_identity():
+        raise ValueError("operator is defined on the non-identity components")
+    comp = grading.component(gamma)
+    if comp.dim == 0:
+        raise ValueError(f"component {gamma.label} is zero")
+    carrier = grading.carrier_slices[gamma.label]
+    b_form = form.restrict(carrier)
+    k_rows = grading.algebra.killing_form().restrict(comp.indices).rows()
+    if congruence_signature(b_form)[2] != 0:
+        raise ValueError(f"form is degenerate on component {gamma.label}")
+    beta = solve_matrix(b_form.rows(), k_rows)
+
+    _, _, em = grading.split
+    d = comp.dim
+    commutes = True
+    for action in (em[z] for z in grading.fixed_generators):
+        left = [[ZERO] * d for _ in range(d)]
+        right = [[ZERO] * d for _ in range(d)]
+        for x in carrier:
+            for r, c in action.get(x, ()):
+                src, dst = x - carrier.start, r - carrier.start
+                for j in range(d):
+                    left[dst][j] += c * beta[src][j]
+                    right[j][src] += beta[j][dst] * c
+        if left != right:
+            commutes = False
+            break
+    return KillingMetricOperator(gamma, beta, char_poly(beta), commutes)

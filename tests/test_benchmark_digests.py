@@ -1,26 +1,33 @@
-"""The benchmark's frozen digests, checked in the test suite.
+"""The benchmark's frozen digests and its beta check, run in the test suite.
 
 ``perfbench/expected.json`` holds one sha256 per ordered partition of n=8
 over every exact output of the library pipeline (family names and order,
 refinement, signatures, Ambrose-Singer verdicts, holonomy, sectional
 table).  The benchmark marks an op failed when its digest moves; this
 test makes the same check, so a change of family name, order or entry
-shows here and not only in a benchmark run.  ``perfbench/`` is read, not
-edited.
+shows here and not only in a benchmark run.  In the same way the Killing
+operator ops of the benchmark are checked with its ``beta_ok``, so a wrong
+beta fails here too.  ``perfbench/`` is read, not edited.
 """
 
 import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 import gammasym
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_sweep_n8_matches_the_frozen_digests(monkeypatch):
+@pytest.fixture
+def libworker(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    libworker = importlib.import_module("libworker")
+    return importlib.import_module("libworker")
+
+
+def test_sweep_n8_matches_the_frozen_digests(libworker):
     want = json.loads((PERFBENCH / "expected.json").read_text())["sweep"]["8"]
     parts = libworker.compositions(8)
     assert len(parts) == len(want) == 165
@@ -28,3 +35,16 @@ def test_sweep_n8_matches_the_frozen_digests(monkeypatch):
         result = libworker.analyse(gammasym, 8, part)
         assert libworker.digest(result) == want[libworker.partition_key(part)], part
         assert libworker.geodesic_ok(result), part
+
+
+def test_killing_beta_ops_pass_the_benchmark_check(libworker):
+    """Three rounds of the killing-beta-n13 workload at seed 7: every op's
+    beta passes ``libworker.beta_ok`` (B beta = K, commutation, the leading
+    characteristic polynomial coefficients)."""
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    rounds = libworker.killing_rounds(gammasym, "full", 7, expected)
+    for _ in range(3):
+        batch = next(rounds)
+        assert len(batch) == 3
+        for label, call, check in batch:
+            assert check(call()), label

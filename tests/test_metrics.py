@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammasym.grading import Grading, block_grading, verify_grading
-from gammasym.groups import from_label, identity
-from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature
+from gammasym.groups import enumerate_group, from_label, identity
+from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, mat_mul
 from gammasym.metrics import (
     FormFamily,
     _classify,
@@ -20,7 +20,13 @@ from gammasym.metrics import (
     naturally_reductive_subfamily,
     signature_scan,
 )
-from oracles import basis_vector, bracket, nullspace, row_space_basis
+from oracles import (
+    basis_vector,
+    bracket,
+    dense_killing_metric_operator,
+    nullspace,
+    row_space_basis,
+)
 
 F = Fraction
 
@@ -166,9 +172,9 @@ def family_by_row_reduction(g):
             if sol[unknown(off, sl, x, y)]
         ]
         forms.append(SymmetricForm.from_upper(len(carrier), upper))
-    keyed = []
+    keyed, order = [], {e.label: p for p, e in enumerate(enumerate_group(g.rank))}
     for pos, f in enumerate(forms):
-        cpos, sbord, dflag, support, sub = _classify(f, g, carrier)
+        cpos, sbord, dflag, support, sub = _classify(f, g, carrier, order)
         keyed.append(((cpos, sbord, dflag, pos), f, support, sub, dflag))
     keyed.sort(key=lambda item: item[0])
     names, supports, used = [], [], Counter()
@@ -567,6 +573,90 @@ def test_beta_rejects_degenerate_and_identity_component():
         killing_metric_operator(g, degenerate, from_label(2, "a"))
     with pytest.raises(ValueError):
         killing_metric_operator(g, SymmetricForm.identity(8), identity(2))
+
+
+def beta_outcome(route, g, form, gamma):
+    """(matrix, char_poly, commutes) of ``route``, or the text it raises."""
+    try:
+        op = route(g, form, gamma)
+    except ValueError as exc:
+        return str(exc)
+    return op.matrix, op.char_poly, op.commutes
+
+
+def random_symmetric(rng, dim):
+    rows = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = F(rng.randint(-2, 2), rng.randint(1, 3))
+    return SymmetricForm.from_rows(rows)
+
+
+def test_beta_blocks_match_the_dense_route():
+    """beta solved block by block over the support of B equals the dense
+    route on the whole component (``oracles.dense_killing_metric_operator``):
+    matrix, characteristic polynomial, commutation verdict and error text.
+
+    Every ordered partition with 3 <= n <= 7 (among them (1,1,1,1)) and
+    (2,2,2,2), (3,3,3,4), at random rational family members, some of them
+    degenerate; for n <= 6 also at random diagonal and random dense
+    symmetric forms, which are mostly not invariant.
+    """
+    rng = random.Random(14)
+    seen = Counter()
+    for n, part in ordered_partitions(3, 7) + [(8, (2, 2, 2, 2)), (13, (3, 3, 3, 4))]:
+        g = block_grading(n, part)
+        fam = invariant_family(g)
+        dim = len(g.complement_indices)
+        forms = [
+            evaluate_family(fam, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in fam.names])
+            for _ in range(2)
+        ]
+        if n <= 6:
+            forms.append(SymmetricForm.diagonal([rng.randint(-2, 2) for _ in range(dim)]))
+            forms.append(random_symmetric(rng, dim))
+        for form in forms:
+            for gamma in enumerate_group(2):
+                got = beta_outcome(killing_metric_operator, g, form, gamma)
+                assert got == beta_outcome(dense_killing_metric_operator, g, form, gamma)
+                seen[got.split(" on ")[0] if isinstance(got, str) else got[2]] += 1
+    assert seen[True] and seen[False] and seen["form is degenerate"]
+
+
+@st.composite
+def family_members(draw):
+    """A block grading with 3 <= n <= 9 and a random rational member of
+    its family, every parameter nonzero."""
+    n = draw(st.integers(3, 9))
+    r0 = draw(st.integers(0, n))
+    r1 = draw(st.integers(0, n - r0))
+    r2 = draw(st.integers(0, n - r0 - r1))
+    g = block_grading(n, (r0, r1, r2, n - r0 - r1 - r2))
+    fam = invariant_family(g)
+    value = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    return g, evaluate_family(fam, draw(st.lists(value, min_size=fam.dimension, max_size=fam.dimension)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(family_members())
+def test_beta_solves_b_beta_equals_k_on_family_members(member):
+    """On every non-identity component where the member is nondegenerate,
+    B beta = K exactly, char_poly[1] = -trace beta, and beta commutes
+    with ad(g_e)."""
+    g, form = member
+    for gamma in enumerate_group(2)[1:]:
+        comp = g.component(gamma)
+        if comp.dim == 0:
+            continue
+        try:
+            op = killing_metric_operator(g, form, gamma)
+        except ValueError as exc:
+            assert str(exc) == f"form is degenerate on component {gamma.label}"
+            continue
+        b_rows = form.restrict(g.carrier_slices[gamma.label]).rows()
+        assert mat_mul(b_rows, op.matrix) == g.algebra.killing_form().restrict(comp.indices).rows()
+        assert op.char_poly[1] == -sum(op.diagonal())
+        assert op.commutes
 
 
 def test_components_killing_orthogonal():
