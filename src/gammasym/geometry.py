@@ -25,13 +25,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .grading import Grading, Partners
-from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, mat_mul, zeros
+from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, zeros
 from .metrics import is_adapted
 
 if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
     import numpy as np
 
-# spectral-norm threshold above which the numeric oracle applies its own
+# spectral-norm bound above which the numeric oracle applies its own
 # scaling-and-squaring on top of expm, to keep 1e-12 agreement honest
 _NORM_LIMIT = 32.0
 
@@ -171,7 +171,14 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
 
 @dataclass(frozen=True)
 class AmbroseSingerReport:
-    """Checks on the difference tensor T(X, Y) = 1/2 [X, Y]_m."""
+    """Checks on the difference tensor T(X, Y) = 1/2 [X, Y]_m.
+
+    ``contraction_vanishes`` holds for every symmetric B: the contraction
+    at X is the Frobenius product of B with the m-block of ad(X), which is
+    skew on the E_ij basis because that basis is orthogonal for the Killing
+    form.  It is still computed, from the partner lists, and written to the
+    report; ``totally_skew`` is the verdict that depends on B.
+    """
 
     contraction_vanishes: bool
     totally_skew: bool
@@ -208,21 +215,49 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
 # ---------------------------------------------------------------------------
 
 
-def _skew_matrix(e: Sequence[Sequence]) -> Matrix:
-    """``e`` as an exact matrix, checked nonempty, square and skew."""
+# a matrix as its nonzero entries, row by row: row i maps column j to E[i][j]
+SparseRows = list[dict[int, Fraction]]
+
+
+def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
+    """``e`` as an exact matrix and as its nonzero entries, checked
+    nonempty, square and skew.
+
+    Entry pairs that are both zero are skew, so only nonzero entries are
+    compared.  A generator with several faults is named by its first bad
+    position (i, j), i <= j, in row order: the diagonal, then the pairs.
+    """
     n = len(e)
     if not n:
         raise ValueError("generator must be a nonempty matrix")
     if not all(hasattr(row, "__len__") and len(row) == n for row in e):
         raise ValueError("generator must be square")
     e = [[frac(x) for x in row] for row in e]
-    for i in range(n):
-        if e[i][i]:
-            raise ValueError("generator must have zero diagonal")
-        for j in range(i + 1, n):
-            if e[i][j] != -e[j][i]:
-                raise ValueError("generator must be skew-symmetric")
-    return e
+    rows = [{j: x for j, x in enumerate(row) if x} for row in e]
+    bad = [
+        (min(i, j), max(i, j))
+        for i, row in enumerate(rows)
+        for j, x in row.items()
+        if i == j or rows[j].get(i, ZERO) != -x
+    ]
+    if bad:
+        i, j = min(bad)
+        raise ValueError(
+            "generator must have zero diagonal" if i == j else "generator must be skew-symmetric"
+        )
+    return e, rows
+
+
+def _sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The product of two square matrices given by their nonzero entries."""
+    out: SparseRows = []
+    for row in a:
+        acc: dict[int, Fraction] = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,8 +279,11 @@ class GeodesicCurve:
 
     @cached_property
     def _float_rows(self) -> list[tuple[tuple[float, ...], ...]]:
+        # float(Fraction(0)) is 0.0, so zero entries skip the conversion
         parts = zip(self.constant_part, self.sin_part, self.cos_part)
-        return [tuple(tuple(map(float, row)) for row in rows) for rows in parts]
+        return [
+            tuple(tuple(float(x) if x else 0.0 for x in row) for row in rows) for rows in parts
+        ]
 
     def values(self, t: float) -> list[list[float]]:
         """exp(tE) as rows of plain floats, with no numpy import."""
@@ -262,17 +300,24 @@ class GeodesicCurve:
 
 
 def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
-    """Build the closed-form curve; requires E skew with E^3 = -E exactly."""
-    em = _skew_matrix(e)
-    e2 = mat_mul(em, em)
-    e3 = mat_mul(e2, em)
-    if any(e3[i][j] != -em[i][j] for i in range(len(em)) for j in range(len(em))):
+    """Build the closed-form curve; requires E skew with E^3 = -E exactly.
+
+    E^2 and E^3 are formed from the nonzero entries of E alone, and only
+    the nonzero entries of E^2 are added into I + E^2 and -E^2.
+    """
+    em, nonzero = _skew_matrix(e)
+    e2 = _sparse_mul(nonzero, nonzero)
+    e3 = _sparse_mul(e2, nonzero)
+    if any(e3[i] != {j: -x for j, x in row.items()} for i, row in enumerate(nonzero)):
         raise ValueError(
             "generator does not satisfy E^3 = -E; use matrix_exp_numeric instead"
         )
-    ident = mat_identity(len(em))
-    const = [[ident[i][j] + e2[i][j] for j in range(len(em))] for i in range(len(em))]
-    neg_e2 = [[-x for x in row] for row in e2]
+    n = len(em)
+    const, neg_e2 = mat_identity(n), [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(e2):
+        for j, x in row.items():
+            const[i][j] += x
+            neg_e2[i][j] = -x
     freeze = lambda m: tuple(tuple(row) for row in m)
     return GeodesicCurve(freeze(em), freeze(const), freeze(em), freeze(neg_e2))
 
@@ -280,10 +325,13 @@ def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
 def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     """Floating-point exp(tX) oracle, independent of the closed form.
 
-    Delegates to a scaling-and-squaring Pade exponential; if the spectral
-    norm of tX exceeds 32 the argument is halved further and the result
-    squared back, keeping the error well under the 1e-12 budget used in
-    the cross-checks.
+    Delegates to a scaling-and-squaring Pade exponential.  If the bound
+    sqrt(|tX|_1 |tX|_inf) on the spectral norm of tX exceeds 32, the
+    argument is halved further and the result squared back, keeping the
+    error well under the 1e-12 budget used in the cross-checks.  The bound
+    takes two absolute sums where the spectral norm takes an SVD; it is
+    never below that norm, so the extra squaring happens whenever the norm
+    exceeds 32, and for a multiple of one E_ij the two are equal.
     """
     import numpy as np
     from scipy.linalg import expm
@@ -291,7 +339,8 @@ def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     a = np.array(x, dtype=float) * float(t)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
-    nrm = np.linalg.norm(a, 2)
+    mag = np.abs(a)
+    nrm = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
     squarings = 0
     if nrm > _NORM_LIMIT:
         squarings = int(math.ceil(math.log2(nrm / _NORM_LIMIT)))

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .groups import GroupElement, enumerate_group, identity
-from .liealg import BracketTerms, LieAlgebra, build_so
+from .liealg import MINUS_ONE, BracketTerms, LieAlgebra, build_so
 from .linalg import ONE, Vector, ZERO
 
 # sub-block names for the rank-2 block gradings, keyed by the pair of
@@ -70,6 +70,11 @@ class Grading:
     def __post_init__(self) -> None:
         if len(self.assignment) != self.algebra.dim:
             raise ValueError("assignment length does not match algebra dimension")
+        for k, g in enumerate(self.assignment):
+            if g.rank != self.rank:
+                raise ValueError(
+                    f"assignment element {k} has rank {g.rank}, not the grading rank {self.rank}"
+                )
 
     def degree(self, k: int) -> GroupElement:
         return self.assignment[k]
@@ -132,7 +137,11 @@ class Grading:
         y; ``em[z][x]`` are the terms of [Z_z, E_x], for a g_e position z.
         Only nonzero brackets are listed, each with its one structure
         constant term, a +-1 that the reductivity, contraction and sectional
-        kernels read as a sign.  Raises ValueError if the grading does not verify.
+        kernels read as a sign; [E_q, E_p] takes the other of the shared
+        constants ``ONE`` and ``MINUS_ONE``.  Raises ValueError if
+        ``verify_grading``, run here when the split is first built, finds a
+        violation; additivity has that one implementation, and its verdict
+        is not stored on the grading.
         """
         bad = verify_grading(self)
         if bad is not None:
@@ -143,7 +152,8 @@ class Grading:
         me: Partners = [{} for _ in local_m]
         em: Partners = [{} for _ in local_e]
         for (p, q), ((k, c),) in self.algebra.structure_constants().items():
-            for a, b, coef in ((p, q, c), (q, p, -c)):
+            neg = MINUS_ONE if c.numerator > 0 else ONE
+            for a, b, coef in ((p, q, c), (q, p, neg)):
                 if b not in local_m:
                     continue
                 if a in local_e:
@@ -208,13 +218,19 @@ def verify_grading(grading: Grading) -> GradingViolation | None:
     Returns None when every structure constant respects the grading, or
     the first (p, q, term) triple that does not.  Pairs with a zero bracket
     cannot fail, so only the structure constants are read, in their
-    lexicographic (p, q) order.
+    lexicographic (p, q) order.  The group product is XOR on the bit
+    masks, and every element of a Grading has its rank, so each term is
+    the integer test ``bits[p] ^ bits[q] == bits[term]``; group elements
+    are built only for the witness.  The table is read afresh on each
+    call, and no verdict is kept.
     """
     assign = grading.assignment
+    bits = [g.bits for g in assign]
     for (p, q), terms in grading.algebra.structure_constants().items():
-        expected = assign[p] * assign[q]
+        want = bits[p] ^ bits[q]
         for k, _ in terms:
-            if assign[k] != expected:
+            if bits[k] != want:
+                expected = GroupElement(grading.rank, want)
                 return GradingViolation(p, q, k, expected.label, assign[k].label)
     return None
 

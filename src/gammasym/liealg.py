@@ -13,6 +13,7 @@ rationals); ``basis_matrix`` gives the n x n matrix of a basis element.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import ONE, Matrix, SymmetricForm, ZERO
 
@@ -81,10 +82,11 @@ class LieAlgebra:
             return self._table.get((p, q), ())
         return tuple((k, -c) for k, c in self._table.get((q, p), ()))
 
-    def structure_constants(self) -> dict[tuple[int, int], BracketTerms]:
+    def structure_constants(self) -> MappingProxyType[tuple[int, int], BracketTerms]:
         """Sparse map (p, q) -> terms of [E_p, E_q], for p < q, in lexicographic
-        order of (p, q); pairs with a zero bracket are absent."""
-        return dict(self._table)
+        order of (p, q); pairs with a zero bracket are absent.  A read-only
+        live view of the table, not a copy."""
+        return MappingProxyType(self._table)
 
     # -- the Killing form ----------------------------------------------
 

@@ -316,6 +316,8 @@ def killing_metric_operator(
     is rejected.  beta commuting with ad(Z) for Z in
     ``grading.fixed_generators`` is checked over its nonzero entries.
     """
+    if form.dim != len(grading.complement_indices):
+        raise ValueError("form dimension does not match the complement")
     if gamma.is_identity():
         raise ValueError("operator is defined on the non-identity components")
     comp = grading.component(gamma)

@@ -5,9 +5,11 @@ and rank of a dense matrix (one ``RowReducer`` fed row by row), the
 inertia of a dense symmetric matrix eliminated whole, so(n) elements
 as coefficient vectors, with their bracket from the structure constants
 and their skew-symmetric matrices, and the Killing comparison operator
-beta solved on a whole component at once.
+beta solved on a whole component at once, and the geodesic curve with
+every entry of the generator and its powers computed densely.
 """
 
+from gammasym.geometry import GeodesicCurve
 from gammasym.linalg import (
     ONE,
     ZERO,
@@ -15,6 +17,9 @@ from gammasym.linalg import (
     _eliminate,
     char_poly,
     congruence_signature,
+    frac,
+    mat_identity,
+    mat_mul,
     solve_matrix,
     to_matrix,
     zeros,
@@ -107,3 +112,32 @@ def dense_killing_metric_operator(grading, form, gamma):
             commutes = False
             break
     return KillingMetricOperator(gamma, beta, char_poly(beta), commutes)
+
+
+def dense_geodesic_curve(e):
+    """The curve exp(tE) from dense exact matrices: every entry of E is
+    checked for skewness, E^2 and E^3 are full products, and I + E^2 and
+    -E^2 are formed entry by entry.  The same errors as ``geodesic_curve``."""
+    n = len(e)
+    if not n:
+        raise ValueError("generator must be a nonempty matrix")
+    if not all(hasattr(row, "__len__") and len(row) == n for row in e):
+        raise ValueError("generator must be square")
+    em = [[frac(x) for x in row] for row in e]
+    for i in range(n):
+        if em[i][i]:
+            raise ValueError("generator must have zero diagonal")
+        for j in range(i + 1, n):
+            if em[i][j] != -em[j][i]:
+                raise ValueError("generator must be skew-symmetric")
+    e2 = mat_mul(em, em)
+    e3 = mat_mul(e2, em)
+    if any(e3[i][j] != -em[i][j] for i in range(n) for j in range(n)):
+        raise ValueError(
+            "generator does not satisfy E^3 = -E; use matrix_exp_numeric instead"
+        )
+    ident = mat_identity(n)
+    const = [[ident[i][j] + e2[i][j] for j in range(n)] for i in range(n)]
+    neg_e2 = [[-x for x in row] for row in e2]
+    freeze = lambda m: tuple(tuple(row) for row in m)
+    return GeodesicCurve(freeze(em), freeze(const), freeze(em), freeze(neg_e2))

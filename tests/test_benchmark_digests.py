@@ -37,6 +37,23 @@ def test_sweep_n8_matches_the_frozen_digests(libworker):
         assert libworker.geodesic_ok(result), part
 
 
+def test_sweep_n8_rounds_in_shuffled_order_match_the_digests(libworker):
+    """Two rounds of the partition-sweep-n8 workload at seed 7, all 165 ops
+    each, in the order the benchmark shuffles them, in one interpreter:
+    state shared between ops (the live structure-constant view of one
+    so(8), cached properties, module caches) must move no digest."""
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    rounds = libworker.sweep_rounds(gammasym, "full", 7, expected)
+    orders = []
+    for _ in range(2):
+        batch = next(rounds)
+        assert len(batch) == 165
+        orders.append([label for label, _, _ in batch])
+        for label, call, check in batch:
+            assert check(call()), label
+    assert orders[0] != orders[1]
+
+
 def test_killing_beta_ops_pass_the_benchmark_check(libworker):
     """Three rounds of the killing-beta-n13 workload at seed 7: every op's
     beta passes ``libworker.beta_ok`` (B beta = K, commutation, the leading

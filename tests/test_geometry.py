@@ -16,8 +16,9 @@ from gammasym.geometry import (
     torsionfree_curvature,
 )
 from gammasym.grading import block_grading
+from gammasym.liealg import build_so
 from gammasym.linalg import SymmetricForm
-from oracles import basis_vector, bracket
+from oracles import basis_vector, bracket, dense_geodesic_curve
 
 F = Fraction
 
@@ -272,6 +273,76 @@ def test_geodesic_values_match_numpy_formula_bitwise():
                 assert repr(curve.values(t)) == repr(expected), (n, k, t)
 
 
+def curve_outcome(route, e):
+    """The four exact parts of ``route(e)`` and its values at several t,
+    or the text of the ValueError it raises."""
+    try:
+        curve = route(e)
+    except ValueError as exc:
+        return str(exc)
+    parts = (curve.generator, curve.constant_part, curve.sin_part, curve.cos_part)
+    return parts, [repr(curve.values(t)) for t in (0.0, -0.0, 0.1, math.pi, -2.7, 1e6)]
+
+
+def dense_values(curve, t):
+    """exp(tE) from the exact parts, every entry converted with float()."""
+    s, c = math.sin(t), math.cos(t)
+    parts = zip(curve.constant_part, curve.sin_part, curve.cos_part)
+    return [
+        [float(a) + s * float(b) + c * float(d) for a, b, d in zip(*rows)] for rows in parts
+    ]
+
+
+def test_geodesic_curve_matches_the_dense_route():
+    """The sparse curve equals ``oracles.dense_geodesic_curve``: the same
+    four exact parts, the same floats from values(t) down to the sign of
+    zero, and the same error text.  Inputs: every basis matrix of so(n) for
+    3 <= n <= 7, sums of two or three disjoint ones with either sign, and
+    rejected generators."""
+    sums = [
+        ((0, 1), (2, 3)),
+        ((0, 2), (1, 3)),
+        ((0, 3), (1, 2)),
+        ((0, 1), (2, 3), (4, 5)),
+        ((0, 6), (1, 5), (2, 4)),
+    ]
+    cases = []
+    for n in range(3, 8):
+        alg = build_so(n)
+        cases += [alg.basis_matrix(k) for k in range(alg.dim)]
+        for pairs in sums:
+            if max(map(max, pairs)) < n:
+                for signs in product((1, -1), repeat=len(pairs)):
+                    e = [[0] * n for _ in range(n)]
+                    for (i, j), sgn in zip(pairs, signs):
+                        e[i][j], e[j][i] = F(sgn), F(-sgn)
+                    cases.append(e)
+    assert len(cases) == (3 + 6 + 10 + 15 + 21) + 4 * 3 * 4 + 2 * 8 + 8
+    rejected = [
+        [[1, 0], [0, 0]],                               # nonzero diagonal
+        [[0, 1], [1, 0]],                               # not skew
+        [[0, 0], [1, 0]],                               # not skew, below the diagonal
+        [[0, 1, 0], [-1, 1, 0], [0, 0, 0]],             # diagonal after a skew pair
+        [[0, 1], [2, 5]],                               # not skew before the diagonal
+        [[F(1, 2), 1], [1, 0]],                         # diagonal before not skew
+        [[0, 2, 0], [-2, 0, 0], [0, 0, 0]],             # 2 E12: E^3 = -4 E
+        [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]],            # E12 + E13: E^3 = -2 E
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
+        [],
+        [0, 1],
+        [[0, 1, 0], [-1, 0, 0]],
+    ]
+    for e in cases + rejected:
+        want = curve_outcome(dense_geodesic_curve, e)
+        assert curve_outcome(geodesic_curve, e) == want, e
+    for e in rejected:
+        assert isinstance(curve_outcome(geodesic_curve, e), str), e
+    for e in cases:
+        curve = geodesic_curve(e)
+        for t in (0.0, 0.1, 5.0, -2.7):
+            assert repr(curve.values(t)) == repr(dense_values(curve, t)), (e, t)
+
+
 def test_geodesic_generator_validation():
     with pytest.raises(ValueError):
         geodesic_curve([[0, 1], [0, 0]])          # not skew
@@ -306,6 +377,23 @@ def test_matrix_exp_numeric_large_argument():
     t = 100.0
     gap = np.abs(matrix_exp_numeric(e, t) - geodesic_curve(e).at(t)).max()
     assert gap <= 1e-10
+
+
+def test_matrix_exp_numeric_on_nilpotent_generators():
+    """N^3 = 0, so exp(tN) = I + tN + t^2 N^2 / 2 exactly, a reference that
+    does not go through scipy.  t |N| is far above the extra-squaring
+    threshold; each entry agrees to 1e-12 relative to its size."""
+    n_rows = [[0, 3, 1], [0, 0, 2], [0, 0, 0]]
+    n_sq = [[sum(n_rows[i][k] * n_rows[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    for t in (40, 100, 1000):
+        exact = np.array(
+            [
+                [float((i == j) + t * n_rows[i][j] + F(t * t, 2) * n_sq[i][j]) for j in range(3)]
+                for i in range(3)
+            ]
+        )
+        got = matrix_exp_numeric(n_rows, float(t))
+        assert (np.abs(got - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact))).all(), t
 
 
 def test_matrix_exp_numeric_rejects_nonsquare():

@@ -191,3 +191,34 @@ def test_grading_assignment_length_checked():
     alg = build_so(4)
     with pytest.raises(ValueError):
         Grading(alg, 2, tuple(enumerate_group(2)[:3]))
+
+
+def test_grading_assignment_ranks_checked():
+    """Every degree must have the grading's rank; the first that does not
+    is named by its index.  The XOR test of ``verify_grading`` is exact only
+    on equal ranks."""
+    g = block_grading(5, (2, 2, 1, 0))
+    for k in (0, 4, g.algebra.dim - 1):
+        for bad in (identity(3), from_label(1, "1")):
+            mixed = g.assignment[:k] + (bad,) + g.assignment[k + 1 :]
+            with pytest.raises(ValueError, match=f"assignment element {k} has rank {bad.rank}"):
+                Grading(g.algebra, 2, mixed)
+    first = tuple(identity(3) if k in (2, 6) else d for k, d in enumerate(g.assignment))
+    with pytest.raises(ValueError, match="element 2 has rank 3, not the grading rank 2"):
+        Grading(g.algebra, 2, first)
+    with pytest.raises(ValueError, match="element 0 has rank 2"):
+        Grading(g.algebra, 3, g.assignment)
+
+
+def test_structure_constants_is_a_read_only_live_view():
+    """verify_grading reads the table through this view on every call, so
+    an edit of the table shows in the next verdict and nothing is copied."""
+    alg = LieAlgebra(4)
+    view = alg.structure_constants()
+    with pytest.raises(TypeError):
+        view[(0, 1)] = ()
+    key = next(iter(view))
+    saved = alg._table.pop(key)
+    assert key not in view
+    alg._table[key] = saved
+    assert list(view.items()) == list(alg._table.items())

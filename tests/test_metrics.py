@@ -575,6 +575,17 @@ def test_beta_rejects_degenerate_and_identity_component():
         killing_metric_operator(g, SymmetricForm.identity(8), identity(2))
 
 
+def test_beta_rejects_a_form_of_the_wrong_dimension():
+    """dim m = 8 on so(5) (2,2,1,0): a form on 20 or 3 coordinates is
+    named as the wrong size, as ``is_adapted`` names it, not solved on
+    the leading coordinates or called degenerate."""
+    g = block_grading(5, (2, 2, 1, 0))
+    a = from_label(2, "a")
+    for dim in (20, 3):
+        with pytest.raises(ValueError, match="form dimension does not match the complement"):
+            killing_metric_operator(g, SymmetricForm.identity(dim), a)
+
+
 def beta_outcome(route, g, form, gamma):
     """(matrix, char_poly, commutes) of ``route``, or the text it raises."""
     try:
