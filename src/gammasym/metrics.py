@@ -9,10 +9,11 @@ with distinct components B-orthogonal; the parameters have readable
 names (t_* for directions touching the diagonal, u_* for purely
 off-diagonal ones).
 
-``naturally_reductive_subfamily`` cuts the family down by the algebraic
-condition B([X, Y]_m, Z) + B([X, Z]_m, Y) = 0 on all of m, which is
+``naturally_reductive_subfamily`` gives, also in closed form, the
+members with B([X, Y]_m, Z) + B([X, Z]_m, Y) = 0 on all of m, which is
 exactly the condition for the torsion-free canonical connection to be
-the Levi-Civita connection of the metric.
+the Levi-Civita connection of the metric; ``is_adapted`` checks that
+condition on any one form.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .grading import _SUBBLOCK, Grading, block_grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
-    RowReducer,
     SymmetricForm,
     Vector,
     ZERO,
@@ -65,27 +65,6 @@ class FormFamily:
     def diagonal_parameters(self) -> list[int]:
         """Positions of the basis forms with diagonal support."""
         return [k for k, s in enumerate(self.supports) if ":diag:" in s]
-
-
-def _classify(form: SymmetricForm, grading: Grading, carrier: Sequence[int], order: dict[str, int]):
-    """(component position, sub-block ordinal, diag flag, support string);
-    ``order`` maps each label to its position in ``enumerate_group``."""
-    entries = form.nonzero_entries
-    if not entries:
-        raise ValueError("zero form in family basis")
-    first = entries[0][0]
-    has_diag = any(i == j for i, j, _ in entries)
-    label = grading.degree(carrier[first]).label
-    sub = grading.subblock(carrier[first]) or label
-    kind = "diag" if has_diag else "offdiag"
-    subblocks = list(_SUBBLOCK.values())
-    return (
-        order[label],
-        subblocks.index(sub) if sub in subblocks else 0,
-        0 if has_diag else 1,
-        f"{label}:{kind}:{sub}",
-        sub,
-    )
 
 
 def _block_partition(grading: Grading) -> tuple[int, ...]:
@@ -162,60 +141,72 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return linear_combination(len(family.carrier), values, family.basis)
 
 
-def _reductivity_rows(
-    grading: Grading, forms: Sequence[SymmetricForm]
-) -> Iterator[dict[int, Fraction]]:
-    """B_k([X,Y]_m, Z) + B_k([X,Z]_m, Y) over ``forms``, per basis triple of m.
+def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fraction]:
+    """B([X,Y]_m, Z) + B([X,Z]_m, Y) per basis triple of m, for one form.
 
-    With M_x[y][z] = B_k([E_x, E_y]_m, E_z) the residual at (x, y, z) is
+    With M_x[y][z] = B([E_x, E_y]_m, E_z) the residual at (x, y, z) is
     M_x[y][z] + M_x[z][y].  [E_x, E_y]_m is +-E_l (``Grading.split``), so
-    row y of M_x is +-B_k(E_l, .), read off the row support of each form
-    with its sign.  One row is yielded per unordered pair {y, z} in the
-    support of M_x (2 M_x[y][y] when y = z); every other pair has a zero
-    residual, whatever the forms.  A row maps k to the residual of
-    ``forms[k]``, and a value may be zero.
+    row y of M_x is +-B(E_l, .), read off the row support of the form with
+    its sign.  One value is yielded per unordered pair {y, z} in the
+    support of M_x (2 M_x[y][y] when y = z), and it may be zero; every
+    other pair has a zero residual.
     """
     mm, _, _ = grading.split
-    # l -> [(z, k, B_k(E_l, E_z), -B_k(E_l, E_z))], each entry in both orders
-    by_row: list[list[tuple[int, int, Fraction, Fraction]]] = [[] for _ in mm]
-    for k, f in enumerate(forms):
-        for i, j, e in f.nonzero_entries:
-            by_row[i].append((j, k, e, -e))
-            if i != j:
-                by_row[j].append((i, k, e, -e))
+    # l -> [(z, B(E_l, E_z), -B(E_l, E_z))], each entry in both orders
+    by_row: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in mm]
+    for i, j, e in form.nonzero_entries:
+        by_row[i].append((j, e, -e))
+        if i != j:
+            by_row[j].append((i, e, -e))
     for partners in mm:
-        skew: dict[tuple[int, int], dict[int, Fraction]] = {}
+        skew: dict[tuple[int, int], Fraction] = {}
         for y, ((l, c),) in partners.items():
-            for z, k, e, neg in by_row[l]:
+            for z, e, neg in by_row[l]:
                 v = e if c.numerator > 0 else neg
                 if z == y:
                     v += v
-                cell = skew.setdefault((y, z) if y < z else (z, y), {})
-                cell[k] = cell[k] + v if k in cell else v
+                key = (y, z) if y < z else (z, y)
+                skew[key] = skew[key] + v if key in skew else v
         yield from skew.values()
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     """Members whose torsion-free canonical connection is metric-derived.
 
-    Imposes B([X,Y]_m, Z) + B([X,Z]_m, Y) = 0 over all basis triples of m;
-    linear in the family parameters.  The result carries ``parent_coords``:
-    each refined basis form as a coefficient vector over the parent basis.
+    These are the members with B([X,Y]_m, Z) + B([X,Z]_m, Y) = 0 on all of
+    m, and on the invariant family of a block grading they have a closed
+    form (D'Atri and Ziller, Mem. AMS 215, 1979):
+
+    - with at most two nonempty blocks m is one component g_gamma, so
+      [m, m] lies in g_(gamma + gamma) = g_e and [X, Y]_m = 0: every member
+      qualifies, and the space is symmetric;
+    - otherwise [V_bc, V_cd] = V_bd for sub-blocks that share a block, and
+      the residuals of such triples tie every t to one value and force
+      every u to 0: only the normal metric, the identity on m, qualifies;
+    - the exception is (1, 1, 1, 1), where m = so(4) = so(3) + so(3)
+      carries a second bi-invariant form, u_A1 - u_B1 + u_C1.
+
+    A refined family qualifies whole.  The result carries ``parent_coords``,
+    each refined basis form as a coefficient vector over the parent basis,
+    in the canonical (RREF nullspace) order; each form's support is that of
+    its first nonzero parameter.  A family without a parent must be the invariant
+    family of its grading, or ValueError is raised.
     """
+    if family.parent is None and family.basis != invariant_family(family.grading).basis:
+        raise ValueError("the closed-form refinement needs the invariant family of its grading")
     nf = family.dimension
-    reducer = RowReducer(nf)
-    seen: set[frozenset] = set()
-    for row in _reductivity_rows(family.grading, family.basis):
-        if reducer.rank == nf:
-            break
-        if any(row.values()) and (key := frozenset(row.items())) not in seen:
-            seen.add(key)  # many residuals repeat one row; it is reduced once
-            reducer.insert(row)
-    coords = reducer.nullspace_basis()
-    basis = [evaluate_family(family, c) for c in coords]
+    if family.parent is not None or sum(map(bool, family.grading.partition)) <= 2:
+        coords = [[ONE if j == k else ZERO for j in range(nf)] for k in range(nf)]
+        basis = list(family.basis)
+    else:
+        diag = family.diagonal_parameters()
+        coords = [[ONE if k in diag else ZERO for k in range(nf)]]
+        if tuple(family.grading.partition) == (1, 1, 1, 1):
+            off = [k for k in range(nf) if k not in diag]
+            coords.insert(0, [dict(zip(off, (ONE, -ONE, ONE))).get(k, ZERO) for k in range(nf)])
+        basis = [evaluate_family(family, c) for c in coords]
+    supports = [family.supports[next(k for k, v in enumerate(c) if v)] for c in coords]
     names = [f"s{k + 1}" for k in range(len(basis))]
-    order = {g.label: p for p, g in enumerate(enumerate_group(family.grading.rank))}
-    supports = [_classify(f, family.grading, family.carrier, order)[3] for f in basis]
     return FormFamily(
         family.grading, family.carrier, names, supports, basis, parent=family, parent_coords=coords
     )
@@ -225,7 +216,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     """Whether the form satisfies the natural-reductivity identity on m."""
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
-    return not any(any(row.values()) for row in _reductivity_rows(grading, [form]))
+    return not any(_reductivity_rows(grading, form))
 
 
 @dataclass

@@ -4,12 +4,16 @@ Tests check the sparse library against these: the nullspace, row space
 and rank of a dense matrix (one ``RowReducer`` fed row by row), the
 inertia of a dense symmetric matrix eliminated whole, so(n) elements
 as coefficient vectors, with their bracket from the structure constants
-and their skew-symmetric matrices, and the Killing comparison operator
-beta solved on a whole component at once, and the geodesic curve with
-every entry of the generator and its powers computed densely.
+and their skew-symmetric matrices, the natural-reductive refinement by
+row reduction of its residuals over a whole family, the Killing
+comparison operator beta solved on a whole component at once, and the
+geodesic curve with every entry of the generator and its powers computed
+densely.
 """
 
 from gammasym.geometry import GeodesicCurve
+from gammasym.grading import _SUBBLOCK
+from gammasym.groups import enumerate_group
 from gammasym.linalg import (
     ONE,
     ZERO,
@@ -24,7 +28,7 @@ from gammasym.linalg import (
     to_matrix,
     zeros,
 )
-from gammasym.metrics import KillingMetricOperator
+from gammasym.metrics import FormFamily, KillingMetricOperator, evaluate_family
 
 
 def _reduced(rows) -> RowReducer:
@@ -52,6 +56,77 @@ def rank(matrix) -> int:
 def signature(rows) -> tuple[int, int, int]:
     """Inertia of a dense symmetric matrix, eliminated as one block."""
     return _eliminate(to_matrix(rows))
+
+
+def classify(form, grading, carrier, order):
+    """(component position, sub-block ordinal, diag flag, support string,
+    sub-block) of a form, read at its first nonzero entry; ``order`` maps
+    each label to its position in ``enumerate_group``."""
+    entries = form.nonzero_entries
+    if not entries:
+        raise ValueError("zero form in family basis")
+    first = entries[0][0]
+    has_diag = any(i == j for i, j, _ in entries)
+    label = grading.degree(carrier[first]).label
+    sub = grading.subblock(carrier[first]) or label
+    kind = "diag" if has_diag else "offdiag"
+    subblocks = list(_SUBBLOCK.values())
+    return (
+        order[label],
+        subblocks.index(sub) if sub in subblocks else 0,
+        0 if has_diag else 1,
+        f"{label}:{kind}:{sub}",
+        sub,
+    )
+
+
+def reductivity_rows(grading, forms):
+    """B_k([X,Y]_m, Z) + B_k([X,Z]_m, Y) over ``forms``, per basis triple of m.
+
+    The library's skewness pass run on every form at once: one row per
+    unordered pair {y, z} in the support of M_x[y][z] = B_k([E_x, E_y]_m,
+    E_z), mapping k to the residual of ``forms[k]`` (a value may be zero).
+    """
+    mm, _, _ = grading.split
+    # l -> [(z, k, B_k(E_l, E_z), -B_k(E_l, E_z))], each entry in both orders
+    by_row = [[] for _ in mm]
+    for k, f in enumerate(forms):
+        for i, j, e in f.nonzero_entries:
+            by_row[i].append((j, k, e, -e))
+            if i != j:
+                by_row[j].append((i, k, e, -e))
+    for partners in mm:
+        skew = {}
+        for y, ((l, c),) in partners.items():
+            for z, k, e, neg in by_row[l]:
+                v = e if c.numerator > 0 else neg
+                if z == y:
+                    v += v
+                cell = skew.setdefault((y, z) if y < z else (z, y), {})
+                cell[k] = cell[k] + v if k in cell else v
+        yield from skew.values()
+
+
+def refinement_by_row_reduction(family):
+    """The natural-reductive refinement by general sparse RREF: each
+    distinct nonzero row of ``reductivity_rows`` over the family basis goes
+    to one ``RowReducer``, whose canonical nullspace basis gives the
+    parent coordinates; supports are read off the evaluated forms."""
+    nf = family.dimension
+    reducer = RowReducer(nf)
+    seen = set()
+    for row in reductivity_rows(family.grading, family.basis):
+        if any(row.values()) and (key := frozenset(row.items())) not in seen:
+            seen.add(key)
+            reducer.insert(row)
+    coords = reducer.nullspace_basis()
+    basis = [evaluate_family(family, c) for c in coords]
+    order = {g.label: p for p, g in enumerate(enumerate_group(family.grading.rank))}
+    supports = [classify(f, family.grading, family.carrier, order)[3] for f in basis]
+    names = [f"s{k + 1}" for k in range(len(basis))]
+    return FormFamily(
+        family.grading, family.carrier, names, supports, basis, parent=family, parent_coords=coords
+    )
 
 
 def basis_vector(alg, k):

@@ -317,9 +317,14 @@ def test_n_above_size_bound_is_rejected(tmp_path, capsys):
     assert f"at most {MAX_N}" in capsys.readouterr().out
 
 
-# sha256 of manifest.json, frozen from the dense form loops.  The manifest
-# holds the sha256 of every report document, so this pins all their bytes.
+# sha256 of manifest.json, frozen from the dense form loops; the m = 0,
+# so(4) and two-block entries, which meet every branch of the closed-form
+# refinement, were frozen from the row-reduced one.  The manifest holds the
+# sha256 of every report document, so this pins all their bytes.
 MANIFEST_SHA256 = {
+    ("3", "3,0,0,0"): "a68978be07424e02f3a179f631e99dcda9e95ef2859cd2dd513f6d4c1aeaf483",
+    ("4", "1,1,1,1"): "1e9b7782f3791566f71680d89403e635b99cabb30bcecbe06b9dd85cb3d6f632",
+    ("5", "2,3,0,0"): "c25fc112b7deba4b3477278624b5cf73c1c83da4a1cf2ef0aa42f69cd759a464",
     ("5", "2,2,1,0"): "7726916cef1ced473082d34d480259485650942018025b63b46340e2d68fa81f",
     ("5", "1,1,3,0"): "864b9dd54f56ecd5b7ac1ee7d5f9c72bc06a20a36d8cd01c5e6454b78b6b52b7",
     ("7", "2,2,2,1"): "1c78fc5d8507c84a6ea02865c250bd06fc6fd331e3ea52f263063f3a8f044d90",

@@ -11,7 +11,6 @@ from gammasym.groups import enumerate_group, from_label, identity
 from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, mat_mul
 from gammasym.metrics import (
     FormFamily,
-    _classify,
     evaluate_family,
     invariant_family,
     is_adapted,
@@ -23,6 +22,7 @@ from gammasym.metrics import (
 from oracles import (
     basis_vector,
     bracket,
+    classify,
     dense_killing_metric_operator,
     nullspace,
     row_space_basis,
@@ -174,7 +174,7 @@ def family_by_row_reduction(g):
         forms.append(SymmetricForm.from_upper(len(carrier), upper))
     keyed, order = [], {e.label: p for p, e in enumerate(enumerate_group(g.rank))}
     for pos, f in enumerate(forms):
-        cpos, sbord, dflag, support, sub = _classify(f, g, carrier, order)
+        cpos, sbord, dflag, support, sub = classify(f, g, carrier, order)
         keyed.append(((cpos, sbord, dflag, pos), f, support, sub, dflag))
     keyed.sort(key=lambda item: item[0])
     names, supports, used = [], [], Counter()

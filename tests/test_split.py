@@ -20,13 +20,14 @@ from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group
 from gammasym.linalg import RowReducer, SymmetricForm
 from gammasym.metrics import (
+    FormFamily,
     _reductivity_rows,
     evaluate_family,
     invariant_family,
     is_adapted,
     naturally_reductive_subfamily,
 )
-from oracles import basis_vector, bracket, rank
+from oracles import basis_vector, bracket, rank, reductivity_rows, refinement_by_row_reduction
 
 F = Fraction
 
@@ -203,7 +204,7 @@ def test_adapted_verdicts_on_forms_outside_the_family():
                     for z in range(y, m)
                     if w[x][y][z] + w[x][z][y]
                 )
-                got = Counter(row[0] for row in _reductivity_rows(g, [form]) if row.get(0))
+                got = Counter(v for v in _reductivity_rows(g, form) if v)
                 assert got == want, (n, part, form.nonzero_entries)
                 adapted = not want
                 assert is_adapted(form, g) == adapted, (n, part)
@@ -249,10 +250,47 @@ def test_family_rows_contract_to_the_member_walk(part, data):
     fam = invariant_family(g)
     rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
     c = data.draw(st.lists(rational, min_size=fam.dimension, max_size=fam.dimension))
-    rows = _reductivity_rows(g, fam.basis)
+    rows = reductivity_rows(g, fam.basis)
     contracted = Counter(v for row in rows if (v := sum(c[k] * e for k, e in row.items())))
-    member = _reductivity_rows(g, [evaluate_family(fam, c)])
-    assert contracted == Counter(row[0] for row in member if row.get(0))
+    member = _reductivity_rows(g, evaluate_family(fam, c))
+    assert contracted == Counter(v for v in member if v)
+
+
+def family_fields(fam):
+    return fam.names, fam.supports, [f.nonzero_entries for f in fam.basis], fam.parent_coords
+
+
+def test_closed_form_refinement_matches_the_row_reduction_walk():
+    """The closed-form refinement equals the RREF of the residual rows over
+    the family, names, supports, every basis entry and parent coordinates,
+    and so does the refinement of that refinement, on every ordered
+    partition with 3 <= n <= 9, on all 241 with every block at most 3 and
+    at a few larger blocks."""
+    cases = {(sum(p), p) for n in range(3, 10) for p in compositions(n)}
+    small_blocks = {(sum(p), p) for p in product(range(4), repeat=4) if sum(p) >= 3}
+    assert len(cases) == 700 and len(small_blocks) == 241
+    cases |= small_blocks | {(17, (4, 4, 4, 5)), (22, (2, 2, 9, 9)), (16, (1, 1, 1, 13))}
+    assert len(cases) == 718
+    for n, part in sorted(cases):
+        fam = invariant_family(block_grading(n, part))
+        closed, walked = naturally_reductive_subfamily(fam), refinement_by_row_reduction(fam)
+        assert family_fields(closed) == family_fields(walked), part
+        again = naturally_reductive_subfamily(closed)
+        assert family_fields(again) == family_fields(refinement_by_row_reduction(closed)), part
+
+
+def test_closed_form_refinement_needs_the_invariant_family():
+    # the closed form holds for the invariant family and its refinements
+    # only, so a hand-made family without a parent is refused
+    fam = invariant_family(block_grading(5, (2, 2, 1, 0)))
+    refined = naturally_reductive_subfamily(fam)
+    assert naturally_reductive_subfamily(refined).dimension == refined.dimension
+    scaled = fam.basis[:1] + [evaluate_family(fam, [0, 2, 0, 0])] + fam.basis[2:]
+    swapped = [fam.basis[1], fam.basis[0]] + fam.basis[2:]
+    for basis in (scaled, swapped):
+        other = FormFamily(fam.grading, fam.carrier, list(fam.names), list(fam.supports), basis)
+        with pytest.raises(ValueError, match="invariant family"):
+            naturally_reductive_subfamily(other)
 
 
 def test_contraction_matches_dense_route_on_non_invariant_forms():
