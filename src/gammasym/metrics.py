@@ -28,6 +28,7 @@ from .grading import _SUBBLOCK, Grading, block_grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
+    Matrix,
     SymmetricForm,
     Vector,
     ZERO,
@@ -283,12 +284,19 @@ class KillingMetricOperator:
 
     ``matrix`` is the unique local operator with B(beta X, Y) = K(X, Y);
     it commutes with every ad(Z), Z in g_e, whenever B is invariant.
+    ``witness`` is None when it does, else (z, row, column): the algebra
+    basis index of the first generator in ``fixed_generators`` order with
+    ad(Z) beta != beta ad(Z), and their first differing entry, row-major.
     """
 
     gamma: GroupElement
     matrix: list[list[Fraction]]
     char_poly: list[Fraction]
-    commutes: bool
+    witness: tuple[int, int, int] | None
+
+    @property
+    def commutes(self) -> bool:
+        return self.witness is None
 
     def diagonal(self) -> list[Fraction]:
         return [self.matrix[i][i] for i in range(len(self.matrix))]
@@ -299,66 +307,88 @@ def killing_metric_operator(
 ) -> KillingMetricOperator:
     """Solve B_gamma . beta = K_gamma on the component of ``gamma``, block by block.
 
-    ``form`` is a member of the invariant family in carrier coordinates.
-    K = -2(n-2) I, so B and beta = B^-1 K are block diagonal over the
-    connected components of the supports of B and K (an index where B
-    vanishes is a 1 x 1 block).  char_poly is the product of the blocks'
-    ones; a singular block means B is degenerate on the component, which
-    is rejected.  beta commuting with ad(Z) for Z in
-    ``grading.fixed_generators`` is checked over its nonzero entries.
+    ``form`` is any symmetric form on m in carrier coordinates; ``commutes``
+    is the verdict on it, true on the invariant family.  K = -2(n-2) I, so
+    B and beta = B^-1 K are block diagonal over the connected components
+    of the supports of B and K (an index where B vanishes is a 1 x 1
+    block).  Blocks with equal dense B and K blocks share one solve and one
+    char_poly, raised to their multiplicity; a singular block means B is
+    degenerate on the component, which is rejected.  For Z in
+    ``grading.fixed_generators``, [Z, E_x] = +-E_r makes ad(Z) a signed
+    partial permutation, so each entry of ad(Z) beta and of beta ad(Z) is
+    one signed entry of beta, and the two are compared as dicts.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
     if gamma.is_identity():
         raise ValueError("operator is defined on the non-identity components")
-    comp = grading.component(gamma)
-    if comp.dim == 0:
-        raise ValueError(f"component {gamma.label} is zero")
+    if gamma.rank != grading.rank:
+        raise ValueError(f"group element of rank {gamma.rank} in rank-{grading.rank} grading")
     carrier = grading.carrier_slices[gamma.label]
+    if not carrier:
+        raise ValueError(f"component {gamma.label} is zero")
     b_form = form.restrict(carrier)
-    k_form = grading.algebra.killing_form().restrict(comp.indices)
-    d = comp.dim
+    indices = grading.complement_indices[carrier.start : carrier.stop]
+    k_form = grading.algebra.killing_form().restrict(indices)
+    d = len(carrier)
     blocks = support_components(d, [e[:2] for f in (b_form, k_form) for e in f.nonzero_entries])
+    # B and K blocks have one size, so the flat key of their entries is unambiguous
+    shared: dict[tuple, tuple[Matrix, Matrix, list[list[int]]]] = {}
+    for blk, b_blk, k_blk in zip(blocks, dense_blocks(b_form, blocks), dense_blocks(k_form, blocks)):
+        key = tuple([v.as_integer_ratio() for m in (b_blk, k_blk) for row in m for v in row])
+        shared.setdefault(key, (b_blk, k_blk, []))[2].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
     # the nonzero entries of beta by row and by column: (column or row, value, -value)
     by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
-    for blk, b_blk, k_blk in zip(blocks, dense_blocks(b_form, blocks), dense_blocks(k_form, blocks)):
+    for b_blk, k_blk, group in shared.values():
         try:
             sol = solve_matrix(b_blk, k_blk)
         except ValueError:
             raise ValueError(f"form is degenerate on component {gamma.label}") from None
-        polys.append(char_poly(sol))
-        for i, row in zip(blk, sol):
-            for j, v in zip(blk, row):
-                if v:
-                    beta[i][j] = v
-                    by_row[i].append((j, v, -v))
-                    by_col[j].append((i, v, -v))
+        polys.append((char_poly(sol), len(group)))
+        nonzero = [(a, b, v, -v) for a, row in enumerate(sol) for b, v in enumerate(row) if v]
+        for blk in group:
+            for a, b, v, neg in nonzero:
+                beta[blk[a]][blk[b]] = v
+                by_row[blk[a]].append((blk[b], v, neg))
+                by_col[blk[b]].append((blk[a], v, neg))
 
     _, _, em = grading.split
-    # ad(Z) beta - beta ad(Z) per generator Z, with [Z, E_x] = +-E_r read as a sign
-    diff: dict[tuple[int, int, int], Fraction] = {}
+    witness = None
     for z in grading.fixed_generators:
-        for x in carrier:
-            for r, c in em[z].get(x, ()):
+        left, right = {}, {}  # ad(Z) beta and beta ad(Z), with [Z, E_x] = +-E_r read as a sign
+        for x, ((r, c),) in em[z].items():
+            if x in carrier:
                 src, dst, up = x - carrier.start, r - carrier.start, c.numerator > 0
-                terms = [((z, dst, j), v if up else neg) for j, v, neg in by_row[src]]
-                terms += [((z, i, src), neg if up else v) for i, v, neg in by_col[dst]]
-                for key, w in terms:
-                    diff[key] = diff[key] + w if key in diff else w
-    return KillingMetricOperator(gamma, beta, _poly_product(polys), not any(diff.values()))
+                for j, v, neg in by_row[src]:
+                    left[dst, j] = v if up else neg
+                for i, v, neg in by_col[dst]:
+                    right[i, src] = v if up else neg
+        if left != right:
+            bad = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            witness = (grading.fixed_indices[z], *bad)
+            break
+    return KillingMetricOperator(gamma, beta, _poly_product(polys), witness)
 
 
-def _poly_product(polys: Iterable[Vector]) -> Vector:
-    """The product of monic rational polynomials, over the integers: each
-    factor is scaled by the lcm of its denominators, the product is divided once."""
+def _poly_product(factors: Iterable[tuple[Vector, int]]) -> Vector:
+    """The product of p ** k over pairs of a monic rational p and k >= 0, over
+    the integers: each p is scaled once by the lcm of its denominators and
+    raised to k by repeated squaring; the product is divided once."""
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return out
+
     out = [1]
-    for p in polys:
+    for p, k in factors:
         den = lcm(*(c.denominator for c in p))
-        nxt = [0] * (len(out) + len(p) - 1)
-        for j, c in enumerate(p):
-            y = c.numerator * (den // c.denominator)
-            for i, x in enumerate(out):
-                nxt[i + j] += x * y
-        out = nxt
+        power = [c.numerator * (den // c.denominator) for c in p]
+        while k:
+            out = mul(out, power) if k & 1 else out
+            k >>= 1
+            power = mul(power, power) if k else power
     return [Fraction(c, out[0]) for c in out]

@@ -158,7 +158,8 @@ def dense_killing_metric_operator(grading, form, gamma):
     """beta with B_gamma . beta = K_gamma on the whole component: a
     signature check, one dense solve, ``char_poly`` on the full beta, and
     ad(Z) beta = beta ad(Z) compared as zero-filled d x d matrices for each
-    generator Z of g_e.  The same errors as ``killing_metric_operator``."""
+    generator Z of g_e, stopping at the first that fails with its witness.
+    The same errors as ``killing_metric_operator``."""
     if gamma.is_identity():
         raise ValueError("operator is defined on the non-identity components")
     comp = grading.component(gamma)
@@ -173,20 +174,21 @@ def dense_killing_metric_operator(grading, form, gamma):
 
     _, _, em = grading.split
     d = comp.dim
-    commutes = True
-    for action in (em[z] for z in grading.fixed_generators):
+    witness = None
+    for z in grading.fixed_generators:
         left = [[ZERO] * d for _ in range(d)]
         right = [[ZERO] * d for _ in range(d)]
         for x in carrier:
-            for r, c in action.get(x, ()):
+            for r, c in em[z].get(x, ()):
                 src, dst = x - carrier.start, r - carrier.start
                 for j in range(d):
                     left[dst][j] += c * beta[src][j]
                     right[j][src] += beta[j][dst] * c
         if left != right:
-            commutes = False
+            row, col = next((i, j) for i in range(d) for j in range(d) if left[i][j] != right[i][j])
+            witness = (grading.fixed_indices[z], row, col)
             break
-    return KillingMetricOperator(gamma, beta, char_poly(beta), commutes)
+    return KillingMetricOperator(gamma, beta, char_poly(beta), witness)
 
 
 def dense_geodesic_curve(e):

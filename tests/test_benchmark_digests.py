@@ -54,12 +54,14 @@ def test_sweep_n8_rounds_in_shuffled_order_match_the_digests(libworker):
     assert orders[0] != orders[1]
 
 
-def test_killing_beta_ops_pass_the_benchmark_check(libworker):
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_killing_beta_ops_pass_the_benchmark_check(libworker, size):
     """Three rounds of the killing-beta-n13 workload at seed 7: every op's
     beta passes ``libworker.beta_ok`` (B beta = K, commutation, the leading
-    characteristic polynomial coefficients)."""
+    characteristic polynomial coefficients).  The tiny size, so(7)
+    (2,2,2,1), sends 2 x 2 blocks through the same check."""
     expected = json.loads((PERFBENCH / "expected.json").read_text())
-    rounds = libworker.killing_rounds(gammasym, "full", 7, expected)
+    rounds = libworker.killing_rounds(gammasym, size, 7, expected)
     for _ in range(3):
         batch = next(rounds)
         assert len(batch) == 3

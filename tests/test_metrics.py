@@ -4,13 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gammasym import metrics
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import enumerate_group, from_label, identity
 from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, mat_mul
 from gammasym.metrics import (
     FormFamily,
+    _poly_product,
     evaluate_family,
     invariant_family,
     is_adapted,
@@ -587,12 +589,12 @@ def test_beta_rejects_a_form_of_the_wrong_dimension():
 
 
 def beta_outcome(route, g, form, gamma):
-    """(matrix, char_poly, commutes) of ``route``, or the text it raises."""
+    """(matrix, char_poly, commutes, witness) of ``route``, or the text it raises."""
     try:
         op = route(g, form, gamma)
     except ValueError as exc:
         return str(exc)
-    return op.matrix, op.char_poly, op.commutes
+    return op.matrix, op.char_poly, op.commutes, op.witness
 
 
 def random_symmetric(rng, dim):
@@ -606,12 +608,15 @@ def random_symmetric(rng, dim):
 def test_beta_blocks_match_the_dense_route():
     """beta solved block by block over the support of B equals the dense
     route on the whole component (``oracles.dense_killing_metric_operator``):
-    matrix, characteristic polynomial, commutation verdict and error text.
+    matrix, characteristic polynomial, commutation verdict, witness and
+    error text.
 
     Every ordered partition with 3 <= n <= 7 (among them (1,1,1,1)) and
     (2,2,2,2), (3,3,3,4), at random rational family members, some of them
     degenerate; for n <= 6 also at random diagonal and random dense
-    symmetric forms, which are mostly not invariant.
+    symmetric forms, which are mostly not invariant; and, except on
+    (2,2,2,2), at diagonal forms with entries in {-1, 0, 1, 2}, whose many
+    equal blocks share a solve, a singular one when it is 0.
     """
     rng = random.Random(14)
     seen = Counter()
@@ -626,12 +631,79 @@ def test_beta_blocks_match_the_dense_route():
         if n <= 6:
             forms.append(SymmetricForm.diagonal([rng.randint(-2, 2) for _ in range(dim)]))
             forms.append(random_symmetric(rng, dim))
+        if part != (2, 2, 2, 2):
+            forms.append(SymmetricForm.diagonal([rng.choice((-1, 0, 1, 2)) for _ in range(dim)]))
         for form in forms:
             for gamma in enumerate_group(2):
                 got = beta_outcome(killing_metric_operator, g, form, gamma)
                 assert got == beta_outcome(dense_killing_metric_operator, g, form, gamma)
                 seen[got.split(" on ")[0] if isinstance(got, str) else got[2]] += 1
     assert seen[True] and seen[False] and seen["form is degenerate"]
+
+
+def count_block_solves(monkeypatch, g, form, gamma):
+    """Calls of ``solve_matrix`` and of ``char_poly`` by one beta."""
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("solve_matrix", "char_poly"):
+        monkeypatch.setattr(metrics, name, spy(name, getattr(metrics, name)))
+    killing_metric_operator(g, form, gamma)
+    monkeypatch.undo()
+    return calls["solve_matrix"], calls["char_poly"]
+
+
+def test_beta_solves_each_distinct_block_once(monkeypatch):
+    """Blocks with equal B and K entries share one solve and one char_poly.
+
+    On component a of (3,3,3,4) a member is t_A1 on 9 cells and t_A2 on 12:
+    21 blocks, 2 distinct.  On (2,2,2,2), V_A1 and V_A2 each split into
+    the 2 x 2 blocks [[t, -u], [-u, t]] and [[t, u], [u, t]]: 4 distinct
+    blocks, or 2 when t_A1 = t_A2 and u_A1 = u_A2.  A diagonal form with
+    distinct entries has d distinct blocks."""
+    a = from_label(2, "a")
+    g = block_grading(13, (3, 3, 3, 4))
+    fam = invariant_family(g)
+    member = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
+    assert count_block_solves(monkeypatch, g, member, a) == (2, 2)
+    g = block_grading(8, (2, 2, 2, 2))
+    fam = invariant_family(g)
+    assert fam.names[:4] == ["t_A1", "u_A1", "t_A2", "u_A2"]
+    distinct = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
+    assert count_block_solves(monkeypatch, g, distinct, a) == (4, 4)
+    paired = evaluate_family(fam, [F(3), F(1, 2)] * 2 + [F(k + 2, 3) for k in range(4, fam.dimension)])
+    assert count_block_solves(monkeypatch, g, paired, a) == (2, 2)
+    g = block_grading(7, (2, 2, 2, 1))
+    d = len(g.carrier_slices["a"])
+    diagonal = SymmetricForm.diagonal(range(1, len(g.complement_indices) + 1))
+    assert count_block_solves(monkeypatch, g, diagonal, a) == (d, d)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=3),
+            st.integers(0, 5),
+        ),
+        max_size=4,
+    )
+)
+@example([])
+@example([([F(-1, 2), F(3, 4)], 1)])
+def test_poly_product_with_multiplicities_is_the_plain_product(factors):
+    """prod p ** k equals the product of k copies of each monic p in Fractions."""
+    want = [F(1)]
+    for tail, k in factors:
+        for _ in range(k):
+            want = poly_mul(want, [F(1)] + tail)
+    assert _poly_product([([F(1)] + tail, k) for tail, k in factors]) == want
 
 
 @st.composite
