@@ -82,7 +82,9 @@ class Grading:
     def component(self, gamma: GroupElement) -> ComponentView:
         if gamma.rank != self.rank:
             raise ValueError(f"group element of rank {gamma.rank} in rank-{self.rank} grading")
-        idx = tuple(k for k, g in enumerate(self.assignment) if g == gamma)
+        # every element has the grading's rank (__post_init__), so equal masks are equal elements
+        bits = gamma.bits
+        idx = tuple(k for k, g in enumerate(self.assignment) if g.bits == bits)
         return ComponentView(gamma.label, idx)
 
     def components(self) -> list[ComponentView]:

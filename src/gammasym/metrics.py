@@ -24,7 +24,7 @@ from itertools import product as iter_product
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .grading import _SUBBLOCK, Grading, block_grading
+from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
@@ -68,14 +68,18 @@ class FormFamily:
         return [k for k, s in enumerate(self.supports) if ":diag:" in s]
 
 
-def _block_partition(grading: Grading) -> tuple[int, ...]:
-    """The partition of a grading that is ``block_grading(n, partition)``."""
+def _block_partition(grading: Grading) -> tuple[tuple[int, ...], list[int]]:
+    """The partition of a grading that is ``block_grading(n, partition)``,
+    and the block number of each point.  Labels e, a, b, c have the masks
+    0 to 3 and the product is XOR, so that grading gives E_ij the mask
+    block[i] ^ block[j]; the label is first checked to partition n."""
     part, alg = grading.partition, grading.algebra
-    try:
-        if part is not None and block_grading(alg.n, part, alg).assignment == grading.assignment:
-            return tuple(part)
-    except ValueError:  # the partition is not one of n
-        pass
+    if part is not None and len(part) == 4 and min(part) >= 0 and sum(part) == alg.n:
+        block = [b for b, r in enumerate(part) for _ in range(r)]
+        if grading.rank == 2 and all(
+            g.bits == block[i] ^ block[j] for g, (i, j) in zip(grading.assignment, alg.pairs)
+        ):
+            return tuple(part), block
     grading.split  # raises "not a grading" when brackets break additivity
     raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
 
@@ -106,11 +110,12 @@ def invariant_family(grading: Grading) -> FormFamily:
     sub-block, plus 3 for (1, 1, 1, 1).  Gradings that are not block
     gradings raise ValueError.
     """
-    part = _block_partition(grading)
-    carrier = grading.complement_indices
+    part, block = _block_partition(grading)
+    carrier, pairs = grading.complement_indices, grading.algebra.pairs
     cells: dict[str, list[int]] = {sub: [] for sub in _SUBBLOCK.values()}
     for x, k in enumerate(carrier):
-        cells[grading.subblock(k)].append(x)
+        i, j = pairs[k]  # i < j, so block[i] <= block[j]
+        cells[_SUBBLOCK[block[i], block[j]]].append(x)
     labels = enumerate_group(2)
     names: list[str] = []
     supports: list[str] = []
@@ -150,25 +155,31 @@ def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fractio
     row y of M_x is +-B(E_l, .), read off the row support of the form with
     its sign.  One value is yielded per unordered pair {y, z} in the
     support of M_x (2 M_x[y][y] when y = z), and it may be zero; every
-    other pair has a zero residual.
+    other pair has a zero residual.  The sums run over integer numerators
+    of the form scaled by the lcm ``den`` of its denominators, and each
+    value is yielded as Fraction(v, den), or ZERO when v is 0.
     """
     mm, _, _ = grading.split
-    # l -> [(z, B(E_l, E_z), -B(E_l, E_z))], each entry in both orders
-    by_row: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in mm]
+    den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
+    # l -> [(z, den B(E_l, E_z), -den B(E_l, E_z))], each entry in both orders
+    by_row: list[list[tuple[int, int, int]]] = [[] for _ in mm]
     for i, j, e in form.nonzero_entries:
-        by_row[i].append((j, e, -e))
+        v = e.numerator * (den // e.denominator)
+        by_row[i].append((j, v, -v))
         if i != j:
-            by_row[j].append((i, e, -e))
+            by_row[j].append((i, v, -v))
     for partners in mm:
-        skew: dict[tuple[int, int], Fraction] = {}
+        skew: dict[tuple[int, int], int] = {}
         for y, ((l, c),) in partners.items():
+            up = c.numerator > 0
             for z, e, neg in by_row[l]:
-                v = e if c.numerator > 0 else neg
+                v = e if up else neg
                 if z == y:
                     v += v
                 key = (y, z) if y < z else (z, y)
-                skew[key] = skew[key] + v if key in skew else v
-        yield from skew.values()
+                skew[key] = skew.get(key, 0) + v
+        for v in skew.values():
+            yield Fraction(v, den) if v else ZERO
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
@@ -265,8 +276,12 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
         values = zeros(family.dimension)
         for pos, s in zip(diag, signs):
             values[pos] = unit[s]
-        parts = [group_inertia(g, tuple(signs[t] for t in ts)) for g, ts in enumerate(members)]
-        inertia = tuple(map(sum, zip((0, 0, untouched), *parts)))
+        pos_sum = neg_sum = 0
+        zero_sum = untouched
+        for g, ts in enumerate(members):
+            p, n, z = group_inertia(g, tuple([signs[t] for t in ts]))
+            pos_sum, neg_sum, zero_sum = pos_sum + p, neg_sum + n, zero_sum + z
+        inertia = (pos_sum, neg_sum, zero_sum)
         yield SignatureReport(list(family.names), values, inertia, inertia == (m_dim - 1, 1, 0))
 
 
@@ -308,15 +323,17 @@ def killing_metric_operator(
     """Solve B_gamma . beta = K_gamma on the component of ``gamma``, block by block.
 
     ``form`` is any symmetric form on m in carrier coordinates; ``commutes``
-    is the verdict on it, true on the invariant family.  K = -2(n-2) I, so
-    B and beta = B^-1 K are block diagonal over the connected components
-    of the supports of B and K (an index where B vanishes is a 1 x 1
-    block).  Blocks with equal dense B and K blocks share one solve and one
-    char_poly, raised to their multiplicity; a singular block means B is
-    degenerate on the component, which is rejected.  For Z in
-    ``grading.fixed_generators``, [Z, E_x] = +-E_r makes ad(Z) a signed
-    partial permutation, so each entry of ad(Z) beta and of beta ad(Z) is
-    one signed entry of beta, and the two are compared as dicts.
+    is the verdict on it, true on the invariant family.  K = kappa I with
+    kappa = -2(n-2), read off ``algebra.killing_form()``, so B and beta =
+    kappa B^-1 are block diagonal over the connected components of the
+    support of B plus the diagonal (an index where B vanishes is a 1 x 1
+    block).  Blocks with equal dense B blocks share one solve of
+    B_blk X = kappa I and one char_poly, raised to their multiplicity; a
+    singular block means B is degenerate on the component, which is
+    rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] = +-E_r
+    makes ad(Z) a signed partial permutation, so each entry of ad(Z) beta
+    and of beta ad(Z) is one signed entry of beta, and the two are
+    compared as dicts.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -328,21 +345,22 @@ def killing_metric_operator(
     if not carrier:
         raise ValueError(f"component {gamma.label} is zero")
     b_form = form.restrict(carrier)
-    indices = grading.complement_indices[carrier.start : carrier.stop]
-    k_form = grading.algebra.killing_form().restrict(indices)
+    kappa = grading.algebra.killing_form().entry(0, 0)
     d = len(carrier)
-    blocks = support_components(d, [e[:2] for f in (b_form, k_form) for e in f.nonzero_entries])
-    # B and K blocks have one size, so the flat key of their entries is unambiguous
-    shared: dict[tuple, tuple[Matrix, Matrix, list[list[int]]]] = {}
-    for blk, b_blk, k_blk in zip(blocks, dense_blocks(b_form, blocks), dense_blocks(k_form, blocks)):
-        key = tuple([v.as_integer_ratio() for m in (b_blk, k_blk) for row in m for v in row])
-        shared.setdefault(key, (b_blk, k_blk, []))[2].append(blk)
+    diagonal = [(i, i) for i in range(d)]
+    blocks = support_components(d, [e[:2] for e in b_form.nonzero_entries] + diagonal)
+    # a block's flat key has size ** 2 entries, so it fixes the size
+    shared: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
+    for blk, b_blk in zip(blocks, dense_blocks(b_form, blocks)):
+        key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
+        shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
     # the nonzero entries of beta by row and by column: (column or row, value, -value)
     by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
-    for b_blk, k_blk, group in shared.values():
+    for b_blk, group in shared.values():
+        size = range(len(b_blk))
         try:
-            sol = solve_matrix(b_blk, k_blk)
+            sol = solve_matrix(b_blk, [[kappa if i == j else ZERO for j in size] for i in size])
         except ValueError:
             raise ValueError(f"form is degenerate on component {gamma.label}") from None
         polys.append((char_poly(sol), len(group)))
@@ -373,22 +391,25 @@ def killing_metric_operator(
 
 def _poly_product(factors: Iterable[tuple[Vector, int]]) -> Vector:
     """The product of p ** k over pairs of a monic rational p and k >= 0, over
-    the integers: each p is scaled once by the lcm of its denominators and
-    raised to k by repeated squaring; the product is divided once."""
+    the integers.  Each p is scaled once by the lcm of its denominators to
+    a, with a_0 = den, and q = a ** k comes from J. C. P. Miller's power
+    recurrence: q_0 = a_0 ** k and, for m = 1 .. k deg,
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            for i, x in enumerate(a, j):
-                out[i] += x * y
-        return out
+        q_m = sum_{j=1}^{min(m, deg)} ((k + 1) j - m) a_j q_{m-j} / (m a_0),
 
+    an exact division.  The product is divided once."""
     out = [1]
     for p, k in factors:
         den = lcm(*(c.denominator for c in p))
-        power = [c.numerator * (den // c.denominator) for c in p]
-        while k:
-            out = mul(out, power) if k & 1 else out
-            k >>= 1
-            power = mul(power, power) if k else power
+        a = [c.numerator * (den // c.denominator) for c in p]
+        deg = len(a) - 1
+        q = [den**k]
+        for m in range(1, k * deg + 1):
+            s = sum(((k + 1) * j - m) * a[j] * q[m - j] for j in range(1, min(m, deg) + 1))
+            q.append(s // (m * den))
+        prod = [0] * (len(out) + len(q) - 1)
+        for j, y in enumerate(q):
+            for i, x in enumerate(out, j):
+                prod[i] += x * y
+        out = prod
     return [Fraction(c, out[0]) for c in out]

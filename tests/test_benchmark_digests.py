@@ -12,6 +12,9 @@ beta fails here too.  ``perfbench/`` is read, not edited.
 
 import importlib
 import json
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 import gammasym
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture
@@ -67,3 +71,37 @@ def test_killing_beta_ops_pass_the_benchmark_check(libworker, size):
         assert len(batch) == 3
         for label, call, check in batch:
             assert check(call()), label
+
+
+TRACED_SWEEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import gammasym, libworker, tracing
+tracer = tracing.Tracer(op=0)
+tracing.install(tracer)
+for part in ((2, 2, 2, 2), (1, 1, 3, 3)):
+    libworker.analyse(gammasym, 8, part)
+print(json.dumps({"spans": [s[1] for s in tracer.spans], "counts": tracer.counts}))
+"""
+
+
+def test_tracer_sees_the_sweep_stages():
+    """The benchmark's tracer wraps gammasym from outside, by name; in a
+    fresh interpreter, so that nothing is patched here, two sweep ops must
+    still show the family, adaptedness, Lorentzian-scan and signature
+    spans, two family and two is_adapted calls per op, and a nonzero
+    count of scanned forms."""
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_SWEEP, str(SRC), str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout.splitlines()[-1])
+    spans = Counter(doc["spans"])
+    assert spans["metrics.invariant_family"] == spans["metrics.is_adapted"] == 4
+    assert spans["metrics.lorentz"] == 2
+    assert spans["linalg.signature"] > 0
+    assert doc["counts"]["metrics.lorentz_forms_tried"] > 0
+    assert doc["counts"]["linalg.signature_calls"] == spans["linalg.signature"]

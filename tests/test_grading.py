@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from gammasym.grading import Grading, block_grading, holonomy_span, verify_grading
-from gammasym.groups import enumerate_group, from_label, identity
+from gammasym.grading import ComponentView, Grading, block_grading, holonomy_span, verify_grading
+from gammasym.groups import GroupElement, enumerate_group, from_label, identity
 from gammasym.liealg import LieAlgebra, build_so
 from oracles import row_space_basis
 
@@ -114,6 +114,36 @@ def test_component_accessor_and_errors():
     assert [g.algebra.basis_label(k) for k in a.indices] == ["E13", "E14", "E23", "E24"]
     with pytest.raises(ValueError):
         g.component(identity(3))
+
+
+def point_mask_grading(n, masks, rank):
+    """E_ij of degree masks[i] ^ masks[j]: a grading of so(n) over (Z_2)^rank,
+    since [E_ij, E_jk] = E_ik and the masks of j cancel."""
+    alg = build_so(n)
+    return Grading(alg, rank, tuple(GroupElement(rank, masks[i] ^ masks[j]) for i, j in alg.pairs))
+
+
+def test_component_by_mask_matches_element_equality():
+    """``component`` compares bit masks; on every element of the group that
+    picks the same indices as GroupElement equality, on every ordered
+    partition with 3 <= n <= 7 and on a rank-3 grading where all eight
+    elements occur."""
+    gradings = [
+        block_grading(n, part)
+        for n in range(3, 8)
+        for part in product(range(n + 1), repeat=4)
+        if sum(part) == n
+    ]
+    assert len(gradings) == 315
+    rank3 = point_mask_grading(8, range(8), 3)
+    assert verify_grading(rank3) is None
+    assert {g.bits for g in rank3.assignment} == set(range(1, 8))
+    for g in gradings + [rank3]:
+        for gamma in enumerate_group(g.rank):
+            want = tuple(k for k, d in enumerate(g.assignment) if d == gamma)
+            assert g.component(gamma) == ComponentView(gamma.label, want)
+    with pytest.raises(ValueError, match="rank 2 in rank-3 grading"):
+        rank3.component(identity(2))
 
 
 def test_complement_ordering_is_component_contiguous():

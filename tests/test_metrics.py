@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gammasym import metrics
 from gammasym.grading import Grading, block_grading, verify_grading
-from gammasym.groups import enumerate_group, from_label, identity
+from gammasym.groups import GroupElement, enumerate_group, from_label, identity
 from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, mat_mul
 from gammasym.metrics import (
     FormFamily,
@@ -215,6 +215,39 @@ def test_family_needs_a_block_grading():
     for other in (Grading(g.algebra, 2, g.assignment), Grading(g.algebra, 2, relabelled, g.partition)):
         assert verify_grading(other) is None
         with pytest.raises(ValueError, match="needs a block grading"):
+            invariant_family(other)
+
+
+def test_family_rejects_a_wrong_partition_label():
+    """The block check reads the grading's own partition label.  A label
+    that is not a partition of n, or one whose blocks give other degrees,
+    is refused as "needs a block grading", never by an IndexError from the
+    block numbers; so is a rank-3 grading with the masks of a block
+    grading.  A grading that does not verify is refused as "not a
+    grading" whatever its label."""
+    g = block_grading(6, (2, 2, 1, 1))
+    labels = [
+        (2, 2, 1, 0),  # sums to 5, not 6
+        (1, 1, 1, 1, 2),  # five parts
+        (3, -1, 2, 2),  # a negative part
+        (2, 2, 2),  # three parts
+        (1, 2, 2, 1),  # the right sum, the wrong blocks
+    ]
+    for label in labels:
+        other = Grading(g.algebra, 2, g.assignment, label)
+        assert verify_grading(other) is None
+        with pytest.raises(ValueError, match="needs a block grading"):
+            invariant_family(other)
+    rank3 = tuple(GroupElement(3, x.bits) for x in g.assignment)
+    other = Grading(g.algebra, 3, rank3, g.partition)
+    assert verify_grading(other) is None
+    with pytest.raises(ValueError, match="needs a block grading"):
+        invariant_family(other)
+    broken = (from_label(2, "a"),) + g.assignment[1:]
+    for label in (g.partition, (2, 2, 1, 0), (2, 2, 2)):
+        other = Grading(g.algebra, 2, broken, label)
+        assert verify_grading(other) is not None
+        with pytest.raises(ValueError, match="not a grading"):
             invariant_family(other)
 
 
@@ -697,6 +730,8 @@ def test_beta_solves_each_distinct_block_once(monkeypatch):
 )
 @example([])
 @example([([F(-1, 2), F(3, 4)], 1)])
+@example([([F(5, 7)], 0), ([F(-1, 2), F(3, 4)], 0)])
+@example([([F(-1, 2), F(3, 4)], 4), ([F(2, 3), F(-5, 6)], 3), ([F(0), F(-4)], 2)])
 def test_poly_product_with_multiplicities_is_the_plain_product(factors):
     """prod p ** k equals the product of k copies of each monic p in Fractions."""
     want = [F(1)]

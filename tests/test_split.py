@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading
@@ -254,6 +254,55 @@ def test_family_rows_contract_to_the_member_walk(part, data):
     contracted = Counter(v for row in rows if (v := sum(c[k] * e for k, e in row.items())))
     member = _reductivity_rows(g, evaluate_family(fam, c))
     assert contracted == Counter(v for v in member if v)
+
+
+# values whose sums cancel only over a common denominator: 1/2 + 1/3 - 5/6 = 0
+LCM_VALUES = st.sampled_from([F(1, 2), F(1, 3), F(-5, 6), F(5, 6), F(-1, 2), F(-1, 3)])
+
+
+@st.composite
+def forms_on_small_partitions(draw):
+    """A block grading with 3 <= n <= 6 and a symmetric form on its m:
+    c I, with c a sum of two drawn values, plus a few entries anywhere,
+    with denominators up to 97."""
+    part = draw(SMALL_PARTITIONS)
+    g = block_grading(sum(part), part)
+    m = len(g.complement_indices)
+    value = st.one_of(st.fractions(-3, 3, max_denominator=97), LCM_VALUES)
+    c = draw(value) + draw(value)
+    upper = {(i, i): c for i in range(m)}
+    index = st.integers(0, max(m - 1, 0))
+    for i, j, v in draw(st.lists(st.tuples(index, index, value), max_size=2 * m)):
+        key = (min(i, j), max(i, j))
+        upper[key] = upper.get(key, F(0)) + v
+    return g, SymmetricForm.from_upper(m, [(i, j, v) for (i, j), v in sorted(upper.items()) if v])
+
+
+def lcm_cancelling_form():
+    """(1/2 + 1/3) I with a -5/6 and a 1/97 off the diagonal, on (2,1,1,1):
+    the residuals of the diagonal cancel only once scaled by lcm 582."""
+    g = block_grading(5, (2, 1, 1, 1))
+    m = len(g.complement_indices)
+    upper = [(i, i, F(1, 2) + F(1, 3)) for i in range(m)]
+    upper += [(0, 3, F(-5, 6)), (2, 7, F(1, 97))]
+    return g, SymmetricForm.from_upper(m, sorted(upper))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forms_on_small_partitions())
+@example(lcm_cancelling_form())
+def test_integer_residuals_match_the_rational_oracle(case):
+    """The residuals summed over integer numerators equal the oracle's
+    Fraction sums on the same single form: one value per pair, the same
+    nonzero values, and the same is_adapted verdict."""
+    g, form = case
+    rows = list(reductivity_rows(g, [form]))
+    got = list(_reductivity_rows(g, form))
+    assert len(got) == len(rows)
+    assert all(type(v) is F for v in got)
+    want = Counter(row[0] for row in rows if row[0])
+    assert Counter(v for v in got if v) == want
+    assert is_adapted(form, g) == (not want)
 
 
 def family_fields(fam):
