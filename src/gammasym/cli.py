@@ -28,9 +28,9 @@ from .metrics import (
 
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
-# The largest accepted --n: the largest n for which ``report`` at a balanced
-# partition is projected to finish within a minute (58 s measured at n=55,
-# about n^5 growth, one core of a 2-CPU x86-64 VM, CPython 3.11).
+# The largest accepted --n, set when ``report`` at a balanced partition took
+# 58 s at n=55 and grew about as n^5; it now takes 12.3-12.5 s there, with a
+# 933 MB peak RSS (two runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
 MAX_N = 55
 
 

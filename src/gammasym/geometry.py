@@ -31,10 +31,6 @@ from .metrics import is_adapted
 if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
     import numpy as np
 
-# spectral-norm bound above which the numeric oracle applies its own
-# scaling-and-squaring on top of expm, to keep 1e-12 agreement honest
-_NORM_LIMIT = 32.0
-
 # a vector of m or of g_e as its nonzero coefficients, keyed by local position
 Local = dict[int, Fraction]
 
@@ -102,7 +98,12 @@ def torsionfree_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequenc
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis."""
+    """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis.
+
+    ``entries`` is keyed by the pairs i < j in (i, j) order, the order
+    ``sectional_table`` inserts them in; ``csv_rows`` and ``text_lines``
+    list the entries in that order.
+    """
 
     m_indices: tuple[int, ...]
     labels: tuple[str, ...]
@@ -120,13 +121,13 @@ class CurvatureTable:
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
         """(i, j, numerator, denominator) rows, indices 1-based."""
         out = []
-        for (i, j), v in sorted(self.entries.items()):
+        for (i, j), v in self.entries.items():
             out.append((i + 1, j + 1, v.numerator, v.denominator))
         return out
 
     def text_lines(self) -> list[str]:
         named = []
-        for (i, j), v in sorted(self.entries.items()):
+        for (i, j), v in self.entries.items():
             if max(i, j) < 9:
                 name = f"R_{i + 1}{j + 1}{j + 1}{i + 1}"
             else:
@@ -309,29 +310,13 @@ def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
 
 
 def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
-    """Floating-point exp(tX) oracle, independent of the closed form.
-
-    Delegates to a scaling-and-squaring Pade exponential.  If the bound
-    sqrt(|tX|_1 |tX|_inf) on the spectral norm of tX exceeds 32, the
-    argument is halved further and the result squared back, keeping the
-    error well under the 1e-12 budget used in the cross-checks.  The bound
-    takes two absolute sums where the spectral norm takes an SVD; it is
-    never below that norm, so the extra squaring happens whenever the norm
-    exceeds 32, and for a multiple of one E_ij the two are equal.
-    """
+    """Floating-point exp(tX) oracle, independent of the closed form:
+    scipy's scaling-and-squaring Pade ``expm`` of tX, after a check that X
+    is square and nonempty."""
     import numpy as np
     from scipy.linalg import expm
 
     a = np.array(x, dtype=float) * float(t)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
-    mag = np.abs(a)
-    nrm = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
-    squarings = 0
-    if nrm > _NORM_LIMIT:
-        squarings = int(math.ceil(math.log2(nrm / _NORM_LIMIT)))
-        a = a / (2.0**squarings)
-    r = expm(a)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    return expm(a)

@@ -166,22 +166,41 @@ class Grading:
                     me[local_m[a]][local_m[b]] = ((local_e[k], coef),)
         return mm, me, em
 
-    def subblock(self, k: int) -> str | None:
-        """Name of the rectangular sub-block holding basis vector k, if any."""
+    @cached_property
+    def blocks(self) -> tuple[int, ...] | None:
+        """The block of each point when this grading is ``block_grading`` of
+        its own partition label, else None.  Labels e, a, b, c have the
+        masks 0 to 3 and the product is XOR, so that grading gives E_ij the
+        mask block[i] ^ block[j]; the label is first checked to partition n."""
         if self.partition is None or self.rank != 2:
             return None
-        i, j = self.algebra.pairs[k]
-        bi, bj = self._block_of(i), self._block_of(j)
-        return _SUBBLOCK.get((min(bi, bj), max(bi, bj)))
+        try:
+            block = _block_map(self.algebra.n, self.partition)
+        except ValueError:
+            return None
+        masks = (block[i] ^ block[j] for i, j in self.algebra.pairs)
+        return block if all(g.bits == m for g, m in zip(self.assignment, masks)) else None
 
-    def _block_of(self, i: int) -> int:
-        assert self.partition is not None
-        stop = 0
-        for b, r in enumerate(self.partition):
-            stop += r
-            if i < stop:
-                return b
-        raise ValueError(f"index {i} outside partition {self.partition}")
+    def subblock(self, k: int) -> str | None:
+        """Name of the rectangular sub-block holding basis vector k, if any;
+        None inside g_e and on a grading whose ``blocks`` is None."""
+        if self.blocks is None:
+            return None
+        i, j = self.algebra.pairs[k]  # i < j, so blocks[i] <= blocks[j]
+        return _SUBBLOCK.get((self.blocks[i], self.blocks[j]))
+
+
+def _block_map(n: int, part: tuple[int, ...]) -> tuple[int, ...]:
+    """The block of each point 0..n-1 for four consecutive blocks of sizes
+    ``part``: the one partition check, raising ValueError unless ``part``
+    is four nonnegative sizes summing to n."""
+    if len(part) != 4:
+        raise ValueError(f"partition must have 4 parts, got {len(part)}")
+    if any(r < 0 for r in part):
+        raise ValueError(f"partition parts must be >= 0: {part}")
+    if sum(part) != n:
+        raise ValueError(f"partition {part} does not sum to n = {n}")
+    return tuple(b for b, r in enumerate(part) for _ in range(r))
 
 
 def block_grading(
@@ -195,22 +214,12 @@ def block_grading(
     additivity automatic.
     """
     part = tuple(int(r) for r in partition)
-    if len(part) != 4:
-        raise ValueError(f"partition must have 4 parts, got {len(part)}")
-    if any(r < 0 for r in part):
-        raise ValueError(f"partition parts must be >= 0: {part}")
-    if sum(part) != n:
-        raise ValueError(f"partition {part} does not sum to n = {n}")
+    block = _block_map(n, part)
     alg = algebra if algebra is not None else build_so(n)
     if alg.n != n:
         raise ValueError("algebra size does not match n")
     labels = enumerate_group(2)
-    block = []
-    for b, r in enumerate(part):
-        block.extend([b] * r)
-    assignment = tuple(
-        labels[block[i]] * labels[block[j]] for (i, j) in alg.pairs
-    )
+    assignment = tuple(labels[block[i]] * labels[block[j]] for (i, j) in alg.pairs)
     return Grading(alg, 2, assignment, part)
 
 

@@ -93,20 +93,13 @@ class RowReducer:
         """Reduce ``row`` against the current pivots; returns the new pivot
         column, or None if the row was dependent."""
         row = {c: v for c, v in row.items() if v}
-        # strip pivot columns off the front
-        while row:
-            c = min(row)
-            piv = self.pivots.get(c)
-            if piv is None:
-                break
-            self._subtract(row, row.pop(c), piv, c)
+        # eliminate the row's pivot columns; pivot rows are fully reduced,
+        # touching no other pivot column, so one pass suffices
+        for c2 in [k for k in sorted(row) if k in self.pivots]:
+            self._subtract(row, row.pop(c2), self.pivots[c2], c2)
         if not row:
             return None
         c = min(row)
-        # eliminate the remaining pivot columns (all to the right of c);
-        # pivot rows touch no other pivot column, so one pass suffices
-        for c2 in [k for k in sorted(row) if k in self.pivots]:
-            self._subtract(row, row.pop(c2), self.pivots[c2], c2)
         inv = ONE / row[c]
         if inv != ONE:
             row = {cc: vv * inv for cc, vv in row.items()}
@@ -173,12 +166,6 @@ class SymmetricForm:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         upper = [(i, j, v) for i, row in enumerate(gram) for j, v in enumerate(row[i:], i) if v]
         return SymmetricForm(n, tuple(upper))
-
-    @staticmethod
-    def from_upper(dim: int, upper: Iterable[tuple[int, int, Fraction]]) -> "SymmetricForm":
-        """The form whose nonzero entries with i <= j are ``upper``, listed
-        row by row with nonzero Fraction values."""
-        return SymmetricForm(dim, tuple(upper))
 
     @staticmethod
     def identity(n: int) -> "SymmetricForm":

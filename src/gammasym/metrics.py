@@ -68,22 +68,6 @@ class FormFamily:
         return [k for k, s in enumerate(self.supports) if ":diag:" in s]
 
 
-def _block_partition(grading: Grading) -> tuple[tuple[int, ...], list[int]]:
-    """The partition of a grading that is ``block_grading(n, partition)``,
-    and the block number of each point.  Labels e, a, b, c have the masks
-    0 to 3 and the product is XOR, so that grading gives E_ij the mask
-    block[i] ^ block[j]; the label is first checked to partition n."""
-    part, alg = grading.partition, grading.algebra
-    if part is not None and len(part) == 4 and min(part) >= 0 and sum(part) == alg.n:
-        block = [b for b, r in enumerate(part) for _ in range(r)]
-        if grading.rank == 2 and all(
-            g.bits == block[i] ^ block[j] for g, (i, j) in zip(grading.assignment, alg.pairs)
-        ):
-            return tuple(part), block
-    grading.split  # raises "not a grading" when brackets break additivity
-    raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
-
-
 def invariant_family(grading: Grading) -> FormFamily:
     """All ad(g_e)-invariant symmetric forms on m, components orthogonal.
 
@@ -107,10 +91,14 @@ def invariant_family(grading: Grading) -> FormFamily:
     after the first sub-block.  Each form is scaled to 1 on its last cell,
     the canonical (RREF nullspace) basis of the invariance system.  The
     dimension is the number of nonempty sub-blocks, plus one per 2 x 2
-    sub-block, plus 3 for (1, 1, 1, 1).  Gradings that are not block
-    gradings raise ValueError.
+    sub-block, plus 3 for (1, 1, 1, 1).  Gradings whose ``blocks`` is
+    None raise ValueError, "not a grading" first when they do not verify.
     """
-    part, block = _block_partition(grading)
+    block = grading.blocks
+    if block is None:
+        grading.split  # raises "not a grading" when brackets break additivity
+        raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
+    part = tuple(grading.partition)
     carrier, pairs = grading.complement_indices, grading.algebra.pairs
     cells: dict[str, list[int]] = {sub: [] for sub in _SUBBLOCK.values()}
     for x, k in enumerate(carrier):
@@ -134,7 +122,7 @@ def invariant_family(grading: Grading) -> FormFamily:
         for stem, kind, upper in forms:
             names.append(stem + sub)
             supports.append(f"{label}:{kind}:{sub}")
-            basis.append(SymmetricForm.from_upper(len(carrier), upper))
+            basis.append(SymmetricForm(len(carrier), tuple(upper)))
     return FormFamily(grading, carrier, names, supports, basis)
 
 

@@ -371,8 +371,8 @@ def test_matrix_exp_numeric_inverse_pairs():
 
 
 def test_matrix_exp_numeric_large_argument():
-    # norm far above the extra-squaring threshold, checked against the
-    # exact closed form of the same generator
+    # |tE| = 100, where expm halves tE several times and squares back,
+    # checked against the exact closed form of the same generator
     e = ALG.basis_matrix(M[0])
     t = 100.0
     gap = np.abs(matrix_exp_numeric(e, t) - geodesic_curve(e).at(t)).max()
@@ -381,8 +381,9 @@ def test_matrix_exp_numeric_large_argument():
 
 def test_matrix_exp_numeric_on_nilpotent_generators():
     """N^3 = 0, so exp(tN) = I + tN + t^2 N^2 / 2 exactly, a reference that
-    does not go through scipy.  t |N| is far above the extra-squaring
-    threshold; each entry agrees to 1e-12 relative to its size."""
+    does not go through scipy.  t |N| is large enough that expm halves
+    tN several times and squares back; each entry agrees to 1e-12 relative
+    to its size."""
     n_rows = [[0, 3, 1], [0, 0, 2], [0, 0, 0]]
     n_sq = [[sum(n_rows[i][k] * n_rows[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     for t in (40, 100, 1000):

@@ -163,6 +163,39 @@ def test_subblock_names():
     assert g.subblock(alg.pair_index[(0, 1)]) is None   # E12 inside g_e
 
 
+def test_blocks_is_the_block_of_each_point():
+    """``blocks`` of ``block_grading(n, p)`` puts point i in block b when
+    r_0 + ... + r_(b-1) <= i < r_0 + ... + r_b, on every ordered partition
+    with 3 <= n <= 7."""
+    cases = [(n, p) for n in range(3, 8) for p in product(range(n + 1), repeat=4) if sum(p) == n]
+    assert len(cases) == 315
+    for n, p in cases:
+        bounds = [sum(p[: b + 1]) for b in range(4)]
+        expected = [next(b for b in range(4) if i < bounds[b]) for i in range(n)]
+        assert list(block_grading(n, p).blocks) == expected, p
+
+
+def test_blocks_is_none_off_the_block_gradings():
+    """A grading that is not ``block_grading`` of its own label has no
+    blocks and names no sub-block: no label, the labels a and b swapped, a
+    label that is not a partition of n or gives other degrees, and a
+    rank-3 copy with the masks of a block grading."""
+    g = block_grading(6, (2, 2, 1, 1))
+    alg = g.algebra
+    swap = {"a": from_label(2, "b"), "b": from_label(2, "a")}
+    relabelled = tuple(swap.get(x.label, x) for x in g.assignment)
+    others = [Grading(alg, 2, g.assignment), Grading(alg, 2, relabelled, g.partition)]
+    for label in ((2, 2, 1, 0), (1, 1, 1, 1, 2), (3, -1, 2, 2), (2, 2, 2), (1, 2, 2, 1)):
+        others.append(Grading(alg, 2, g.assignment, label))
+    rank3 = tuple(GroupElement(3, x.bits) for x in g.assignment)
+    others.append(Grading(alg, 3, rank3, g.partition))
+    assert g.blocks == (0, 0, 1, 1, 2, 3)
+    for other in others:
+        assert verify_grading(other) is None
+        assert other.blocks is None, other.partition
+        assert [other.subblock(k) for k in range(alg.dim)] == [None] * alg.dim
+
+
 # -- holonomy --------------------------------------------------------------
 
 

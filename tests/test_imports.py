@@ -5,6 +5,7 @@ exported name exists; the benchmark's tracer still finds every entry point
 it wraps.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +97,57 @@ def test_benchmark_traced_run_finds_its_entry_points():
         [sys.executable, "-c", body], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["returned"], proc.stderr
+
+
+def unused_imports(source: str, exported: frozenset[str] = frozenset()) -> list[str]:
+    """Names a module imports and never reads, by the stdlib ``ast`` alone.
+
+    ``from __future__`` imports and the names in ``exported`` (re-exports)
+    are exempt.  A name counts as read when it occurs as a Name node
+    anywhere, string annotations ("FormFamily | None") included.
+    """
+    nodes = list(ast.walk(ast.parse(source)))
+    imported = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+        elif isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+    annotations = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in nodes if isinstance(n, ast.FunctionDef)]
+    quoted = [
+        ast.parse(c.value, mode="eval")
+        for a in annotations
+        if a is not None
+        for c in ast.walk(a)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    nodes += [n for q in quoted for n in ast.walk(q)]
+    read = {n.id for n in nodes if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read | exported]
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from typing import Iterable, Sequence\n"
+        "from .linalg import ONE as one, ZERO\n"
+        "def f(x: 'Sequence[int]') -> int:\n"
+        "    return math.floor(one) + os.path.sep.count(x)\n"
+    )
+    assert unused_imports(source) == ["Iterable (line 3)", "ZERO (line 4)"]
+    assert unused_imports(source, frozenset({"ZERO"})) == ["Iterable (line 3)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(gammasym.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    found = {}
+    for path in modules:
+        exported = frozenset(gammasym.__all__) if path.name == "__init__.py" else frozenset()
+        unused = unused_imports(path.read_text(), exported)
+        if unused:
+            found[path.name] = unused
+    assert found == {}

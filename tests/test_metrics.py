@@ -173,7 +173,7 @@ def family_by_row_reduction(g):
             for y in range(x, sl.stop)
             if sol[unknown(off, sl, x, y)]
         ]
-        forms.append(SymmetricForm.from_upper(len(carrier), upper))
+        forms.append(SymmetricForm(len(carrier), tuple(upper)))
     keyed, order = [], {e.label: p for p, e in enumerate(enumerate_group(g.rank))}
     for pos, f in enumerate(forms):
         cpos, sbord, dflag, support, sub = classify(f, g, carrier, order)
@@ -532,7 +532,7 @@ def coupled_families(draw):
         if forms and draw(st.booleans()):  # cancel an earlier form on a shared cell
             a, b, v = draw(st.sampled_from(forms[-1].nonzero_entries))
             cells[a, b] = -v
-        forms.append(SymmetricForm.from_upper(dim, sorted((a, b, v) for (a, b), v in cells.items())))
+        forms.append(SymmetricForm(dim, tuple(sorted((a, b, v) for (a, b), v in cells.items()))))
         supports.append("a:diag:A1" if draw(st.booleans()) else "a:offdiag:A1")
     return FormFamily(
         block_grading(3, (1, 1, 1, 0)),

@@ -275,7 +275,7 @@ def forms_on_small_partitions(draw):
     for i, j, v in draw(st.lists(st.tuples(index, index, value), max_size=2 * m)):
         key = (min(i, j), max(i, j))
         upper[key] = upper.get(key, F(0)) + v
-    return g, SymmetricForm.from_upper(m, [(i, j, v) for (i, j), v in sorted(upper.items()) if v])
+    return g, SymmetricForm(m, tuple((i, j, v) for (i, j), v in sorted(upper.items()) if v))
 
 
 def lcm_cancelling_form():
@@ -285,7 +285,7 @@ def lcm_cancelling_form():
     m = len(g.complement_indices)
     upper = [(i, i, F(1, 2) + F(1, 3)) for i in range(m)]
     upper += [(0, 3, F(-5, 6)), (2, 7, F(1, 97))]
-    return g, SymmetricForm.from_upper(m, sorted(upper))
+    return g, SymmetricForm(m, tuple(sorted(upper)))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
