@@ -25,7 +25,19 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .grading import Grading, Partners
-from .linalg import ONE, Matrix, SymmetricForm, Vector, ZERO, frac, mat_identity, zeros
+from .linalg import (
+    ONE,
+    Matrix,
+    SparseRows,
+    SymmetricForm,
+    Vector,
+    ZERO,
+    frac,
+    mat_identity,
+    sparse_mul,
+    to_matrix,
+    zeros,
+)
 from .metrics import is_adapted
 
 if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
@@ -105,7 +117,6 @@ class CurvatureTable:
     list the entries in that order.
     """
 
-    m_indices: tuple[int, ...]
     labels: tuple[str, ...]
     entries: dict[tuple[int, int], Fraction]
 
@@ -167,7 +178,7 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
             terms = in_e.get(j)
             entries[i, j] = quarter if j in in_m else norm_e[terms[0][0]] if terms else ZERO
     labels = tuple(grading.algebra.basis_label(k) for k in carrier)
-    return CurvatureTable(tuple(carrier), labels, entries)
+    return CurvatureTable(labels, entries)
 
 
 @dataclass(frozen=True)
@@ -202,10 +213,6 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
 # ---------------------------------------------------------------------------
 
 
-# a matrix as its nonzero entries, row by row: row i maps column j to E[i][j]
-SparseRows = list[dict[int, Fraction]]
-
-
 def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
     """``e`` as an exact matrix and as its nonzero entries, checked
     nonempty, square and skew.
@@ -219,7 +226,7 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
         raise ValueError("generator must be a nonempty matrix")
     if not all(hasattr(row, "__len__") and len(row) == n for row in e):
         raise ValueError("generator must be square")
-    e = [[frac(x) for x in row] for row in e]
+    e = to_matrix(e)
     rows = [{j: x for j, x in enumerate(row) if x} for row in e]
     bad = [
         (min(i, j), max(i, j))
@@ -233,18 +240,6 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
             "generator must have zero diagonal" if i == j else "generator must be skew-symmetric"
         )
     return e, rows
-
-
-def _sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
-    """The product of two square matrices given by their nonzero entries."""
-    out: SparseRows = []
-    for row in a:
-        acc: dict[int, Fraction] = {}
-        for t, x in row.items():
-            for j, y in b[t].items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return out
 
 
 @dataclass(frozen=True)
@@ -293,8 +288,8 @@ def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
     the nonzero entries of E^2 are added into I + E^2 and -E^2.
     """
     em, nonzero = _skew_matrix(e)
-    e2 = _sparse_mul(nonzero, nonzero)
-    e3 = _sparse_mul(e2, nonzero)
+    e2 = sparse_mul(nonzero, nonzero)
+    e3 = sparse_mul(e2, nonzero)
     if any(e3[i] != {j: -x for j, x in row.items()} for i, row in enumerate(nonzero)):
         raise ValueError(
             "generator does not satisfy E^3 = -E; use matrix_exp_numeric instead"

@@ -10,6 +10,7 @@ the tangent complement m is the sum of the other components.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -175,7 +176,7 @@ class Grading:
         if self.partition is None or self.rank != 2:
             return None
         try:
-            block = _block_map(self.algebra.n, self.partition)
+            _, block = _block_map(self.algebra.n, self.partition)
         except ValueError:
             return None
         masks = (block[i] ^ block[j] for i, j in self.algebra.pairs)
@@ -190,17 +191,23 @@ class Grading:
         return _SUBBLOCK.get((self.blocks[i], self.blocks[j]))
 
 
-def _block_map(n: int, part: tuple[int, ...]) -> tuple[int, ...]:
-    """The block of each point 0..n-1 for four consecutive blocks of sizes
-    ``part``: the one partition check, raising ValueError unless ``part``
-    is four nonnegative sizes summing to n."""
+def _block_map(n: int, partition: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``partition`` as plain ints, and the block of each point 0..n-1 for four
+    consecutive blocks of those sizes: the one partition check, raising
+    ValueError unless its parts are four nonnegative ints, no bool, summing to n."""
+    try:
+        if any(isinstance(r, bool) for r in partition):
+            raise TypeError
+        part = tuple(map(operator.index, partition))
+    except TypeError:
+        raise ValueError(f"partition parts must be integers: {tuple(partition)}") from None
     if len(part) != 4:
         raise ValueError(f"partition must have 4 parts, got {len(part)}")
     if any(r < 0 for r in part):
         raise ValueError(f"partition parts must be >= 0: {part}")
     if sum(part) != n:
         raise ValueError(f"partition {part} does not sum to n = {n}")
-    return tuple(b for b, r in enumerate(part) for _ in range(r))
+    return part, tuple(b for b, r in enumerate(part) for _ in range(r))
 
 
 def block_grading(
@@ -213,8 +220,7 @@ def block_grading(
     the labels of the blocks containing i and j, which makes the bracket
     additivity automatic.
     """
-    part = tuple(int(r) for r in partition)
-    block = _block_map(n, part)
+    part, block = _block_map(n, partition)
     alg = algebra if algebra is not None else build_so(n)
     if alg.n != n:
         raise ValueError("algebra size does not match n")

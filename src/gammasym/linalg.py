@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 SparseRow = dict[int, Fraction]
+# a matrix as its nonzero entries, row by row: row i maps column j to M[i][j]
+SparseRows = list[SparseRow]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,19 +42,15 @@ def mat_identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+def sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The product of two matrices given by their nonzero entries."""
+    out: SparseRows = []
+    for row in a:
+        acc: SparseRow = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
     return out
 
 
@@ -100,9 +98,9 @@ class RowReducer:
         if not row:
             return None
         c = min(row)
-        inv = ONE / row[c]
-        if inv != ONE:
-            row = {cc: vv * inv for cc, vv in row.items()}
+        lead = row[c]
+        if lead != ONE:
+            row = {cc: vv / lead if cc != c else ONE for cc, vv in row.items()}
         # back-substitute so existing pivot rows stay reduced
         for p in list(self._colmap.get(c, ())):
             prow = self.pivots[p]
@@ -354,26 +352,16 @@ def _eliminate(work: Matrix) -> tuple[int, int, int]:
 
 
 def solve_matrix(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    """Exact solution X of A X = B for invertible A (Gauss-Jordan)."""
-    n = len(a)
-    aug = [list(frac(x) for x in a[i]) + list(frac(x) for x in b[i]) for i in range(n)]
-    width = len(aug[0])
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = ONE / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                arow, prow = aug[r], aug[row]
-                for c in range(col, width):
-                    arow[c] -= f * prow[c]
-        row += 1
-    return [r[n:] for r in aug]
+    """Exact solution X of A X = B for invertible n x n A: the RREF of
+    [A | B] is [I | X], so X is read off the pivot rows of one
+    ``RowReducer``."""
+    n, m = len(a), len(b[0])
+    red = RowReducer(n + m)
+    for ra, rb in zip(a, b, strict=True):
+        red.insert({j: x for j, x in enumerate(map(frac, (*ra, *rb))) if x})
+    if not all(c in red.pivots for c in range(n)):
+        raise ValueError("matrix is singular")
+    return [[red.pivots[i].get(n + j, ZERO) for j in range(m)] for i in range(n)]
 
 
 def char_poly(m: Sequence[Sequence]) -> list[Fraction]:
@@ -381,17 +369,15 @@ def char_poly(m: Sequence[Sequence]) -> list[Fraction]:
 
     Returns coefficients [1, a_1, ..., a_n] of
     det(x I - M) = x^n + a_1 x^{n-1} + ... + a_n
-    via the Faddeev-LeVerrier recursion.
+    via the Faddeev-LeVerrier recursion on the nonzero entries of M.
     """
-    mm = to_matrix(m)
+    mm = [{j: x for j, x in enumerate(row) if x} for row in to_matrix(m)]
     n = len(mm)
     coeffs = [ONE]
-    nk = [[ZERO] * n for _ in range(n)]
+    nk: SparseRows = [{} for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
-            nk[i][i] += coeffs[-1]
-        mk = mat_mul(mm, nk)
-        ak = -sum((mk[i][i] for i in range(n)), ZERO) / k
-        coeffs.append(ak)
-        nk = mk
+            nk[i][i] = nk[i].get(i, ZERO) + coeffs[-1]
+        nk = sparse_mul(mm, nk)
+        coeffs.append(-sum((nk[i].get(i, ZERO) for i in range(n)), ZERO) / k)
     return coeffs

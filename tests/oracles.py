@@ -1,14 +1,14 @@
 """Dense reference routes that the library does not carry.
 
-Tests check the sparse library against these: the nullspace, row space
-and rank of a dense matrix (one ``RowReducer`` fed row by row), the
-inertia of a dense symmetric matrix eliminated whole, so(n) elements
-as coefficient vectors, with their bracket from the structure constants
-and their skew-symmetric matrices, the natural-reductive refinement by
-row reduction of its residuals over a whole family, the Killing
-comparison operator beta solved on a whole component at once, and the
-geodesic curve with every entry of the generator and its powers computed
-densely.
+Tests check the sparse library against these: the product of two dense
+matrices entry by entry, the nullspace, row space and rank of a dense
+matrix (one ``RowReducer`` fed row by row), the inertia of a dense
+symmetric matrix eliminated whole, so(n) elements as coefficient vectors,
+with their bracket from the structure constants and their skew-symmetric
+matrices, the natural-reductive refinement by row reduction of its
+residuals over a whole family, the Killing comparison operator beta
+solved on a whole component at once, and the geodesic curve with every
+entry of the generator and its powers computed densely.
 """
 
 from gammasym.geometry import GeodesicCurve
@@ -23,12 +23,17 @@ from gammasym.linalg import (
     congruence_signature,
     frac,
     mat_identity,
-    mat_mul,
     solve_matrix,
     to_matrix,
     zeros,
 )
 from gammasym.metrics import FormFamily, KillingMetricOperator, evaluate_family
+
+
+def mat_mul(a, b):
+    """The dense product of two matrices, each entry a sum over a row of a
+    and a column of b."""
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
 
 
 def _reduced(rows) -> RowReducer:

@@ -105,3 +105,35 @@ def test_tracer_sees_the_sweep_stages():
     assert spans["linalg.signature"] > 0
     assert doc["counts"]["metrics.lorentz_forms_tried"] > 0
     assert doc["counts"]["linalg.signature_calls"] == spans["linalg.signature"]
+
+
+TRACED_BETA = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import gammasym, libworker, tracing
+tracer = tracing.Tracer(op=0)
+tracing.install(tracer)
+for label, call, check in next(libworker.killing_rounds(gammasym, "tiny", 7, {})):
+    assert check(call()), label
+print(json.dumps({"spans": [s[1] for s in tracer.spans], "counts": tracer.counts}))
+"""
+
+
+def test_tracer_sees_the_beta_solves():
+    """One batch of the killing-beta workload at its tiny size, traced in a
+    fresh interpreter: beta's solve and characteristic polynomial show as
+    spans, and the solve's rows reach ``RowReducer.insert``, each of the
+    invertible blocks' rows giving a pivot."""
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_BETA, str(SRC), str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout.splitlines()[-1])
+    spans = Counter(doc["spans"])
+    assert spans["linalg.solve"] > 0
+    assert spans["linalg.charpoly"] > 0
+    counts = doc["counts"]
+    assert counts.get("linalg.rows_inserted", 0) == counts.get("linalg.pivots", 0) > 0

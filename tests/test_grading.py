@@ -31,6 +31,9 @@ def test_components_partition_the_basis():
     assert sorted(seen) == list(range(g.algebra.dim))
 
 
+NOT_INTEGER_PARTS = [(2.5, 2, 1, 0), (2.0, 2, 1, 0), ("2", 2, 1, 0), (True, 2, 2, 0)]
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         block_grading(5, (2, 2, 2, 0))
@@ -38,6 +41,22 @@ def test_partition_validation():
         block_grading(5, (2, 2, 1))
     with pytest.raises(ValueError):
         block_grading(5, (3, 3, -1, 0))
+    # refused and named, not truncated or read as 0 or 1
+    for part in NOT_INTEGER_PARTS:
+        with pytest.raises(ValueError, match=r"^partition parts must be integers: \(") as err:
+            block_grading(5, part)
+        assert repr(part[0]) in str(err.value)
+
+
+def test_partition_parts_are_stored_as_plain_ints():
+    class Two:
+        def __index__(self):
+            return 2
+
+    g = block_grading(5, (Two(), 2, 1, 0))
+    assert g.partition == (2, 2, 1, 0)
+    assert all(type(r) is int for r in g.partition)
+    assert g.blocks == (0, 0, 1, 1, 2)
 
 
 def test_verify_passes_on_block_gradings():
@@ -194,6 +213,16 @@ def test_blocks_is_none_off_the_block_gradings():
         assert verify_grading(other) is None
         assert other.blocks is None, other.partition
         assert [other.subblock(k) for k in range(alg.dim)] == [None] * alg.dim
+
+
+def test_blocks_is_none_for_a_label_with_a_non_integer_part():
+    """A label with a part that is not an int has no blocks, even where
+    its value matches the degrees, as 2.0 does for (2, 2, 1, 0)."""
+    g = block_grading(5, (2, 2, 1, 0))
+    for label in NOT_INTEGER_PARTS:
+        other = Grading(g.algebra, 2, g.assignment, label)
+        assert other.blocks is None, label
+        assert other.subblock(0) is None
 
 
 # -- holonomy --------------------------------------------------------------

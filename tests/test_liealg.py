@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gammasym.liealg import LieAlgebra, build_so
-from gammasym.linalg import congruence_signature, mat_mul
-from oracles import basis_vector, bracket, vector_to_matrix
+from gammasym.linalg import congruence_signature
+from oracles import basis_vector, bracket, mat_mul, vector_to_matrix
 
 F = Fraction
 

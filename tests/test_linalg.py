@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammasym.linalg import (
     RowReducer,
@@ -10,11 +10,11 @@ from gammasym.linalg import (
     char_poly,
     congruence_signature,
     linear_combination,
-    mat_mul,
     solve_matrix,
+    sparse_mul,
     to_matrix,
 )
-from oracles import nullspace, rank, row_space_basis, signature
+from oracles import mat_mul, nullspace, rank, row_space_basis, signature
 
 F = Fraction
 
@@ -291,8 +291,36 @@ def test_solve_matrix_inverts():
 
 
 def test_solve_matrix_singular():
-    with pytest.raises(ValueError):
-        solve_matrix([[1, 1], [2, 2]], [[1, 0], [0, 1]])
+    """Each A is singular; in the last three [A | I] still has full rank, so
+    the reduction ends with a pivot in the columns of B: that is refused,
+    not read as X."""
+    singular = [
+        [[1, 1], [2, 2]],
+        [[1, 0, 2], [3, 0, 1], [0, 0, 5]],  # a zero column
+        [[1, 2, 3], [4, 5, 6], [1, 2, 3]],  # two equal rows
+        [[1, 0, 1], [0, 1, 2], [1, 1, 3]],  # only the last column is dependent
+    ]
+    for a in singular:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            solve_matrix(a, [[int(i == j) for j in range(len(a))] for i in range(len(a))])
+
+
+def test_solve_matrix_with_a_row_swap_and_a_zero_row_in_b():
+    """Column 0 of A is nonzero only in the last row, so the first pivot
+    comes from that row; row 1 of B is zero, and so is row 1 of X."""
+    a = [[0, 2, 1], [0, 1, 0], [3, 0, 1]]
+    b = [[1, 2], [0, 0], [-3, 5]]
+    x = solve_matrix(a, b)
+    assert x == [[F(-4, 3), F(1)], [F(0), F(0)], [F(1), F(2)]]
+    assert all(type(v) is F for row in x for v in row)
+    assert mat_mul(a, x) == to_matrix(b)
+
+
+def test_solve_matrix_refuses_a_b_of_another_height():
+    """A B with fewer rows than A is a shape error, not a singular A."""
+    with pytest.raises(ValueError, match="shorter") as err:
+        solve_matrix([[1, 0], [0, 1]], [[3]])
+    assert "singular" not in str(err.value)
 
 
 def test_char_poly_diagonal():
@@ -321,3 +349,89 @@ def test_char_poly_matches_trace_and_det():
             for i in range(n):
                 acc[i][i] += c
         assert all(x == 0 for row in acc for x in row)
+
+
+def _shear(n, i, j, k):
+    """The integer matrix I + k e_ij, i != j: unimodular, with inverse I - k e_ij."""
+    return [[F(int(r == c) + (k if (r, c) == (i, j) else 0)) for c in range(n)] for r in range(n)]
+
+
+def _conjugate(t, shears):
+    """P T P^-1 for P the product of the shears (i, j, k) in order, with
+    P^-1 the product of the opposite shears in reverse order."""
+    n = len(t)
+    p = p_inv = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    for i, j, k in shears:
+        p, p_inv = mat_mul(p, _shear(n, i, j, k)), mat_mul(_shear(n, i, j, -k), p_inv)
+    assert mat_mul(p, p_inv) == [[int(r == c) for c in range(n)] for r in range(n)]
+    return mat_mul(mat_mul(p, to_matrix(t)), p_inv)
+
+
+@st.composite
+def conjugated_triangular(draw):
+    """(P T P^-1, diagonal of T): T upper triangular with diagonal entries
+    from a set of three values (so repeated, and often zero) and some rows
+    zeroed, P a product of integer shears."""
+    n = draw(st.integers(1, 6))
+    diag = draw(st.lists(st.sampled_from([F(0), F(2), F(-1, 2)]), min_size=n, max_size=n))
+    t = [
+        [diag[i] if j == i else draw(small) if j > i else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        t[i] = [F(0)] * n
+    shears = []
+    for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        shears.append((i, j, draw(st.integers(-3, 3))))
+    return _conjugate(t, shears), [row[i] for i, row in enumerate(t)]
+
+
+# diag(2, 2, 0, 0) conjugated: derogatory, minimal polynomial x (x - 2), so
+# a Cayley-Hamilton check alone would pass x (x - 2) as well
+_DEROGATORY = (
+    _conjugate(
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [(0, 2, 1), (3, 1, -2), (1, 0, 3)],
+    ),
+    [F(2), F(2), F(0), F(0)],
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(conjugated_triangular())
+@example(_DEROGATORY)
+def test_char_poly_is_the_product_over_a_triangular_conjugate(case):
+    """char_poly(P T P^-1) is the product of (x - t_ii), expanded here by
+    plain polynomial multiplication: the full characteristic polynomial,
+    also where it differs from the minimal one."""
+    m, diag = case
+    expected = [F(1)]
+    for d in diag:
+        expected = [c - d * e for c, e in zip(expected + [F(0)], [F(0)] + expected)]
+    assert char_poly(m) == expected
+
+
+dense_entries = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
+
+
+@st.composite
+def product_pairs(draw):
+    """A (r x k, k x c) pair of dense matrices whose entries often cancel."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(st.lists(st.lists(dense_entries, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(dense_entries, min_size=c, max_size=c), min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(product_pairs())
+@example(([[F(1), F(1)]], [[F(1), F(-1)], [F(-1), F(1)]]))
+def test_sparse_mul_is_the_dense_product(pair):
+    """sparse_mul on the nonzero entries equals the dense product entry by
+    entry, and keeps no entry that cancelled to zero."""
+    a, b = pair
+    sparse = lambda m: [{j: x for j, x in enumerate(row) if x} for row in m]
+    out = sparse_mul(sparse(a), sparse(b))
+    assert all(v for row in out for v in row.values())
+    assert [[row.get(j, F(0)) for j in range(len(b[0]))] for row in out] == mat_mul(a, b)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammasym import metrics
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
-from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, mat_mul
+from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature
 from gammasym.metrics import (
     FormFamily,
     _poly_product,
@@ -26,6 +26,7 @@ from oracles import (
     bracket,
     classify,
     dense_killing_metric_operator,
+    mat_mul,
     nullspace,
     row_space_basis,
 )
