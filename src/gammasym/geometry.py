@@ -27,15 +27,12 @@ from typing import TYPE_CHECKING, Sequence
 from .grading import Grading, Partners
 from .linalg import (
     ONE,
-    Matrix,
     SparseRows,
     SymmetricForm,
     Vector,
     ZERO,
     frac,
-    mat_identity,
     sparse_mul,
-    to_matrix,
     zeros,
 )
 from .metrics import is_adapted
@@ -45,6 +42,7 @@ if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
 
 # a vector of m or of g_e as its nonzero coefficients, keyed by local position
 Local = dict[int, Fraction]
+Rows = tuple[tuple[Fraction, ...], ...]
 
 
 def _local(grading: Grading, vec: Sequence, who: str) -> Local:
@@ -213,7 +211,7 @@ def ambrose_singer_check(grading: Grading, b_m: SymmetricForm) -> AmbroseSingerR
 # ---------------------------------------------------------------------------
 
 
-def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
+def _skew_matrix(e: Sequence[Sequence]) -> tuple[Rows, SparseRows]:
     """``e`` as an exact matrix and as its nonzero entries, checked
     nonempty, square and skew.
 
@@ -226,8 +224,9 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
         raise ValueError("generator must be a nonempty matrix")
     if not all(hasattr(row, "__len__") and len(row) == n for row in e):
         raise ValueError("generator must be square")
-    e = to_matrix(e)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in e]
+    em = tuple(tuple(map(frac, row)) for row in e)
+    # the shared ZERO is passed over without calling Fraction.__bool__
+    rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in em]
     bad = [
         (min(i, j), max(i, j))
         for i, row in enumerate(rows)
@@ -239,7 +238,7 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Matrix, SparseRows]:
         raise ValueError(
             "generator must have zero diagonal" if i == j else "generator must be skew-symmetric"
         )
-    return e, rows
+    return em, rows
 
 
 @dataclass(frozen=True)
@@ -250,27 +249,37 @@ class GeodesicCurve:
     exp(tE) = (I + E^2) + sin(t) E + cos(t) (-E^2).
     """
 
-    generator: tuple[tuple[Fraction, ...], ...]
-    constant_part: tuple[tuple[Fraction, ...], ...]
-    sin_part: tuple[tuple[Fraction, ...], ...]
-    cos_part: tuple[tuple[Fraction, ...], ...]
+    generator: Rows
+    constant_part: Rows
+    sin_part: Rows
+    cos_part: Rows
 
     @property
     def size(self) -> int:
         return len(self.generator)
 
     @cached_property
-    def _float_rows(self) -> list[tuple[tuple[float, ...], ...]]:
-        # float(Fraction(0)) is 0.0, so zero entries skip the conversion
-        parts = zip(self.constant_part, self.sin_part, self.cos_part)
+    def _support(self) -> list[tuple[int, int, float, float, float]]:
+        """(i, j, a, b, d) as floats wherever E or E^2 is nonzero, skipping
+        zero rows whole; elsewhere a is the identity's and b = d = 0."""
+        zero = (ZERO,) * self.size
         return [
-            tuple(tuple(float(x) if x else 0.0 for x in row) for row in rows) for rows in parts
+            (i, j, float(a), float(b), float(d))
+            for i, (c0, cs, cc) in enumerate(zip(self.constant_part, self.sin_part, self.cos_part))
+            if cs != zero or cc != zero
+            for j, (a, b, d) in enumerate(zip(c0, cs, cc))
+            if b or d
         ]
 
     def values(self, t: float) -> list[list[float]]:
-        """exp(tE) as rows of plain floats, with no numpy import."""
-        s, c = math.sin(t), math.cos(t)
-        return [[a + s * b + c * d for a, b, d in zip(*rows)] for rows in self._float_rows]
+        """exp(tE) as rows of plain floats, with no numpy import, bit for bit the
+        dense a + s b + c d: read on the support, at a = 1 or 0, b = d = 0 elsewhere."""
+        n, s, c = self.size, math.sin(t), math.cos(t)
+        off, on = (0.0 + s * 0.0) + c * 0.0, (1.0 + s * 0.0) + c * 0.0
+        out = [[off] * i + [on] + [off] * (n - 1 - i) for i in range(n)]
+        for i, j, a, b, d in self._support:
+            out[i][j] = a + s * b + c * d
+        return out
 
     def at(self, t: float) -> np.ndarray:
         import numpy as np
@@ -284,34 +293,37 @@ class GeodesicCurve:
 def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
     """Build the closed-form curve; requires E skew with E^3 = -E exactly.
 
-    E^2 and E^3 are formed from the nonzero entries of E alone, and only
-    the nonzero entries of E^2 are added into I + E^2 and -E^2.
+    -E^2 and (-E^2) E, which must equal E, are formed from the nonzero
+    entries of E alone, and I + E^2 and -E^2 are filled from those of -E^2.
     """
     em, nonzero = _skew_matrix(e)
-    e2 = sparse_mul(nonzero, nonzero)
-    e3 = sparse_mul(e2, nonzero)
-    if any(e3[i] != {j: -x for j, x in row.items()} for i, row in enumerate(nonzero)):
-        raise ValueError(
-            "generator does not satisfy E^3 = -E; use matrix_exp_numeric instead"
-        )
-    n = len(em)
-    const, neg_e2 = mat_identity(n), [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(e2):
+    neg_e2 = [{j: -x for j, x in row.items()} for row in sparse_mul(nonzero, nonzero)]
+    if sparse_mul(neg_e2, nonzero) != nonzero:
+        raise ValueError("generator does not satisfy E^3 = -E; use matrix_exp_numeric instead")
+    const, cos_part = [], []
+    for i, row in enumerate(neg_e2):
+        c, d = [ZERO] * len(em), [ZERO] * len(em)
+        c[i] = ONE
         for j, x in row.items():
-            const[i][j] += x
-            neg_e2[i][j] = -x
-    freeze = lambda m: tuple(tuple(row) for row in m)
-    return GeodesicCurve(freeze(em), freeze(const), freeze(em), freeze(neg_e2))
+            c[j], d[j] = c[j] - x, x
+        const.append(tuple(c))
+        cos_part.append(tuple(d))
+    return GeodesicCurve(em, tuple(const), em, tuple(cos_part))
 
 
 def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     """Floating-point exp(tX) oracle, independent of the closed form:
     scipy's scaling-and-squaring Pade ``expm`` of tX, after a check that X
-    is square and nonempty."""
+    is square and nonempty; only the nonzero entries of X are converted."""
     import numpy as np
     from scipy.linalg import expm
 
-    a = np.array(x, dtype=float) * float(t)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
-    return expm(a)
+    n = len(x)
+    if not n or not all(hasattr(row, "__len__") and len(row) == n for row in x):
+        raise ValueError(f"matrix must be square and nonempty, got shape {np.shape(x)}")
+    a = np.zeros((n, n))
+    for i, row in enumerate(x):
+        for j, v in enumerate(row):
+            if v is not ZERO and v != 0:  # ZERO itself skips Fraction.__eq__
+                a[i, j] = v
+    return expm(a * float(t))

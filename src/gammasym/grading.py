@@ -80,13 +80,19 @@ class Grading:
     def degree(self, k: int) -> GroupElement:
         return self.assignment[k]
 
+    @cached_property
+    def _by_mask(self) -> dict[int, tuple[int, ...]]:
+        """Each mask that occurs -> its basis indices in order; all elements have
+        the grading's rank (__post_init__), so equal masks are equal elements."""
+        out: dict[int, list[int]] = {}
+        for k, g in enumerate(self.assignment):
+            out.setdefault(g.bits, []).append(k)
+        return {bits: tuple(idx) for bits, idx in out.items()}
+
     def component(self, gamma: GroupElement) -> ComponentView:
         if gamma.rank != self.rank:
             raise ValueError(f"group element of rank {gamma.rank} in rank-{self.rank} grading")
-        # every element has the grading's rank (__post_init__), so equal masks are equal elements
-        bits = gamma.bits
-        idx = tuple(k for k, g in enumerate(self.assignment) if g.bits == bits)
-        return ComponentView(gamma.label, idx)
+        return ComponentView(gamma.label, self._by_mask.get(gamma.bits, ()))
 
     def components(self) -> list[ComponentView]:
         return [self.component(g) for g in enumerate_group(self.rank)]
@@ -149,22 +155,25 @@ class Grading:
         bad = verify_grading(self)
         if bad is not None:
             raise ValueError(f"not a grading: bracket ({bad.p},{bad.q}) lands in {bad.found}")
-        local_m = {k: t for t, k in enumerate(self.complement_indices)}
-        local_e = {k: t for t, k in enumerate(self.fixed_indices)}
-        mm: Partners = [{} for _ in local_m]
-        me: Partners = [{} for _ in local_m]
-        em: Partners = [{} for _ in local_e]
+        # every index is in g_e or in m: its local position there, and whether it is in m
+        in_m, local = [g.bits != 0 for g in self.assignment], [0] * self.algebra.dim
+        for t, k in (*enumerate(self.fixed_indices), *enumerate(self.complement_indices)):
+            local[k] = t
+        mm: Partners = [{} for _ in self.complement_indices]
+        me: Partners = [{} for _ in self.complement_indices]
+        em: Partners = [{} for _ in self.fixed_indices]
         for (p, q), ((k, c),) in self.algebra.structure_constants().items():
             neg = MINUS_ONE if c.numerator > 0 else ONE
+            term = local[k]
             for a, b, coef in ((p, q, c), (q, p, neg)):
-                if b not in local_m:
+                if not in_m[b]:
                     continue
-                if a in local_e:
-                    em[local_e[a]][local_m[b]] = ((local_m[k], coef),)
-                elif k in local_m:  # one component holds the term
-                    mm[local_m[a]][local_m[b]] = ((local_m[k], coef),)
+                if not in_m[a]:
+                    em[local[a]][local[b]] = ((term, coef),)
+                elif in_m[k]:  # one component holds the term
+                    mm[local[a]][local[b]] = ((term, coef),)
                 else:
-                    me[local_m[a]][local_m[b]] = ((local_e[k], coef),)
+                    me[local[a]][local[b]] = ((term, coef),)
         return mm, me, em
 
     @cached_property

@@ -38,10 +38,6 @@ def zeros(n: int) -> Vector:
     return [ZERO] * n
 
 
-def mat_identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
     """The product of two matrices given by their nonzero entries."""
     out: SparseRows = []
@@ -118,20 +114,6 @@ class RowReducer:
             self._colmap.setdefault(cc, set()).add(c)
         return c
 
-    def nullspace_basis(self) -> list[Vector]:
-        """Canonical basis of the solution set, one vector per free column."""
-        free = [c for c in range(self.ncols) if c not in self.pivots]
-        basis = []
-        for f in free:
-            v = zeros(self.ncols)
-            v[f] = ONE
-            for p, row in self.pivots.items():
-                coef = row.get(f)
-                if coef:
-                    v[p] = -coef
-            basis.append(v)
-        return basis
-
 
 # ---------------------------------------------------------------------------
 # Symmetric forms and Sylvester signatures.
@@ -168,10 +150,6 @@ class SymmetricForm:
     @staticmethod
     def identity(n: int) -> "SymmetricForm":
         return SymmetricForm.diagonal([ONE] * n)
-
-    @staticmethod
-    def zero(n: int) -> "SymmetricForm":
-        return SymmetricForm(n, ())
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymmetricForm":
@@ -249,8 +227,12 @@ def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     connected component of the support graph of its nonzero entries at a
     time (``support_components``): an index on no entry is a zero row, and
     each component is eliminated on its own dense block, filled from the
-    nonzero entries.
+    nonzero entries; a diagonal form's inertia is a count of its signs.
     """
+    signs = [v.numerator for i, j, v in form.nonzero_entries if i == j]
+    if len(signs) == len(form.nonzero_entries):
+        pos, neg = sum(s > 0 for s in signs), sum(s < 0 for s in signs)
+        return pos, neg, form.dim - pos - neg
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
     pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
     for block in dense_blocks(form, comps):
@@ -351,13 +333,23 @@ def _eliminate(work: Matrix) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _shape(rows: Sequence[Sequence]) -> str:
+    widths = sorted({len(r) for r in rows})  # one row length, or all of them
+    return f"{len(rows)} x {widths[0] if len(widths) == 1 else widths or 0}"
+
+
 def solve_matrix(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     """Exact solution X of A X = B for invertible n x n A: the RREF of
     [A | B] is [I | X], so X is read off the pivot rows of one
-    ``RowReducer``."""
-    n, m = len(a), len(b[0])
+    ``RowReducer``; ValueError names a bad shape of A or B."""
+    n, m = len(a), len(b[0]) if b else 0
+    if any(len(r) != n for r in a) or any(len(r) != m for r in b):
+        raise ValueError(f"solve_matrix: A {_shape(a)} is not square or B {_shape(b)} is ragged")
+    if len(b) != n:
+        height = "shorter" if len(b) < n else "taller"
+        raise ValueError(f"solve_matrix: B ({_shape(b)}) is {height} than A ({_shape(a)})")
     red = RowReducer(n + m)
-    for ra, rb in zip(a, b, strict=True):
+    for ra, rb in zip(a, b):
         red.insert({j: x for j, x in enumerate(map(frac, (*ra, *rb))) if x})
     if not all(c in red.pivots for c in range(n)):
         raise ValueError("matrix is singular")
@@ -371,8 +363,10 @@ def char_poly(m: Sequence[Sequence]) -> list[Fraction]:
     det(x I - M) = x^n + a_1 x^{n-1} + ... + a_n
     via the Faddeev-LeVerrier recursion on the nonzero entries of M.
     """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"char_poly needs a square matrix, got {_shape(m)}")
     mm = [{j: x for j, x in enumerate(row) if x} for row in to_matrix(m)]
-    n = len(mm)
     coeffs = [ONE]
     nk: SparseRows = [{} for _ in range(n)]
     for k in range(1, n + 1):

@@ -301,9 +301,6 @@ class KillingMetricOperator:
     def commutes(self) -> bool:
         return self.witness is None
 
-    def diagonal(self) -> list[Fraction]:
-        return [self.matrix[i][i] for i in range(len(self.matrix))]
-
 
 def killing_metric_operator(
     grading: Grading, form: SymmetricForm, gamma: GroupElement

@@ -1,14 +1,15 @@
 """Dense reference routes that the library does not carry.
 
 Tests check the sparse library against these: the product of two dense
-matrices entry by entry, the nullspace, row space and rank of a dense
-matrix (one ``RowReducer`` fed row by row), the inertia of a dense
-symmetric matrix eliminated whole, so(n) elements as coefficient vectors,
-with their bracket from the structure constants and their skew-symmetric
-matrices, the natural-reductive refinement by row reduction of its
-residuals over a whole family, the Killing comparison operator beta
-solved on a whole component at once, and the geodesic curve with every
-entry of the generator and its powers computed densely.
+matrices entry by entry, the dense identity, the canonical nullspace
+basis read off a ``RowReducer``'s pivot rows, the nullspace, row space
+and rank of a dense matrix (one ``RowReducer`` fed row by row), the
+inertia of a dense symmetric matrix eliminated whole, so(n) elements as
+coefficient vectors, with their bracket from the structure constants and
+their skew-symmetric matrices, the natural-reductive refinement by row
+reduction of its residuals over a whole family, the Killing comparison
+operator beta solved on a whole component at once, and the geodesic
+curve with every entry of the generator and its powers computed densely.
 """
 
 from gammasym.geometry import GeodesicCurve
@@ -22,7 +23,6 @@ from gammasym.linalg import (
     char_poly,
     congruence_signature,
     frac,
-    mat_identity,
     solve_matrix,
     to_matrix,
     zeros,
@@ -36,6 +36,10 @@ def mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
 
 
+def mat_identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 def _reduced(rows) -> RowReducer:
     red = RowReducer(len(rows[0]) if rows else 0)
     for row in to_matrix(rows):
@@ -43,9 +47,24 @@ def _reduced(rows) -> RowReducer:
     return red
 
 
+def nullspace_basis(red):
+    """Canonical basis of the solutions of a ``RowReducer``'s rows, one
+    vector per free column, read off its pivot rows."""
+    basis = []
+    for f in (c for c in range(red.ncols) if c not in red.pivots):
+        v = zeros(red.ncols)
+        v[f] = ONE
+        for p, row in red.pivots.items():
+            coef = row.get(f)
+            if coef:
+                v[p] = -coef
+        basis.append(v)
+    return basis
+
+
 def nullspace(matrix):
     """Canonical basis of {v : matrix @ v = 0}, one vector per free column."""
-    return _reduced(matrix).nullspace_basis()
+    return nullspace_basis(_reduced(matrix))
 
 
 def row_space_basis(vectors):
@@ -124,7 +143,7 @@ def refinement_by_row_reduction(family):
         if any(row.values()) and (key := frozenset(row.items())) not in seen:
             seen.add(key)
             reducer.insert(row)
-    coords = reducer.nullspace_basis()
+    coords = nullspace_basis(reducer)
     basis = [evaluate_family(family, c) for c in coords]
     order = {g.label: p for p, g in enumerate(enumerate_group(family.grading.rank))}
     supports = [classify(f, family.grading, family.carrier, order)[3] for f in basis]

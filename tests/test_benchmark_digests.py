@@ -90,7 +90,9 @@ def test_tracer_sees_the_sweep_stages():
     fresh interpreter, so that nothing is patched here, two sweep ops must
     still show the family, adaptedness, Lorentzian-scan and signature
     spans, two family and two is_adapted calls per op, and a nonzero
-    count of scanned forms."""
+    count of scanned forms; and each op's geodesic check under its traced
+    names, one curve build and four ``at`` calls (``geometry.geodesic``)
+    and four float oracles (``geometry.oracle``)."""
     done = subprocess.run(
         [sys.executable, "-c", TRACED_SWEEP, str(SRC), str(PERFBENCH)],
         capture_output=True,
@@ -105,6 +107,8 @@ def test_tracer_sees_the_sweep_stages():
     assert spans["linalg.signature"] > 0
     assert doc["counts"]["metrics.lorentz_forms_tried"] > 0
     assert doc["counts"]["linalg.signature_calls"] == spans["linalg.signature"]
+    assert spans["geometry.geodesic"] == 2 * 5
+    assert spans["geometry.oracle"] == 2 * 4
 
 
 TRACED_BETA = """

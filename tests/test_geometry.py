@@ -273,6 +273,40 @@ def test_geodesic_values_match_numpy_formula_bitwise():
                 assert repr(curve.values(t)) == repr(expected), (n, k, t)
 
 
+def curve_parts(curve):
+    return curve.generator, curve.constant_part, curve.sin_part, curve.cos_part
+
+
+def outcome(call):
+    """The repr of ``call()``, or the text of the ValueError it raises."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_geodesic_values_match_numpy_formula_at_extreme_t():
+    """values(t) reads only the support of E and E^2 and fills the rest
+    with two scalars; it keeps the bits of c0 + sin(t) cs + cos(t) cc in
+    numpy at t = nan, +-inf (where math.sin raises, and so does values),
+    -0.0 and 1e300, on every basis matrix of so(3), so(5) and so(7) and on
+    sums of disjoint generators with mixed signs."""
+    cases = [build_so(n).basis_matrix(k) for n in (3, 5, 7) for k in range(build_so(n).dim)]
+    for n, pairs in ((4, ((0, 1), (2, 3))), (6, ((0, 5), (1, 2), (3, 4))), (7, ((0, 6), (2, 3)))):
+        for signs in product((1, -1), repeat=len(pairs)):
+            e = [[F(0)] * n for _ in range(n)]
+            for (i, j), sgn in zip(pairs, signs):
+                e[i][j], e[j][i] = F(sgn), F(-sgn)
+            cases.append(e)
+    for e in cases:
+        curve = geodesic_curve(e)
+        c0, cs, cc = (np.array(p, dtype=float) for p in curve_parts(curve)[1:])
+        for t in (math.nan, math.inf, -math.inf, -0.0, 1e300):
+            want = outcome(lambda: (c0 + math.sin(t) * cs + math.cos(t) * cc).tolist())
+            assert outcome(lambda: curve.values(t)) == want, (e, t)
+        assert outcome(lambda: curve.values(math.inf)) == "ValueError: math domain error"
+
+
 def curve_outcome(route, e):
     """The four exact parts of ``route(e)`` and its values at several t,
     or the text of the ValueError it raises."""
@@ -280,8 +314,7 @@ def curve_outcome(route, e):
         curve = route(e)
     except ValueError as exc:
         return str(exc)
-    parts = (curve.generator, curve.constant_part, curve.sin_part, curve.cos_part)
-    return parts, [repr(curve.values(t)) for t in (0.0, -0.0, 0.1, math.pi, -2.7, 1e6)]
+    return curve_parts(curve), [repr(curve.values(t)) for t in (0.0, -0.0, 0.1, math.pi, -2.7, 1e6)]
 
 
 def dense_values(curve, t):
@@ -395,6 +428,31 @@ def test_matrix_exp_numeric_on_nilpotent_generators():
         )
         got = matrix_exp_numeric(n_rows, float(t))
         assert (np.abs(got - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact))).all(), t
+
+
+def test_matrix_exp_numeric_is_expm_of_the_dense_float_array():
+    """Converting only the nonzero entries gives the very array that
+    ``np.array(x, dtype=float)`` gives, up to the sign of a zero, so
+    scipy's expm returns the same floats: on Fraction inputs (1/3 among
+    them), int, float and mixed inputs, inputs with a -0.0 entry, and a
+    float ndarray."""
+    from scipy.linalg import expm
+
+    third = F(1, 3)
+    cases = [
+        [[F(0), third, F(0)], [-third, F(0), F(2)], [F(0), F(-2), F(0)]],
+        ALG.basis_matrix(M[3]),
+        [[0, 1, 0], [-1, 0, 3], [0, -3, 0]],
+        [[0.0, 0.5, 0.0], [-0.5, 0.25, 0.0], [1e-3, 0.0, -2.0]],
+        [[0, third, 0.5], [-1, 0.0, F(2, 7)], [F(-1, 7), -2.5, 0]],
+        [[-0.0, 1.0], [-1.0, -0.0]],
+        [[F(0), -0.0, 1], [0, 0, third], [-1, 0.0, F(0)]],
+        np.array([[0.0, 2.0, -0.0], [-2.0, 0.0, 0.5], [0.0, -0.5, 0.0]]),
+    ]
+    for x in cases:
+        for t in (1.0, -0.3, 2.5, 0.0):
+            got = matrix_exp_numeric(x, t)
+            assert np.array_equal(got, expm(np.array(x, dtype=float) * t)), (x, t)
 
 
 def test_matrix_exp_numeric_rejects_nonsquare():

@@ -143,10 +143,14 @@ def point_mask_grading(n, masks, rank):
 
 
 def test_component_by_mask_matches_element_equality():
-    """``component`` compares bit masks; on every element of the group that
-    picks the same indices as GroupElement equality, on every ordered
-    partition with 3 <= n <= 7 and on a rank-3 grading where all eight
-    elements occur."""
+    """``component`` reads one map of the degrees by bit mask, bucketed
+    once per grading; on every element of the group that picks the same
+    indices as a rescan of ``assignment`` by GroupElement equality, and
+    fixed_indices, complement_indices and carrier_slices follow from those
+    rescans.  Gradings: every ordered partition with 3 <= n <= 7 (some with
+    empty components), a rank-3 grading where all eight elements occur, a
+    rank-2 grading that is not a block grading, and a rank-3 grading whose
+    g_e is empty."""
     gradings = [
         block_grading(n, part)
         for n in range(3, 8)
@@ -157,10 +161,22 @@ def test_component_by_mask_matches_element_equality():
     rank3 = point_mask_grading(8, range(8), 3)
     assert verify_grading(rank3) is None
     assert {g.bits for g in rank3.assignment} == set(range(1, 8))
-    for g in gradings + [rank3]:
+    not_block = point_mask_grading(6, (0, 1, 2, 3, 1, 0), 2)
+    assert not_block.blocks is None and verify_grading(not_block) is None
+    no_fixed = point_mask_grading(4, (0, 1, 2, 4), 3)
+    assert no_fixed.fixed_indices == ()
+    for g in gradings + [rank3, not_block, no_fixed]:
+        rescans = []
         for gamma in enumerate_group(g.rank):
             want = tuple(k for k, d in enumerate(g.assignment) if d == gamma)
             assert g.component(gamma) == ComponentView(gamma.label, want)
+            rescans.append(want)
+        assert g.fixed_indices == rescans[0]
+        assert g.complement_indices == tuple(k for want in rescans[1:] for k in want)
+        start, slices = 0, {}
+        for gamma, want in zip(enumerate_group(g.rank)[1:], rescans[1:]):
+            slices[gamma.label], start = range(start, start + len(want)), start + len(want)
+        assert g.carrier_slices == slices
     with pytest.raises(ValueError, match="rank 2 in rank-3 grading"):
         rank3.component(identity(2))
 

@@ -14,7 +14,7 @@ from gammasym.linalg import (
     sparse_mul,
     to_matrix,
 )
-from oracles import mat_mul, nullspace, rank, row_space_basis, signature
+from oracles import mat_mul, nullspace, nullspace_basis, rank, row_space_basis, signature
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_row_reducer_matches_batch_nullspace():
                 red.insert(dict(row))
         dense = [[r.get(c, F(0)) for c in range(n)] for r in rows]
         if dense:
-            assert red.nullspace_basis() == nullspace(dense)
+            assert nullspace_basis(red) == nullspace(dense)
 
 
 def test_row_reducer_pivot_rows_stay_reduced():
@@ -116,7 +116,7 @@ def test_row_reducer_duplicate_rows_in_any_order():
             for r in rows:
                 red.insert(dict(r))
             assert red.rank == rank(dense)
-            assert red.nullspace_basis() == nullspace(dense)
+            assert nullspace_basis(red) == nullspace(dense)
             results.add(tuple(tuple(sorted(red.pivots[c].items())) for c in sorted(red.pivots)))
         assert len(results) == 1
 
@@ -208,6 +208,30 @@ def test_signature_by_components_matches_dense_route(rows):
     form = SymmetricForm.from_rows(rows)
     assert congruence_signature(form) == signature(rows)
     assert sum(congruence_signature(form)) == len(rows)
+
+
+@st.composite
+def diagonal_or_mixed_forms(draw):
+    """Gram rows of a diagonal form with entries of both signs and zero
+    rows, or of that form with off-diagonal entries added at random pairs."""
+    d = draw(st.integers(1, 8))
+    diag = draw(st.lists(small | st.sampled_from([F(1, 3), F(-5, 2)]), min_size=d, max_size=d))
+    rows = [[diag[i] if i == j else F(0) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+        i, j = draw(st.permutations(range(d)))[:2]
+        rows[i][j] = rows[j][i] = draw(nonzero)
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(diagonal_or_mixed_forms())
+@example([[F(0), F(0), F(0)], [F(0), F(-2), F(0)], [F(0), F(0), F(3)]])
+@example([[F(1), F(0), F(2)], [F(0), F(0), F(0)], [F(2), F(0), F(-1)]])
+def test_signature_of_diagonal_and_mixed_forms_matches_elimination(rows):
+    """A diagonal form's inertia is counted from the signs of its entries;
+    it equals the dense elimination of its Gram matrix, and so does the
+    inertia of a form that also has off-diagonal entries."""
+    assert congruence_signature(SymmetricForm.from_rows(rows)) == signature(rows)
 
 
 def test_symmetric_form_validation():
@@ -321,6 +345,23 @@ def test_solve_matrix_refuses_a_b_of_another_height():
     with pytest.raises(ValueError, match="shorter") as err:
         solve_matrix([[1, 0], [0, 1]], [[3]])
     assert "singular" not in str(err.value)
+
+
+def test_solve_matrix_and_char_poly_name_a_bad_shape():
+    """A non-square A or M, a ragged B, and a B of another height are
+    refused with their shapes, not read as a solution or a polynomial."""
+    cases = [
+        ([[1, 2]], [[3]], r"^solve_matrix: A 1 x 2 is not square or B 1 x 1 is ragged$"),
+        ([[1, 0], [0, 1]], [[1, 2], [3]], r"A 2 x 2 is not square or B 2 x \[1, 2\] is ragged$"),
+        ([[1, 0], [0, 1]], [[1], [2], [3]], r"B \(3 x 1\) is taller than A \(2 x 2\)$"),
+        ([[2]], [], r"B \(0 x 0\) is shorter than A \(1 x 1\)$"),
+    ]
+    for a, b, message in cases:
+        with pytest.raises(ValueError, match=message):
+            solve_matrix(a, b)
+    for m, shape in (([[1], [2]], "2 x 1"), ([[1, 2]], "1 x 2"), ([[1, 2], [3]], r"2 x \[1, 2\]")):
+        with pytest.raises(ValueError, match=f"^char_poly needs a square matrix, got {shape}$"):
+            char_poly(m)
 
 
 def test_char_poly_diagonal():
