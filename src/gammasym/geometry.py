@@ -111,8 +111,8 @@ class CurvatureTable:
     """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis.
 
     ``entries`` is keyed by the pairs i < j in (i, j) order, the order
-    ``sectional_table`` inserts them in; ``csv_rows`` and ``text_lines``
-    list the entries in that order.
+    ``sectional_table`` inserts them in and ``csv_rows`` lists them in;
+    ``serialize`` writes every format of the table.
     """
 
     labels: tuple[str, ...]
@@ -125,56 +125,43 @@ class CurvatureTable:
         return self.entries[key]
 
     def all_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.entries.values())
+        return all(v.numerator >= 0 for v in self.entries.values())
 
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
         """(i, j, numerator, denominator) rows, indices 1-based."""
-        out = []
-        for (i, j), v in self.entries.items():
-            out.append((i + 1, j + 1, v.numerator, v.denominator))
-        return out
-
-    def text_lines(self) -> list[str]:
-        named = []
-        for (i, j), v in self.entries.items():
-            if max(i, j) < 9:
-                name = f"R_{i + 1}{j + 1}{j + 1}{i + 1}"
-            else:
-                name = f"R({i + 1},{j + 1},{j + 1},{i + 1})"
-            named.append((name, v))
-        width = max((len(name) for name, _ in named), default=0)
-        return [f"{name:<{width}} = {v}" for name, v in named]
+        return [(i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in self.entries.items()]
 
 
 def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) -> CurvatureTable:
-    """Sectional curvature numerators for an orthonormal complement basis.
+    """Sectional curvature numerators of the normal metric, for an
+    orthonormal complement basis.
 
-    With B the adapted metric whose matrix on m is the identity, the
-    numerator for the plane spanned by basis vectors E_i, E_j is
+    The normal metric is the identity on m and on g_e in carrier
+    coordinates, so ``b_m`` and ``b_e`` must both be the identity: the
+    curvature of G/H has no term in a form on g_e (Besse, Einstein
+    Manifolds, (7.30)), so with any other ``b_e`` the formula below is no
+    curvature.  The numerator for the plane spanned by E_i, E_j is
 
-        1/4 |[E_i, E_j]_m|^2  +  |[E_i, E_j]_{g_e}|^2_{B_e},
+        1/4 |[E_i, E_j]_m|^2  +  |[E_i, E_j]_{g_e}|^2,
 
-    both norms exact.  ``b_m`` must be the identity in carrier
-    coordinates (that is what makes the basis orthonormal).  [E_i, E_j] is
-    0 or +-1 times one basis vector, so the numerator is 1/4 when it lands
-    in m, B_e(E_t, E_t) when it is +-E_t in g_e, and 0 otherwise.
+    and [E_i, E_j] is 0 or +-1 times one basis vector, so it is 1/4 when
+    the bracket lands in m, 1 when it lands in g_e, and 0 otherwise.
     """
     carrier = grading.complement_indices
-    fixed = grading.fixed_indices
     if b_m.dim != len(carrier):
         raise ValueError("b_m dimension does not match the complement")
     if not b_m.is_identity():
         raise ValueError("sectional table requires an orthonormal basis: b_m must be the identity")
-    if b_e.dim != len(fixed):
+    if b_e.dim != len(grading.fixed_indices):
         raise ValueError("b_e dimension does not match the fixed part")
+    if not b_e.is_identity():
+        raise ValueError("sectional table is the normal metric's: b_e must be the identity")
     mm, me, _ = grading.split
     quarter = Fraction(1, 4)
-    norm_e = [b_e.entry(t, t) for t in range(len(fixed))]
     entries: dict[tuple[int, int], Fraction] = {}
     for i, (in_m, in_e) in enumerate(zip(mm, me)):
         for j in range(i + 1, len(carrier)):
-            terms = in_e.get(j)
-            entries[i, j] = quarter if j in in_m else norm_e[terms[0][0]] if terms else ZERO
+            entries[i, j] = quarter if j in in_m else ONE if j in in_e else ZERO
     labels = tuple(grading.algebra.basis_label(k) for k in carrier)
     return CurvatureTable(labels, entries)
 

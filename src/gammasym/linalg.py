@@ -203,7 +203,9 @@ class SymmetricForm:
         return SymmetricForm(len(local), tuple(upper))
 
     def is_identity(self) -> bool:
-        return self == SymmetricForm.identity(self.dim)
+        """Whether the entries are exactly (k, k, 1) for k = 0, ..., dim - 1."""
+        entries = self.nonzero_entries
+        return len(entries) == self.dim and all(e == (k, k, ONE) for k, e in enumerate(entries))
 
 
 def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm]) -> SymmetricForm:

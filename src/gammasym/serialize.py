@@ -3,7 +3,8 @@
 Rationals travel as [numerator, denominator] pairs in JSON and as "p/q"
 strings in text; floats appear only in geodesic samples.  All JSON is
 dumped with sorted keys and a trailing newline so that repeated runs
-are byte-identical.
+are byte-identical; the curvature table's entries, the one large list,
+are written row by row in those same bytes.
 """
 
 from __future__ import annotations
@@ -114,27 +115,34 @@ def reductive_text(refined: FormFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curvature_doc(grading: Grading, table: CurvatureTable) -> dict:
-    return {
-        **_header(grading),
-        "basis": list(table.labels),
-        "entries": [
-            {"i": i, "j": j, "value": [num, den]}
-            for (i, j, num, den) in table.csv_rows()
-        ],
-        "all_nonnegative": table.all_nonnegative(),
-    }
+# one entry of the curvature document's "entries" list, as ``dumps`` writes it
+_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "value": [\n        %d,\n        %d\n      ]\n    }'
+
+
+def curvature_doc(grading: Grading, table: CurvatureTable) -> str:
+    """The table's JSON document, byte for byte what ``dumps`` writes for it
+    with one {"i", "j", "value"} object per entry, but built with no dict per
+    entry: each row of ``csv_rows`` fills one template."""
+    doc = {**_header(grading), "basis": list(table.labels), "entries": []}
+    head = dumps({**doc, "all_nonnegative": table.all_nonnegative()})
+    rows = ",\n".join(_ENTRY % row for row in table.csv_rows())
+    before, _, after = head.partition('"entries": []')
+    return f'{before}"entries": [\n{rows}\n  ]{after}' if rows else head
 
 
 def curvature_csv(table: CurvatureTable) -> str:
-    lines = ["i,j,numerator,denominator"]
-    for i, j, num, den in table.csv_rows():
-        lines.append(f"{i},{j},{num},{den}")
-    return "\n".join(lines) + "\n"
+    return "i,j,numerator,denominator\n" + "".join("%d,%d,%d,%d\n" % row for row in table.csv_rows())
 
 
 def curvature_text(table: CurvatureTable) -> str:
-    return "".join(line + "\n" for line in table.text_lines())
+    """One line "R_ijji = value" per entry, 1-based, the names padded to one
+    width; a name with an index above 9 reads R(i,j,j,i)."""
+    names = [
+        f"R_{i + 1}{j + 1}{j + 1}{i + 1}" if max(i, j) < 9 else f"R({i + 1},{j + 1},{j + 1},{i + 1})"
+        for i, j in table.entries
+    ]
+    width = max(map(len, names), default=0)
+    return "".join(f"{name:<{width}} = {v}\n" for name, v in zip(names, table.entries.values()))
 
 
 def connection_doc(grading: Grading, report: AmbroseSingerReport) -> dict:

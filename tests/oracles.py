@@ -8,9 +8,17 @@ inertia of a dense symmetric matrix eliminated whole, so(n) elements as
 coefficient vectors, with their bracket from the structure constants and
 their skew-symmetric matrices, the natural-reductive refinement by row
 reduction of its residuals over a whole family, the Killing comparison
-operator beta solved on a whole component at once, and the geodesic
-curve with every entry of the generator and its powers computed densely.
+operator beta solved on a whole component at once, the geodesic
+curve with every entry of the generator and its powers computed densely,
+the Levi-Civita tensor U and the sectional numerators of any invariant
+metric on m from Besse's formula with commutators of dense matrices, and
+the curvature table's JSON, CSV and text as the library used to write
+them: one dict per entry encoded whole, and one line per entry.
 """
+
+import json
+from fractions import Fraction
+from itertools import product
 
 from gammasym.geometry import GeodesicCurve
 from gammasym.grading import _SUBBLOCK
@@ -242,3 +250,119 @@ def dense_geodesic_curve(e):
     neg_e2 = [[-x for x in row] for row in e2]
     freeze = lambda m: tuple(tuple(row) for row in m)
     return GeodesicCurve(freeze(em), freeze(const), freeze(em), freeze(neg_e2))
+
+
+def _commutator(x, y):
+    """XY - YX of two dense square matrices, skipping their zero entries."""
+    n = len(x)
+    out = [[ZERO] * n for _ in range(n)]
+    for p, q, sign in ((x, y, ONE), (y, x, -ONE)):
+        for i, k in product(range(n), repeat=2):
+            for j in range(n) if p[i][k] else ():
+                if q[k][j]:
+                    out[i][j] += sign * p[i][k] * q[k][j]
+    return out
+
+
+def _dense_m(grading):
+    """The m basis as dense skew matrices, the commutator of every ordered
+    pair of them, and the projection of a skew matrix to m as its vector of
+    m coefficients (E_ij has the entry +1 at (i, j), i < j)."""
+    alg = grading.algebra
+    pairs = [alg.pairs[k] for k in grading.complement_indices]
+    mats = [vector_to_matrix(alg, basis_vector(alg, k)) for k in grading.complement_indices]
+    brackets = [[_commutator(x, y) for y in mats] for x in mats]
+    return mats, brackets, lambda m: [m[i][j] for i, j in pairs]
+
+
+def _lower(gram, v):
+    """The covector <v, .> of an m-coefficient vector, entry by entry."""
+    return [sum((gram[s][t] * c for s, c in enumerate(v) if c), ZERO) for t in range(len(gram))]
+
+
+def _pair(gram, u, v):
+    return sum((x * y for x, y in zip(_lower(gram, u), v) if x and y), ZERO)
+
+
+def levi_civita_u(grading, gram):
+    """U(E_a, E_b) for every pair of m basis vectors, as m-coefficient
+    vectors, for the invariant metric with the nondegenerate Gram matrix
+    ``gram`` on m: 2 <U(X, Y), Z> = <[Z, X]_m, Y> + <X, [Z, Y]_m> for every
+    Z, solved with the inverse Gram matrix.  U vanishes exactly when the
+    metric is naturally reductive."""
+    _, brackets, to_m = _dense_m(grading)
+    d = len(gram)
+    # low[z][a][b] = <[E_z, E_a]_m, E_b>
+    low = [[_lower(gram, to_m(brackets[z][a])) for a in range(d)] for z in range(d)]
+    inverse = solve_matrix(gram, mat_identity(d))
+    u = [[None] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            w = [(z, (low[z][a][b] + low[z][b][a]) / 2) for z in range(d)]
+            w = [(z, c) for z, c in w if c]
+            u[a][b] = [sum((row[z] * c for z, c in w), ZERO) for row in inverse]
+    return u
+
+
+def besse_sectional(grading, gram):
+    """<R(E_a, E_b)E_b, E_a> for every pair a < b of m basis vectors, for
+    the invariant metric with the nondegenerate Gram matrix ``gram`` on m,
+    by Besse, Einstein Manifolds (1987), (7.30):
+
+        -3/4 |[X,Y]_m|^2 - 1/2 <[X,[X,Y]]_m, Y> - 1/2 <[Y,[Y,X]]_m, X>
+        + |U(X,Y)|^2 - <U(X,X), U(Y,Y)>.
+
+    It reads only the metric on m and commutators of dense matrices, so it
+    holds for every member of the family, Lorentzian ones included."""
+    mats, brackets, to_m = _dense_m(grading)
+    u = levi_civita_u(grading, gram)
+    out = {}
+    for a in range(len(gram)):
+        for b in range(a + 1, len(gram)):
+            xy = to_m(brackets[a][b])
+            xxy = _lower(gram, to_m(_commutator(mats[a], brackets[a][b])))
+            yyx = _lower(gram, to_m(_commutator(mats[b], brackets[b][a])))
+            out[a, b] = (
+                Fraction(-3, 4) * _pair(gram, xy, xy)
+                - xxy[b] / 2
+                - yyx[a] / 2
+                + _pair(gram, u[a][b], u[a][b])
+                - _pair(gram, u[a][a], u[b][b])
+            )
+    return out
+
+
+def curvature_json(grading, table):
+    """The curvature document as one dict per entry, encoded whole by json."""
+    doc = {
+        "n": grading.algebra.n,
+        "partition": list(grading.partition) if grading.partition else None,
+        "basis": list(table.labels),
+        "entries": [
+            {"i": i + 1, "j": j + 1, "value": [v.numerator, v.denominator]}
+            for (i, j), v in table.entries.items()
+        ],
+        "all_nonnegative": all(v >= 0 for v in table.entries.values()),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def curvature_csv(table):
+    """The curvature CSV, one line per entry, joined at the end."""
+    lines = ["i,j,numerator,denominator"]
+    for i, j, num, den in table.csv_rows():
+        lines.append(f"{i},{j},{num},{den}")
+    return "\n".join(lines) + "\n"
+
+
+def curvature_text(table):
+    """The curvature text: a name per entry, padded to the widest name."""
+    named = []
+    for (i, j), v in table.entries.items():
+        if max(i, j) < 9:
+            name = f"R_{i + 1}{j + 1}{j + 1}{i + 1}"
+        else:
+            name = f"R({i + 1},{j + 1},{j + 1},{i + 1})"
+        named.append((name, v))
+    width = max((len(name) for name, _ in named), default=0)
+    return "".join(f"{name:<{width}} = {v}\n" for name, v in named)

@@ -319,7 +319,9 @@ def test_n_above_size_bound_is_rejected(tmp_path, capsys):
 
 # sha256 of manifest.json, frozen from the dense form loops; the m = 0,
 # so(4) and two-block entries, which meet every branch of the closed-form
-# refinement, were frozen from the row-reduced one.  The manifest holds the
+# refinement, were frozen from the row-reduced one; the n = 29 and n = 37
+# entries from the curvature JSON built as one dict per entry and encoded
+# whole by ``json.dumps``.  The manifest holds the
 # sha256 of every report document, so this pins all their bytes.
 MANIFEST_SHA256 = {
     ("3", "3,0,0,0"): "a68978be07424e02f3a179f631e99dcda9e95ef2859cd2dd513f6d4c1aeaf483",
@@ -332,6 +334,8 @@ MANIFEST_SHA256 = {
     ("13", "3,3,3,4"): "2b110e5aca58ac87548e0079ab265f5158234bc232a92e73fa99e16b64d55337",
     ("17", "4,4,4,5"): "fd7552c968bdb5a36dcfa078309db883c366f8a90d17de3fd598bcdbdd2b5aaa",
     ("21", "5,5,5,6"): "62555e968ce031dce0c8b0ccd6771acb545f36ad58bfbbd2628a54724bf21f78",
+    ("29", "7,7,7,8"): "2d2562eb63658a26f1a5e2631457e0fcbde233f464dfc12313646170cac4c139",
+    ("37", "9,9,9,10"): "f99a07a421ca632424f9bd4ae4b96b1a76d96d38f5a4b4487e6f5fe9308126e1",
 }
 
 

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gammasym import serialize
 from gammasym.geometry import (
     ambrose_singer_check,
     canonical_curvature,
@@ -17,8 +18,22 @@ from gammasym.geometry import (
 )
 from gammasym.grading import block_grading
 from gammasym.liealg import build_so
-from gammasym.linalg import SymmetricForm
-from oracles import basis_vector, bracket, dense_geodesic_curve
+from gammasym.linalg import SymmetricForm, congruence_signature
+from gammasym.metrics import (
+    evaluate_family,
+    invariant_family,
+    is_adapted,
+    lorentzian_search,
+    naturally_reductive_subfamily,
+)
+from oracles import (
+    basis_vector,
+    besse_sectional,
+    bracket,
+    dense_geodesic_curve,
+    levi_civita_u,
+    mat_identity,
+)
 
 F = Fraction
 
@@ -159,7 +174,7 @@ def test_sectional_table_so5():
     assert table.entry(1, 0) == table.entry(0, 1) == 1
     assert table.entry(3, 3) == 0
     assert table.csv_rows()[0] == (1, 2, 1, 1)
-    assert table.text_lines()[0].startswith("R_1221")
+    assert serialize.curvature_text(table).splitlines()[0].startswith("R_1221")
 
 
 def test_sectional_matches_curvature_contraction():
@@ -180,32 +195,75 @@ def test_sectional_requires_orthonormal_basis():
         sectional_table(GRADING, SymmetricForm.identity(8), SymmetricForm.identity(3))
 
 
+def ordered_partitions(lo, hi):
+    for n in range(lo, hi + 1):
+        yield from ((n, p) for p in product(range(n + 1), repeat=4) if sum(p) == n)
+
+
 def test_sectional_matches_bracket_norms_with_random_b_e():
-    # 1/4 |[E_i, E_j]_m|^2 + B_e([E_i, E_j]_e, [E_i, E_j]_e) from the dense
-    # bracket, with a random rational b_e that has off-diagonal entries too
+    """The table is the normal metric's.  For B = I every numerator is
+    1/4 |[E_i, E_j]_m|^2 + |[E_i, E_j]_{g_e}|^2 from the dense bracket, and
+    Besse's formula from dense commutators.  A random rational b_e other
+    than the identity is refused: the curvature of G/H has no term in a
+    form on g_e, so no such table is a curvature."""
     rng = random.Random(17)
-    count = 0
-    for n in range(3, 7):
-        for part in (p for p in product(range(n + 1), repeat=4) if sum(p) == n):
-            g = block_grading(n, part)
-            alg, carrier, fixed = g.algebra, g.complement_indices, g.fixed_indices
-            ks = range(len(fixed))
+    count = refused = 0
+    for n, part in ordered_partitions(3, 6):
+        g = block_grading(n, part)
+        alg, carrier, fixed = g.algebra, g.complement_indices, g.fixed_indices
+        b_m = SymmetricForm.identity(len(carrier))
+        table = sectional_table(g, b_m, SymmetricForm.identity(len(fixed)))
+        for i in range(len(carrier)):
+            for j in range(i + 1, len(carrier)):
+                v = bracket(alg, basis_vector(alg, carrier[i]), basis_vector(alg, carrier[j]))
+                want = sum((v[k] * v[k] for k in carrier), F(0)) / 4
+                want += sum((v[k] * v[k] for k in fixed), F(0))
+                assert table.entry(i, j) == want, (part, i, j)
+        assert table.entries == besse_sectional(g, mat_identity(len(carrier))), part
+        if fixed:
+            # a random rational b_e with off-diagonal entries too, never I
             rows = [[F(0)] * len(fixed) for _ in fixed]
-            for s in ks:
+            for s in range(len(fixed)):
                 for t in range(s, len(fixed)):
                     if s == t or rng.random() < 0.5:
                         rows[s][t] = rows[t][s] = F(rng.randint(-5, 5), rng.randint(1, 4))
-            b_e = SymmetricForm.from_rows(rows)
-            table = sectional_table(g, SymmetricForm.identity(len(carrier)), b_e)
-            for i in range(len(carrier)):
-                for j in range(i + 1, len(carrier)):
-                    v = bracket(alg, basis_vector(alg, carrier[i]), basis_vector(alg, carrier[j]))
-                    want = sum((v[k] * v[k] for k in carrier), F(0)) / 4
-                    e = [v[k] for k in fixed]
-                    want += sum(e[s] * e[t] * rows[s][t] for s in ks for t in ks)
-                    assert table.entry(i, j) == want, (part, i, j)
-            count += 1
-    assert count == 195
+            rows[0][0] = F(2)
+            with pytest.raises(ValueError, match="b_e must be the identity"):
+                sectional_table(g, b_m, SymmetricForm.from_rows(rows))
+            refused += 1
+        count += 1
+    assert (count, refused) == (195, 190)
+
+
+def test_levi_civita_u_vanishes_exactly_on_adapted_members():
+    """U = 0 from the Koszul formula on dense commutators exactly when
+    ``is_adapted`` holds, on random nondegenerate members of the family and
+    of the refined family and on the Lorentzian member the scan finds."""
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    lorentzian = 0
+    for n, part in ordered_partitions(3, 6):
+        g = block_grading(n, part)
+        if not g.complement_indices:
+            continue
+        family = invariant_family(g)
+        members = [
+            evaluate_family(f, [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in f.names])
+            for f in (family, naturally_reductive_subfamily(family))
+        ]
+        report = lorentzian_search(family)
+        if report is not None:
+            members.append(evaluate_family(family, report.parameter_values))
+        for form in members:
+            inertia = congruence_signature(form)
+            if inertia[2]:
+                continue
+            u = levi_civita_u(g, form.rows())
+            vanishes = not any(c for row in u for vec in row for c in vec)
+            assert vanishes == is_adapted(form, g), (part, form)
+            seen[vanishes] += 1
+            lorentzian += inertia[1] == 1
+    assert seen[True] > 100 and seen[False] > 100 and lorentzian > 50, (seen, lorentzian)
 
 
 def test_ambrose_singer():
