@@ -19,10 +19,9 @@ floating-point oracle used to cross-check it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .grading import Grading, Partners
 from .linalg import (
@@ -106,8 +105,7 @@ def torsionfree_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequenc
     )
 
 
-@dataclass(frozen=True)
-class CurvatureTable:
+class CurvatureTable(NamedTuple):
     """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis.
 
     ``entries`` is keyed by the pairs i < j in (i, j) order, the order
@@ -166,8 +164,7 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
     return CurvatureTable(labels, entries)
 
 
-@dataclass(frozen=True)
-class AmbroseSingerReport:
+class AmbroseSingerReport(NamedTuple):
     """Checks on the difference tensor T(X, Y) = 1/2 [X, Y]_m.
 
     ``contraction_vanishes`` holds for every symmetric B and is reported
@@ -228,18 +225,19 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Rows, SparseRows]:
     return em, rows
 
 
-@dataclass(frozen=True)
-class GeodesicCurve:
+class _GeodesicCurve(NamedTuple):
+    generator: Rows
+    constant_part: Rows
+    sin_part: Rows
+    cos_part: Rows
+
+
+class GeodesicCurve(_GeodesicCurve):
     """The curve exp(tE) for a generator with E^3 = -E.
 
     Stored as the three exact constant matrices of
     exp(tE) = (I + E^2) + sin(t) E + cos(t) (-E^2).
     """
-
-    generator: Rows
-    constant_part: Rows
-    sin_part: Rows
-    cos_part: Rows
 
     @property
     def size(self) -> int:

@@ -11,9 +11,8 @@ the tangent complement m is the sum of the other components.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import GroupElement, enumerate_group, identity
 from .liealg import MINUS_ONE, BracketTerms, LieAlgebra, build_so
@@ -36,8 +35,7 @@ _SUBBLOCK = {
 Partners = list[dict[int, BracketTerms]]
 
 
-@dataclass(frozen=True)
-class ComponentView:
+class ComponentView(NamedTuple):
     """One homogeneous component: its label and basis indices."""
 
     label: str
@@ -48,8 +46,7 @@ class ComponentView:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class GradingViolation:
+class GradingViolation(NamedTuple):
     """First basis pair whose bracket leaves the expected component."""
 
     p: int
@@ -59,16 +56,18 @@ class GradingViolation:
     found: str
 
 
-@dataclass(frozen=True)
-class Grading:
-    """A group-valued degree assignment on the basis of an algebra."""
-
+class _Grading(NamedTuple):
     algebra: LieAlgebra
     rank: int
     assignment: tuple[GroupElement, ...]
     partition: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class Grading(_Grading):
+    """A group-valued degree assignment on the basis of an algebra."""
+
+    def __new__(cls, *args, **kwargs) -> Grading:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.assignment) != self.algebra.dim:
             raise ValueError("assignment length does not match algebra dimension")
         for k, g in enumerate(self.assignment):
@@ -76,6 +75,7 @@ class Grading:
                 raise ValueError(
                     f"assignment element {k} has rank {g.rank}, not the grading rank {self.rank}"
                 )
+        return self
 
     def degree(self, k: int) -> GroupElement:
         return self.assignment[k]
@@ -83,7 +83,7 @@ class Grading:
     @cached_property
     def _by_mask(self) -> dict[int, tuple[int, ...]]:
         """Each mask that occurs -> its basis indices in order; all elements have
-        the grading's rank (__post_init__), so equal masks are equal elements."""
+        the grading's rank (``__new__``), so equal masks are equal elements."""
         out: dict[int, list[int]] = {}
         for k, g in enumerate(self.assignment):
             out.setdefault(g.bits, []).append(k)
@@ -233,8 +233,8 @@ def block_grading(
     alg = algebra if algebra is not None else build_so(n)
     if alg.n != n:
         raise ValueError("algebra size does not match n")
-    labels = enumerate_group(2)
-    assignment = tuple(labels[block[i]] * labels[block[j]] for (i, j) in alg.pairs)
+    labels = enumerate_group(2)  # e, a, b, c at masks 0 to 3: the product is XOR
+    assignment = tuple(labels[block[i] ^ block[j]] for i, j in alg.pairs)
     return Grading(alg, 2, assignment, part)
 
 
@@ -261,8 +261,7 @@ def verify_grading(grading: Grading) -> GradingViolation | None:
     return None
 
 
-@dataclass(frozen=True)
-class HolonomySpan:
+class HolonomySpan(NamedTuple):
     """Span of the brackets [g_x, g_x] inside g_e, per component and total.
 
     Vectors are in local coordinates over the g_e basis (one entry per

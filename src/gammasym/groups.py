@@ -7,23 +7,27 @@ labels e, a, b, c; higher ranks fall back to plain bit strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _KLEIN_LABELS = ("e", "a", "b", "c")
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """An element of (Z_2)^k, stored as ``rank`` and an integer bit mask."""
-
+class _GroupElement(NamedTuple):
     rank: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not 0 <= self.bits < (1 << self.rank):
-            raise ValueError(f"bits {self.bits} out of range for rank {self.rank}")
+
+class GroupElement(_GroupElement):
+    """An element of (Z_2)^k: the tuple (rank, bits), ``bits`` an integer bit mask."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, bits: int) -> GroupElement:
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if not 0 <= bits < (1 << rank):
+            raise ValueError(f"bits {bits} out of range for rank {rank}")
+        return tuple.__new__(cls, (rank, bits))
 
     @property
     def label(self) -> str:

@@ -11,10 +11,9 @@ fed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -120,8 +119,12 @@ class RowReducer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
+class _SymmetricForm(NamedTuple):
+    dim: int
+    nonzero_entries: tuple[tuple[int, int, Fraction], ...]
+
+
+class SymmetricForm(_SymmetricForm):
     """A symmetric bilinear form on Q^dim, given by its nonzero entries.
 
     ``nonzero_entries`` lists (i, j, value) for every nonzero entry with
@@ -129,9 +132,6 @@ class SymmetricForm:
     built only on request (``rows``, ``entries``); ``from_rows`` is the one
     constructor that takes and validates one.
     """
-
-    dim: int
-    nonzero_entries: tuple[tuple[int, int, Fraction], ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymmetricForm":
@@ -212,8 +212,8 @@ def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm
     """The form sum(c * f) on Q^dim over paired ``coeffs`` and ``forms``."""
     total: dict[tuple[int, int], Fraction] = {}
     for c, f in zip(coeffs, forms):
-        c = frac(c)
-        sign = 1 if c == ONE else -1 if c == -ONE else 0  # a +-1 is read as a sign
+        c = c if type(c) is int and c in (1, -1) else frac(c)  # an int +-1 builds no Fraction
+        sign = 1 if c == 1 else -1 if c == -1 else 0  # a +-1 is read as a sign
         for i, j, e in f.nonzero_entries if c else ():
             t = e if sign > 0 else -e if sign else c * e
             total[i, j] = total[i, j] + t if (i, j) in total else t

@@ -18,11 +18,10 @@ condition on any one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
@@ -41,8 +40,7 @@ from .linalg import (
     zeros,
 )
 
-@dataclass
-class FormFamily:
+class FormFamily(NamedTuple):
     """A basis of invariant symmetric forms on m, in carrier coordinates.
 
     ``carrier`` lists the algebra basis indices of m, component by
@@ -109,7 +107,7 @@ def invariant_family(grading: Grading) -> FormFamily:
     supports: list[str] = []
     basis: list[SymmetricForm] = []
     for (b, c), sub in _SUBBLOCK.items():
-        label = (labels[b] * labels[c]).label
+        label = labels[b ^ c].label  # masks 0 to 3 in e, a, b, c order: the product is XOR
         forms = []
         if cells[sub]:
             forms.append(("t_", "diag", [(x, x, ONE) for x in cells[sub]]))
@@ -219,8 +217,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     return not any(_reductivity_rows(grading, form))
 
 
-@dataclass
-class SignatureReport:
+class SignatureReport(NamedTuple):
     """Outcome of a signature scan at concrete parameter values."""
 
     parameter_names: list[str]
@@ -281,8 +278,7 @@ def lorentzian_search(family: FormFamily) -> SignatureReport | None:
     return None
 
 
-@dataclass
-class KillingMetricOperator:
+class KillingMetricOperator(NamedTuple):
     """B-vs-Killing comparison operator on one component g_gamma.
 
     ``matrix`` is the unique local operator with B(beta X, Y) = K(X, Y);

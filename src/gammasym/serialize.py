@@ -9,7 +9,6 @@ are written row by row in those same bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import Sequence
@@ -194,6 +193,7 @@ def geodesic_text(label: str, curve: GeodesicCurve, samples: dict[str, float]) -
 
 def manifest_doc(grading: Grading, payloads: dict[str, bytes]) -> dict:
     """The checksum manifest of the ``report`` documents, by file name."""
+    import hashlib  # loaded only here, where a manifest is written
     files = {
         name: {"sha256": hashlib.sha256(p).hexdigest(), "bytes": len(p)}
         for name, p in payloads.items()

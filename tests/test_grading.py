@@ -297,8 +297,12 @@ def test_holonomy_abelian_toy():
 
 def test_grading_assignment_length_checked():
     alg = build_so(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^assignment length does not match algebra dimension$"):
         Grading(alg, 2, tuple(enumerate_group(2)[:3]))
+    g = block_grading(4, (1, 1, 1, 1))
+    with pytest.raises(AttributeError):
+        g.rank = 3
+    assert Grading(g.algebra, 2, g.assignment, partition=(1, 1, 1, 1)) == g == tuple(g)
 
 
 def test_grading_assignment_ranks_checked():

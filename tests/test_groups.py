@@ -60,9 +60,30 @@ def test_from_label_roundtrip_klein():
 
 
 def test_bad_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bits 4 out of range for rank 2$"):
         GroupElement(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bits -1 out of range for rank 3$"):
+        GroupElement(rank=3, bits=-1)
+    with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
         GroupElement(0, 0)
     with pytest.raises(ValueError):
         from_label(2, "q")
+
+
+def test_element_is_the_tuple_rank_bits():
+    """repr, hash and order are those of (rank, bits), so dicts and sets
+    keyed by elements keep their order; the fields are read-only."""
+    g = GroupElement(2, 1)
+    assert repr(g) == "GroupElement(rank=2, bits=1)"
+    assert str(g) == "a" and g == (2, 1) and tuple(g) == (2, 1)
+    for rank in (1, 2, 3, 4):
+        for x in enumerate_group(rank):
+            assert hash(x) == hash((x.rank, x.bits))
+    elems = [GroupElement(r, b) for r in (3, 1, 2) for b in range(2**r)]
+    assert sorted(elems) == sorted(elems, key=lambda x: (x.rank, x.bits))
+    assert GroupElement(2, 3) < GroupElement(3, 0) and GroupElement(3, 1) > GroupElement(3, 0)
+    for field in ("rank", "bits", "label"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 1)
+    with pytest.raises(AttributeError):
+        g.extra = 1

@@ -1,8 +1,9 @@
 """What importing gammasym loads and exports.
 
-numpy and scipy load only where a caller asks for an ndarray; every
-exported name exists; the benchmark's tracer still finds every entry point
-it wraps.
+numpy and scipy load only where a caller asks for an ndarray; dataclasses
+(and the inspect it pulls in) never load, and hashlib only where ``report``
+writes its manifest; every exported name exists; the benchmark's tracer
+still finds every entry point it wraps.
 """
 
 import ast
@@ -20,34 +21,21 @@ from gammasym import geodesic_curve, matrix_exp_numeric
 SRC = str(Path(gammasym.__file__).resolve().parents[1])
 SO5 = ["--n", "5", "--partition", "2,2,1,0"]
 
-# prints, as its last line, the numpy and scipy modules loaded after the
-# statements it is given
+HEAVY = ("numpy", "scipy")
+# dataclasses costs its inspect, ast, dis and tokenize imports, hashlib its
+# OpenSSL binding: a cold CLI call should pay for neither
+STARTUP = ("dataclasses", "inspect", "hashlib")
+
+# prints, as its last line, the modules under the top-level names ``roots``
+# that are loaded after the statements it is given
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in {roots!r})))
 """
+RUN_MAIN = "from gammasym.cli import main\nassert main(sys.argv[1:]) == 0"
 
-
-def loaded_heavy_modules(body: str, *args: str) -> list[str]:
-    path = [SRC, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_bare_import_loads_no_numpy():
-    assert loaded_heavy_modules("import gammasym") == []
-
-
-@pytest.mark.parametrize(
+SUBCOMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["grade", *SO5],
@@ -60,10 +48,44 @@ def test_bare_import_loads_no_numpy():
     ],
     ids=lambda argv: argv[0],
 )
+
+
+def loaded_modules(body: str, *args: str, roots: tuple[str, ...] = HEAVY) -> list[str]:
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body, roots=roots), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_numpy():
+    assert loaded_modules("import gammasym") == []
+
+
+@SUBCOMMANDS
 def test_subcommand_loads_no_numpy(argv, tmp_path):
     args = [a.replace("{tmp}", str(tmp_path / "report")) for a in argv]
-    body = "from gammasym.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert loaded_heavy_modules(body, *args) == []
+    assert loaded_modules(RUN_MAIN, *args) == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_hashlib():
+    for body in ("import gammasym", "import gammasym.cli"):
+        assert loaded_modules(body, roots=STARTUP) == [], body
+
+
+@SUBCOMMANDS
+def test_only_report_loads_hashlib(argv, tmp_path):
+    """Records are NamedTuples, so no subcommand loads dataclasses or
+    inspect; hashlib loads inside the function that writes the manifest."""
+    args = [a.replace("{tmp}", str(tmp_path / "report")) for a in argv]
+    want = ["hashlib"] if argv[0] == "report" else []
+    assert loaded_modules(RUN_MAIN, *args, roots=STARTUP) == want
 
 
 def test_float_oracle_still_returns_ndarrays():

@@ -292,6 +292,11 @@ def test_sparse_form_reads_match_the_gram_matrix():
         c, d = F(rng.randint(-2, 2)), F(rng.randint(-2, 2), 3)
         combo = [[c * a[i][j] + d * b[i][j] for j in range(n)] for i in range(n)]
         assert linear_combination(n, [c, d], [f, g]) == SymmetricForm.from_rows(combo)
+        for k in (1, -1, 0, 2, True, -1.0, F(-1), F(1, 2)):  # an int +-1 is read as a sign
+            combo = [[F(k) * a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
+            got = linear_combination(n, [k, -1], [f, g])
+            assert got == SymmetricForm.from_rows(combo), k
+            assert all(type(v) is F for _, _, v in got.nonzero_entries)
         assert f.is_identity() == (a == [[F(i == j) for j in range(n)] for i in range(n)])
     assert SymmetricForm.from_rows([[1, 0], [0, 1]]).is_identity()
     with pytest.raises(ValueError, match="distinct"):
