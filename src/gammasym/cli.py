@@ -29,8 +29,8 @@ from .metrics import (
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
 # The largest accepted --n, set when ``report`` at a balanced partition took
-# 58 s at n=55 and grew about as n^5; it now takes 2.9 s there, with a 317 MB
-# peak RSS (median of 5 runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
+# 58 s at n=55 and grew about as n^5; it now takes 2.7 s there, with a 200 MB
+# peak RSS (median of 7 runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
 # It stays 55 until the bound is re-derived from a measured grid.
 MAX_N = 55
 

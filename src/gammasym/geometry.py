@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .grading import Grading, Partners
 from .linalg import (
@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # numpy and scipy load only where an ndarray is asked for
 # a vector of m or of g_e as its nonzero coefficients, keyed by local position
 Local = dict[int, Fraction]
 Rows = tuple[tuple[Fraction, ...], ...]
+QUARTER = Fraction(1, 4)
 
 
 def _local(grading: Grading, vec: Sequence, who: str) -> Local:
@@ -98,36 +99,37 @@ def torsionfree_curvature(grading: Grading, x: Sequence, y: Sequence, z: Sequenc
     mm, me, em = grading.split
     return _combine(
         grading,
-        (Fraction(1, 4), _apply(mm, vx, _apply(mm, vy, vz))),
-        (Fraction(-1, 4), _apply(mm, vy, _apply(mm, vx, vz))),
+        (QUARTER, _apply(mm, vx, _apply(mm, vy, vz))),
+        (-QUARTER, _apply(mm, vy, _apply(mm, vx, vz))),
         (Fraction(-1, 2), _apply(mm, _apply(mm, vx, vy), vz)),
         (-ONE, _apply(em, _apply(me, vx, vy), vz)),
     )
 
 
 class CurvatureTable(NamedTuple):
-    """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis.
-
-    ``entries`` is keyed by the pairs i < j in (i, j) order, the order
-    ``sectional_table`` inserts them in and ``csv_rows`` lists them in;
-    ``serialize`` writes every format of the table.
-    """
+    """Sectional numerators B(R(E_i, E_j)E_j, E_i) over the m basis, read on
+    demand off the partner lists ``mm`` and ``me`` of ``Grading.split``;
+    ``items`` yields the pairs i < j in (i, j) order with their values, and
+    ``serialize`` writes every format of the table from it."""
 
     labels: tuple[str, ...]
-    entries: dict[tuple[int, int], Fraction]
+    mm: Partners
+    me: Partners
 
     def entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return ZERO
-        key = (i, j) if i < j else (j, i)
-        return self.entries[key]
+        return QUARTER if j in self.mm[i] else ONE if j in self.me[i] else ZERO
+
+    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        for i, (in_m, in_e) in enumerate(zip(self.mm, self.me)):
+            for j in range(i + 1, len(self.labels)):
+                yield (i, j), QUARTER if j in in_m else ONE if j in in_e else ZERO
 
     def all_nonnegative(self) -> bool:
-        return all(v.numerator >= 0 for v in self.entries.values())
+        return all(v.numerator >= 0 for _, v in self.items())
 
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
         """(i, j, numerator, denominator) rows, indices 1-based."""
-        return [(i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in self.entries.items()]
+        return [(i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in self.items()]
 
 
 def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) -> CurvatureTable:
@@ -155,13 +157,7 @@ def sectional_table(grading: Grading, b_m: SymmetricForm, b_e: SymmetricForm) ->
     if not b_e.is_identity():
         raise ValueError("sectional table is the normal metric's: b_e must be the identity")
     mm, me, _ = grading.split
-    quarter = Fraction(1, 4)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i, (in_m, in_e) in enumerate(zip(mm, me)):
-        for j in range(i + 1, len(carrier)):
-            entries[i, j] = quarter if j in in_m else ONE if j in in_e else ZERO
-    labels = tuple(grading.algebra.basis_label(k) for k in carrier)
-    return CurvatureTable(labels, entries)
+    return CurvatureTable(tuple(grading.algebra.basis_label(k) for k in carrier), mm, me)
 
 
 class AmbroseSingerReport(NamedTuple):

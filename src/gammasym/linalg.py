@@ -129,7 +129,7 @@ class SymmetricForm(_SymmetricForm):
 
     ``nonzero_entries`` lists (i, j, value) for every nonzero entry with
     i <= j, row by row, with Fraction values.  The dense Gram matrix is
-    built only on request (``rows``, ``entries``); ``from_rows`` is the one
+    built only on request (``rows``); ``from_rows`` is the one
     constructor that takes and validates one.
     """
 
@@ -173,11 +173,6 @@ class SymmetricForm(_SymmetricForm):
         for i, j, v in self.nonzero_entries:
             out[i][j] = out[j][i] = v
         return out
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense Gram matrix as a tuple of rows, built on each call."""
-        return tuple(map(tuple, self.rows()))
 
     def apply(self, x: Sequence, y: Sequence) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:

@@ -121,27 +121,30 @@ _ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "value": [\n        %d,\n
 def curvature_doc(grading: Grading, table: CurvatureTable) -> str:
     """The table's JSON document, byte for byte what ``dumps`` writes for it
     with one {"i", "j", "value"} object per entry, but built with no dict per
-    entry: each row of ``csv_rows`` fills one template."""
+    entry: each pair of ``table.items()`` fills one template."""
     doc = {**_header(grading), "basis": list(table.labels), "entries": []}
     head = dumps({**doc, "all_nonnegative": table.all_nonnegative()})
-    rows = ",\n".join(_ENTRY % row for row in table.csv_rows())
+    rows = ",\n".join(_ENTRY % (i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in table.items())
     before, _, after = head.partition('"entries": []')
     return f'{before}"entries": [\n{rows}\n  ]{after}' if rows else head
 
 
 def curvature_csv(table: CurvatureTable) -> str:
-    return "i,j,numerator,denominator\n" + "".join("%d,%d,%d,%d\n" % row for row in table.csv_rows())
+    rows = ("%d,%d,%d,%d\n" % (i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in table.items())
+    return "i,j,numerator,denominator\n" + "".join(rows)
+
+
+def _pair_name(i: int, j: int) -> str:
+    return f"R_{i + 1}{j + 1}{j + 1}{i + 1}" if j < 9 else f"R({i + 1},{j + 1},{j + 1},{i + 1})"
 
 
 def curvature_text(table: CurvatureTable) -> str:
-    """One line "R_ijji = value" per entry, 1-based, the names padded to one
-    width; a name with an index above 9 reads R(i,j,j,i)."""
-    names = [
-        f"R_{i + 1}{j + 1}{j + 1}{i + 1}" if max(i, j) < 9 else f"R({i + 1},{j + 1},{j + 1},{i + 1})"
-        for i, j in table.entries
-    ]
-    width = max(map(len, names), default=0)
-    return "".join(f"{name:<{width}} = {v}\n" for name, v in zip(names, table.entries.values()))
+    """One line "R_ijji = value" per entry i < j, 1-based, each name padded to
+    that of the last pair, (d - 2, d - 1), whose indices are the largest and
+    so whose name is the widest; a name with an index above 9 reads R(i,j,j,i)."""
+    d = len(table.labels)
+    width = len(_pair_name(d - 2, d - 1)) if d > 1 else 0
+    return "".join(f"{_pair_name(i, j):<{width}} = {v}\n" for (i, j), v in table.items())
 
 
 def connection_doc(grading: Grading, report: AmbroseSingerReport) -> dict:

@@ -13,12 +13,14 @@ curve with every entry of the generator and its powers computed densely,
 the Levi-Civita tensor U and the sectional numerators of any invariant
 metric on m from Besse's formula with commutators of dense matrices, and
 the curvature table's JSON, CSV and text as the library used to write
-them: one dict per entry encoded whole, and one line per entry.
+them: one dict per entry encoded whole, and one line per entry, and a
+curvature table held as a dict, for tables the normal metric never gives.
 """
 
 import json
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from gammasym.geometry import GeodesicCurve
 from gammasym.grading import _SUBBLOCK
@@ -332,6 +334,23 @@ def besse_sectional(grading, gram):
     return out
 
 
+class DictCurvatureTable(NamedTuple):
+    """A curvature table as a dict (i, j) -> value over the pairs i < j, in
+    (i, j) order, with the reading methods of ``geometry.CurvatureTable``."""
+
+    labels: tuple
+    entries: dict
+
+    def items(self):
+        return iter(self.entries.items())
+
+    def all_nonnegative(self):
+        return all(v >= 0 for v in self.entries.values())
+
+    def csv_rows(self):
+        return [(i + 1, j + 1, v.numerator, v.denominator) for (i, j), v in self.entries.items()]
+
+
 def curvature_json(grading, table):
     """The curvature document as one dict per entry, encoded whole by json."""
     doc = {
@@ -340,9 +359,9 @@ def curvature_json(grading, table):
         "basis": list(table.labels),
         "entries": [
             {"i": i + 1, "j": j + 1, "value": [v.numerator, v.denominator]}
-            for (i, j), v in table.entries.items()
+            for (i, j), v in table.items()
         ],
-        "all_nonnegative": all(v >= 0 for v in table.entries.values()),
+        "all_nonnegative": all(v >= 0 for _, v in table.items()),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -358,7 +377,7 @@ def curvature_csv(table):
 def curvature_text(table):
     """The curvature text: a name per entry, padded to the widest name."""
     named = []
-    for (i, j), v in table.entries.items():
+    for (i, j), v in table.items():
         if max(i, j) < 9:
             name = f"R_{i + 1}{j + 1}{j + 1}{i + 1}"
         else:

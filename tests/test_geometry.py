@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -169,7 +170,7 @@ EXPECTED_SECTIONAL = {
 def test_sectional_table_so5():
     table = sectional_table(GRADING, SymmetricForm.identity(8), SymmetricForm.identity(2))
     assert table.labels == ("E13", "E14", "E23", "E24", "E15", "E25", "E35", "E45")
-    assert table.entries == EXPECTED_SECTIONAL
+    assert list(table.items()) == sorted(EXPECTED_SECTIONAL.items())
     assert table.all_nonnegative()
     assert table.entry(1, 0) == table.entry(0, 1) == 1
     assert table.entry(3, 3) == 0
@@ -195,6 +196,23 @@ def test_sectional_requires_orthonormal_basis():
         sectional_table(GRADING, SymmetricForm.identity(8), SymmetricForm.identity(3))
 
 
+def test_sectional_table_is_a_view_of_the_split():
+    """Once the split is built, the table allocates nothing per pair: at
+    n=29 (7,7,7,8), with 49,455 pairs, building it peaks under 1 MB."""
+    g = block_grading(29, (7, 7, 7, 8))
+    b_m = SymmetricForm.identity(len(g.complement_indices))
+    b_e = SymmetricForm.identity(len(g.fixed_indices))
+    g.split  # built before tracing
+    tracemalloc.start()
+    try:
+        table = sectional_table(g, b_m, b_e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert sum(1 for _ in table.items()) == 49455
+
+
 def ordered_partitions(lo, hi):
     for n in range(lo, hi + 1):
         yield from ((n, p) for p in product(range(n + 1), repeat=4) if sum(p) == n)
@@ -203,11 +221,12 @@ def ordered_partitions(lo, hi):
 def test_sectional_matches_bracket_norms_with_random_b_e():
     """The table is the normal metric's.  For B = I every numerator is
     1/4 |[E_i, E_j]_m|^2 + |[E_i, E_j]_{g_e}|^2 from the dense bracket, and
-    Besse's formula from dense commutators.  A random rational b_e other
-    than the identity is refused: the curvature of G/H has no term in a
-    form on g_e, so no such table is a curvature."""
+    Besse's formula from dense commutators, which in turn equals
+    <R(E_a, E_b)E_b, E_a> of ``torsionfree_curvature``.  A random rational
+    b_e other than the identity is refused: the curvature of G/H has no
+    term in a form on g_e, so no such table is a curvature."""
     rng = random.Random(17)
-    count = refused = 0
+    count = refused = pairs = 0
     for n, part in ordered_partitions(3, 6):
         g = block_grading(n, part)
         alg, carrier, fixed = g.algebra, g.complement_indices, g.fixed_indices
@@ -219,7 +238,12 @@ def test_sectional_matches_bracket_norms_with_random_b_e():
                 want = sum((v[k] * v[k] for k in carrier), F(0)) / 4
                 want += sum((v[k] * v[k] for k in fixed), F(0))
                 assert table.entry(i, j) == want, (part, i, j)
-        assert table.entries == besse_sectional(g, mat_identity(len(carrier))), part
+        besse = besse_sectional(g, mat_identity(len(carrier)))
+        assert dict(table.items()) == besse, part
+        for (a, b), want in besse.items():
+            ea, eb = basis_vector(alg, carrier[a]), basis_vector(alg, carrier[b])
+            assert torsionfree_curvature(g, ea, eb, eb)[carrier[a]] == want, (part, a, b)
+            pairs += 1
         if fixed:
             # a random rational b_e with off-diagonal entries too, never I
             rows = [[F(0)] * len(fixed) for _ in fixed]
@@ -232,7 +256,7 @@ def test_sectional_matches_bracket_norms_with_random_b_e():
                 sectional_table(g, b_m, SymmetricForm.from_rows(rows))
             refused += 1
         count += 1
-    assert (count, refused) == (195, 190)
+    assert (count, refused, pairs) == (195, 190, 4635)
 
 
 def test_levi_civita_u_vanishes_exactly_on_adapted_members():

@@ -263,7 +263,7 @@ def test_form_apply_and_restrict():
     f = SymmetricForm.from_rows([[2, 1], [1, 3]])
     assert f.apply([1, 0], [0, 1]) == 1
     assert f.apply([1, 1], [1, 1]) == 7
-    assert f.restrict([1]).entries == ((F(3),),)
+    assert f.restrict([1]).rows() == [[F(3)]]
     with pytest.raises(ValueError):
         f.apply([1], [0, 1])
 

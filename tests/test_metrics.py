@@ -108,7 +108,7 @@ def lie_closure_dim(alg, gens):
 
 
 def family_key(fam):
-    return fam.names, fam.supports, [f.entries for f in fam.basis]
+    return fam.names, fam.supports, [f.rows() for f in fam.basis]
 
 
 def test_family_from_generators_matches_full_action_set(monkeypatch):
@@ -187,7 +187,7 @@ def family_by_row_reduction(g):
         used[stem] += 1
         names.append(stem if used[stem] == 1 else f"{stem}_{used[stem]}")
         supports.append(support)
-    return names, supports, [f.entries for _, f, *_ in keyed]
+    return names, supports, [f.rows() for _, f, *_ in keyed]
 
 
 def test_family_matches_row_reduction_route():
@@ -374,7 +374,7 @@ def test_family_matches_dense_nullspace_route():
 def test_evaluate_family():
     fam = family(5, (1, 1, 3, 0))
     zero = evaluate_family(fam, [0, 0, 0])
-    assert zero.entries == SymmetricForm(7, ()).entries
+    assert zero.rows() == SymmetricForm(7, ()).rows()
     m = evaluate_family(fam, [-1, 1, 1])
     assert [m.entry(i, i) for i in range(7)] == [-1, 1, 1, 1, 1, 1, 1]
     with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ def test_prebuilt_nonzero_entries_match_a_scan():
             vals = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(fam.dimension)]
             built.append(evaluate_family(fam, vals))
     for form in built:
-        assert form.nonzero_entries == SymmetricForm.from_rows(form.entries).nonzero_entries
+        assert form.nonzero_entries == SymmetricForm.from_rows(form.rows()).nonzero_entries
 
 
 def test_inertia_invariant_under_component_permutation():
