@@ -65,8 +65,6 @@ class RowReducer:
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, SparseRow] = {}
-        # column -> pivot columns whose rows touch it, for cheap back-substitution
-        self._colmap: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -97,20 +95,10 @@ class RowReducer:
         if lead != ONE:
             row = {cc: vv / lead if cc != c else ONE for cc, vv in row.items()}
         # back-substitute so existing pivot rows stay reduced
-        for p in list(self._colmap.get(c, ())):
-            prow = self.pivots[p]
-            f = prow[c]
-            for cc, vv in row.items():
-                nv = prow.get(cc, ZERO) - f * vv
-                if nv:
-                    prow[cc] = nv
-                    self._colmap.setdefault(cc, set()).add(p)
-                else:
-                    prow.pop(cc, None)
-                    self._colmap[cc].discard(p)
+        for prow in self.pivots.values():
+            if c in prow:
+                self._subtract(prow, prow.pop(c), row, c)
         self.pivots[c] = row
-        for cc in row:
-            self._colmap.setdefault(cc, set()).add(c)
         return c
 
 
@@ -218,13 +206,17 @@ def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm
 def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric form.
 
-    Exact symmetric elimination: diagonal pivots split off one square each;
-    a zero diagonal with a nonzero off-diagonal entry is a hyperbolic pair
-    contributing (1, 1).  No eigenvalues, no floats.  The form is taken one
-    connected component of the support graph of its nonzero entries at a
-    time (``support_components``): an index on no entry is a zero row, and
-    each component is eliminated on its own dense block, filled from the
-    nonzero entries; a diagonal form's inertia is a count of its signs.
+    The form is taken one connected component of the support graph of its
+    nonzero entries at a time (``support_components``): an index on no
+    entry is a zero row, and each component is read off the
+    ``char_poly`` of its dense block, filled from the nonzero entries.  A
+    symmetric matrix has only real eigenvalues, so once the factor x^z is
+    divided out, Descartes' rule of signs is exact: the sign changes of
+    the nonzero coefficients count the positive eigenvalues, the rest of
+    the degree the negative ones, and z the zero ones.  A diagonal form's
+    inertia is a count of its signs.  No floats.  The name is public and
+    stays: by Sylvester's law the inertia is the congruence invariant,
+    whichever way it is computed.
     """
     signs = [v.numerator for i, j, v in form.nonzero_entries if i == j]
     if len(signs) == len(form.nonzero_entries):
@@ -233,8 +225,13 @@ def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
     pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
     for block in dense_blocks(form, comps):
-        p, q, z = _eliminate(block)
-        pos, neg, zero = pos + p, neg + q, zero + z
+        coeffs = char_poly(block)
+        while not coeffs[-1]:  # divide out x^z
+            coeffs.pop()
+        positive = [c > 0 for c in coeffs if c]
+        p = sum(a != b for a, b in zip(positive, positive[1:]))
+        q = len(coeffs) - 1 - p
+        pos, neg, zero = pos + p, neg + q, zero + len(block) - p - q
     return pos, neg, zero
 
 
@@ -275,54 +272,6 @@ def dense_blocks(form: SymmetricForm, comps: Sequence[Sequence[int]]) -> list[Ma
         b = where[j][1]
         block[a][b] = block[b][a] = v
     return blocks
-
-
-def _eliminate(work: Matrix) -> tuple[int, int, int]:
-    """Inertia of a symmetric dense matrix, reducing ``work`` in place."""
-    idx = list(range(len(work)))
-    pos = neg = zero = 0
-    while idx:
-        # prefer a diagonal pivot
-        k = next((i for i in idx if work[i][i]), None)
-        if k is not None:
-            p = work[k][k]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            idx.remove(k)
-            col = {i: work[i][k] for i in idx}
-            for i in idx:
-                ci = col[i]
-                if not ci:
-                    continue
-                wi = work[i]
-                for j in idx:
-                    if col[j]:
-                        wi[j] -= ci * col[j] / p
-            continue
-        h = idx[0]
-        k = next((j for j in idx[1:] if work[h][j]), None)
-        if k is None:
-            # row h is zero on the remaining block
-            zero += 1
-            idx.remove(h)
-            continue
-        # hyperbolic pair on (h, k): both diagonal entries vanish here
-        p = work[h][k]
-        pos += 1
-        neg += 1
-        idx.remove(h)
-        idx.remove(k)
-        ch = {i: work[i][h] for i in idx}
-        ck = {i: work[i][k] for i in idx}
-        for i in idx:
-            wi = work[i]
-            for j in idx:
-                corr = ch[i] * ck[j] + ck[i] * ch[j]
-                if corr:
-                    wi[j] -= corr / p
-    return pos, neg, zero
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ Tests check the sparse library against these: the product of two dense
 matrices entry by entry, the dense identity, the canonical nullspace
 basis read off a ``RowReducer``'s pivot rows, the nullspace, row space
 and rank of a dense matrix (one ``RowReducer`` fed row by row), the
-inertia of a dense symmetric matrix eliminated whole, so(n) elements as
-coefficient vectors, with their bracket from the structure constants and
-their skew-symmetric matrices, the natural-reductive refinement by row
-reduction of its residuals over a whole family, the Killing comparison
-operator beta solved on a whole component at once, the geodesic
-curve with every entry of the generator and its powers computed densely,
+inertia of a dense symmetric matrix by symmetric elimination of the
+whole matrix, so(n) elements as coefficient vectors, with their bracket
+from the structure constants and their skew-symmetric matrices, the
+natural-reductive refinement by row reduction of its residuals over a
+whole family, the Killing comparison operator beta solved on a whole
+component at once, the geodesic curve with every entry of the generator and its powers computed densely,
 the Levi-Civita tensor U and the sectional numerators of any invariant
 metric on m from Besse's formula with commutators of dense matrices, and
 the curvature table's JSON, CSV and text as the library used to write
@@ -29,7 +29,6 @@ from gammasym.linalg import (
     ONE,
     ZERO,
     RowReducer,
-    _eliminate,
     char_poly,
     congruence_signature,
     frac,
@@ -85,6 +84,57 @@ def row_space_basis(vectors):
 
 def rank(matrix) -> int:
     return _reduced(matrix).rank
+
+
+def _eliminate(work) -> tuple[int, int, int]:
+    """Inertia of a symmetric dense matrix by exact symmetric elimination,
+    reducing ``work`` in place: diagonal pivots split off one square each,
+    and a zero diagonal with a nonzero off-diagonal entry is a hyperbolic
+    pair contributing (1, 1).  No eigenvalues, no floats."""
+    idx = list(range(len(work)))
+    pos = neg = zero = 0
+    while idx:
+        # prefer a diagonal pivot
+        k = next((i for i in idx if work[i][i]), None)
+        if k is not None:
+            p = work[k][k]
+            if p > 0:
+                pos += 1
+            else:
+                neg += 1
+            idx.remove(k)
+            col = {i: work[i][k] for i in idx}
+            for i in idx:
+                ci = col[i]
+                if not ci:
+                    continue
+                wi = work[i]
+                for j in idx:
+                    if col[j]:
+                        wi[j] -= ci * col[j] / p
+            continue
+        h = idx[0]
+        k = next((j for j in idx[1:] if work[h][j]), None)
+        if k is None:
+            # row h is zero on the remaining block
+            zero += 1
+            idx.remove(h)
+            continue
+        # hyperbolic pair on (h, k): both diagonal entries vanish here
+        p = work[h][k]
+        pos += 1
+        neg += 1
+        idx.remove(h)
+        idx.remove(k)
+        ch = {i: work[i][h] for i in idx}
+        ck = {i: work[i][k] for i in idx}
+        for i in idx:
+            wi = work[i]
+            for j in idx:
+                corr = ch[i] * ck[j] + ck[i] * ch[j]
+                if corr:
+                    wi[j] -= corr / p
+    return pos, neg, zero
 
 
 def signature(rows) -> tuple[int, int, int]:

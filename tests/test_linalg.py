@@ -168,10 +168,13 @@ nonzero = st.integers(1, 3).map(F) | st.integers(-3, -1).map(F)
 def sparse_forms(draw):
     """Gram rows of a block-diagonal symmetric form, indices shuffled.
 
-    The blocks are random symmetric blocks, zero-diagonal hyperbolic pairs
-    or lone zero rows; or the form has a single nonzero entry.
+    The blocks are random symmetric blocks up to 6 x 6, zero-diagonal
+    hyperbolic pairs, zero-diagonal blocks [[0, A], [A^T, 0]] of size up
+    to 6 with A of rank at most 2 (so a block can hold a zero eigenvalue
+    of multiplicity above 1), or lone zero rows; or the form has a single
+    nonzero entry.
     """
-    kind = draw(st.sampled_from(["blocks", "hyperbolic", "single"]))
+    kind = draw(st.sampled_from(["blocks", "hyperbolic", "low-rank", "single"]))
     if kind == "single":
         d = draw(st.integers(1, 6))
         i, j = sorted((draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))))
@@ -183,8 +186,18 @@ def sparse_forms(draw):
             if kind == "hyperbolic":
                 a = draw(nonzero)
                 blocks.append([[F(0), a], [a, F(0)]])
+            elif kind == "low-rank":
+                s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+                a = [[F(0)] * t for _ in range(s)]
+                for _ in range(draw(st.integers(1, 2))):
+                    x = draw(st.lists(small, min_size=s, max_size=s))
+                    y = draw(st.lists(small, min_size=t, max_size=t))
+                    a = [[a[p][q] + x[p] * y[q] for q in range(t)] for p in range(s)]
+                top = [[F(0)] * s + row for row in a]
+                bottom = [[a[p][q] for p in range(s)] + [F(0)] * t for q in range(t)]
+                blocks.append(top + bottom)
             else:
-                size = draw(st.integers(1, 4))
+                size = draw(st.integers(1, 6))
                 b = [[F(0)] * size for _ in range(size)]
                 for x in range(size):
                     for y in range(x, size):
