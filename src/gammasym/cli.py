@@ -90,16 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariant metrics and curvature for block-graded so(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "grade": "build the block grading and verify it",
-        "metrics": "solve for the invariant metric family",
-        "reductive": "refine the family by natural reductivity",
-        "curvature": "sectional curvature numerators for the adapted metric",
-        "lorentz": "search +-1 diagonal assignments for a Lorentzian member",
-        "geodesic": "sample a closed geodesic matrix curve",
-        "report": "write every stage document plus a checksum manifest",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--n", type=int, required=True, help=f"matrix size n of so(n), at most {MAX_N}"
@@ -181,16 +172,14 @@ def _write(path: Path, payload: bytes) -> None:
 # -- command bodies ---------------------------------------------------------
 
 
-def _run_grade(args: argparse.Namespace) -> str:
-    g = _grading(args)
+def _run_grade(args: argparse.Namespace, g: Grading) -> str:
     ok = verify_grading(g) is None
     if args.fmt == "text":
         return serialize.grading_text(g, ok)
     return serialize.dumps(serialize.grading_doc(g, ok))
 
 
-def _run_metrics(args: argparse.Namespace) -> str:
-    g = _grading(args)
+def _run_metrics(args: argparse.Namespace, g: Grading) -> str:
     family = invariant_family(g)
     refined = naturally_reductive_subfamily(family)
     evaluation = None
@@ -217,23 +206,16 @@ def _run_metrics(args: argparse.Namespace) -> str:
     return serialize.dumps(doc)
 
 
-def _run_reductive(args: argparse.Namespace) -> str:
-    g = _grading(args)
+def _run_reductive(args: argparse.Namespace, g: Grading) -> str:
     refined = naturally_reductive_subfamily(invariant_family(g))
     if args.fmt == "text":
         return serialize.reductive_text(refined)
     return serialize.dumps(serialize.reductive_doc(refined))
 
 
-def _curvature_table(g: Grading):
+def _run_curvature(args: argparse.Namespace, g: Grading) -> str:
     b_m = SymmetricForm.identity(len(g.complement_indices))
-    b_e = SymmetricForm.identity(len(g.fixed_indices))
-    return sectional_table(g, b_m, b_e)
-
-
-def _run_curvature(args: argparse.Namespace) -> str:
-    g = _grading(args)
-    table = _curvature_table(g)
+    table = sectional_table(g, b_m, SymmetricForm.identity(len(g.fixed_indices)))
     if args.fmt == "csv":
         return serialize.curvature_csv(table)
     if args.fmt == "text":
@@ -241,15 +223,14 @@ def _run_curvature(args: argparse.Namespace) -> str:
     return serialize.curvature_doc(g, table)
 
 
-def _run_lorentz(args: argparse.Namespace) -> str:
-    g = _grading(args)
+def _run_lorentz(args: argparse.Namespace, g: Grading) -> str:
     report = lorentzian_search(invariant_family(g))
     if args.fmt == "text":
         return serialize.lorentz_text(report)
     return serialize.dumps(serialize.lorentz_doc(g, report))
 
 
-def _run_geodesic(args: argparse.Namespace) -> str:
+def _run_geodesic(args: argparse.Namespace, g: Grading) -> str:
     text = args.t_samples
     tokens = [tok.strip() for tok in text.split(",")]
     if not any(tokens):
@@ -257,7 +238,6 @@ def _run_geodesic(args: argparse.Namespace) -> str:
     bad = [tok for k, tok in enumerate(tokens) if not tok or tok in tokens[:k]]
     if bad:
         raise CommandError(f"--t-samples entry {bad[0]!r} is empty or repeated in {text!r}")
-    g = _grading(args)
     idx = _generator_index(g, args.generator)
     label = g.algebra.basis_label(idx)
     curve = geodesic_curve(g.algebra.basis_matrix(idx))
@@ -275,35 +255,29 @@ def _run_geodesic(args: argparse.Namespace) -> str:
     return serialize.dumps(serialize.geodesic_doc(g, label, curve, samples))
 
 
-def _run_report(args: argparse.Namespace) -> str:
+# each report file but the connection is the output of one subcommand and format
+_REPORT_FILES = {
+    "grade.json": (_run_grade, "json"),
+    "family.json": (_run_metrics, "json"),
+    "reductive.json": (_run_reductive, "json"),
+    "curvature.json": (_run_curvature, "json"),
+    "curvature.csv": (_run_curvature, "csv"),
+    "lorentz.json": (_run_lorentz, "json"),
+}
+
+
+def _run_report(args: argparse.Namespace, g: Grading) -> str:
     if args.out is None:
         raise CommandError("report requires --out DIRECTORY")
-    g = _grading(args)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CommandError(f"cannot create --out directory {args.out!r}: {exc.strerror or exc}")
-    ok = verify_grading(g) is None
-    family = invariant_family(g)
-    refined = naturally_reductive_subfamily(family)
-    table = _curvature_table(g)
-    asr = ambrose_singer_check(
-        g, SymmetricForm.identity(len(g.complement_indices))
-    )
-    lor = lorentzian_search(family)
-
-    docs: dict[str, str] = {
-        "grade.json": serialize.dumps(serialize.grading_doc(g, ok)),
-        "family.json": serialize.dumps(
-            serialize.family_doc(family, refined.dimension)
-        ),
-        "reductive.json": serialize.dumps(serialize.reductive_doc(refined)),
-        "curvature.json": serialize.curvature_doc(g, table),
-        "curvature.csv": serialize.curvature_csv(table),
-        "connection.json": serialize.dumps(serialize.connection_doc(g, asr)),
-        "lorentz.json": serialize.dumps(serialize.lorentz_doc(g, lor)),
-    }
+    asr = ambrose_singer_check(g, SymmetricForm.identity(len(g.complement_indices)))
+    docs = {"connection.json": serialize.dumps(serialize.connection_doc(g, asr))}
+    for name, (run, fmt) in _REPORT_FILES.items():
+        docs[name] = run(argparse.Namespace(fmt=fmt, params=None), g)
     payloads = {name: docs[name].encode("utf-8") for name in sorted(docs)}
     for name, payload in payloads.items():
         _write(outdir / name, payload)
@@ -312,14 +286,14 @@ def _run_report(args: argparse.Namespace) -> str:
     return f"wrote {len(docs) + 1} files to {outdir}\n"
 
 
-_RUNNERS = {
-    "grade": _run_grade,
-    "metrics": _run_metrics,
-    "reductive": _run_reductive,
-    "curvature": _run_curvature,
-    "lorentz": _run_lorentz,
-    "geodesic": _run_geodesic,
-    "report": _run_report,
+_COMMANDS = {
+    "grade": ("build the block grading and verify it", _run_grade),
+    "metrics": ("solve for the invariant metric family", _run_metrics),
+    "reductive": ("refine the family by natural reductivity", _run_reductive),
+    "curvature": ("sectional curvature numerators for the adapted metric", _run_curvature),
+    "lorentz": ("search +-1 diagonal assignments for a Lorentzian member", _run_lorentz),
+    "geodesic": ("sample a closed geodesic matrix curve", _run_geodesic),
+    "report": ("write every stage document plus a checksum manifest", _run_report),
 }
 
 
@@ -328,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command not in ("curvature", "report") and args.fmt == "csv":
             raise CommandError(f"csv format is not supported for '{args.command}'")
-        payload = _RUNNERS[args.command](args)
+        payload = _COMMANDS[args.command][1](args, _grading(args))
         if args.out is not None and args.command != "report":
             _write(Path(args.out), payload.encode("utf-8"))
         else:

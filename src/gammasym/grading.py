@@ -77,9 +77,6 @@ class Grading(_Grading):
                 )
         return self
 
-    def degree(self, k: int) -> GroupElement:
-        return self.assignment[k]
-
     @cached_property
     def _by_mask(self) -> dict[int, tuple[int, ...]]:
         """Each mask that occurs -> its basis indices in order; all elements have
@@ -275,9 +272,6 @@ class HolonomySpan(NamedTuple):
     @property
     def total_dim(self) -> int:
         return len(self.total)
-
-    def spans_fixed_part(self) -> bool:
-        return self.total_dim == len(self.fixed_indices)
 
 
 def holonomy_span(grading: Grading) -> HolonomySpan:

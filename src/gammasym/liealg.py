@@ -74,14 +74,6 @@ class LieAlgebra:
         m[i][j], m[j][i] = ONE, MINUS_ONE
         return m
 
-    def bracket_basis(self, p: int, q: int) -> BracketTerms:
-        """[E_p, E_q] as sparse terms over the basis."""
-        if p == q:
-            return ()
-        if p < q:
-            return self._table.get((p, q), ())
-        return tuple((k, -c) for k, c in self._table.get((q, p), ()))
-
     def structure_constants(self) -> MappingProxyType[tuple[int, int], BracketTerms]:
         """Sparse map (p, q) -> terms of [E_p, E_q], for p < q, in lexicographic
         order of (p, q); pairs with a zero bracket are absent.  A read-only

@@ -162,15 +162,6 @@ class SymmetricForm(_SymmetricForm):
             out[i][j] = out[j][i] = v
         return out
 
-    def apply(self, x: Sequence, y: Sequence) -> Fraction:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length does not match form dimension")
-        x, y = [frac(c) for c in x], [frac(c) for c in y]
-        total = ZERO
-        for i, j, v in self.nonzero_entries:
-            total += v * (x[i] * y[j] + x[j] * y[i] if i != j else x[i] * y[i])
-        return total
-
     def restrict(self, indices: Sequence[int]) -> "SymmetricForm":
         """The form on the span of the basis vectors ``indices`` (distinct),
         in that order."""

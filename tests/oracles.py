@@ -5,8 +5,10 @@ matrices entry by entry, the dense identity, the canonical nullspace
 basis read off a ``RowReducer``'s pivot rows, the nullspace, row space
 and rank of a dense matrix (one ``RowReducer`` fed row by row), the
 inertia of a dense symmetric matrix by symmetric elimination of the
-whole matrix, so(n) elements as coefficient vectors, with their bracket
-from the structure constants and their skew-symmetric matrices, the
+whole matrix, the value B(x, y) of a form over its dense Gram matrix,
+the bracket of two basis vectors read off the structure constants by
+skew-symmetry, so(n) elements as coefficient vectors, with their bracket
+and their skew-symmetric matrices, the
 natural-reductive refinement by row reduction of its residuals over a
 whole family, the Killing comparison operator beta solved on a whole
 component at once, the geodesic curve with every entry of the generator and its powers computed densely,
@@ -151,7 +153,7 @@ def classify(form, grading, carrier, order):
         raise ValueError("zero form in family basis")
     first = entries[0][0]
     has_diag = any(i == j for i, j, _ in entries)
-    label = grading.degree(carrier[first]).label
+    label = grading.assignment[carrier[first]].label
     sub = grading.subblock(carrier[first]) or label
     kind = "diag" if has_diag else "offdiag"
     subblocks = list(_SUBBLOCK.values())
@@ -219,15 +221,34 @@ def basis_vector(alg, k):
     return v
 
 
+def bracket_basis(alg, p, q):
+    """[E_p, E_q] as sparse terms over the basis, read off the structure
+    constants (stored for p < q) by skew-symmetry."""
+    table = alg.structure_constants()
+    if p <= q:
+        return table.get((p, q), ())
+    return tuple((k, -c) for k, c in table.get((q, p), ()))
+
+
 def bracket(alg, x, y):
     """[x, y] for coefficient vectors over the so(n) basis, exactly."""
     out = zeros(alg.dim)
     ny = [(q, c) for q, c in enumerate(y) if c]
     for p, cx in enumerate(x):
         for q, cy in ny if cx else ():
-            for k, s in alg.bracket_basis(p, q):
+            for k, s in bracket_basis(alg, p, q):
                 out[k] += cx * cy * s
     return out
+
+
+def form_value(form, x, y):
+    """B(x, y), the sum of x_i B_ij y_j over the dense Gram matrix."""
+    total = ZERO
+    for a, row in zip(x, form.rows(), strict=True):
+        for b, c in zip(row, y, strict=True):
+            if a and b:
+                total += frac(a) * b * frac(c)
+    return total
 
 
 def vector_to_matrix(alg, x):

@@ -287,6 +287,34 @@ def test_report_requires_out(capsys):
     assert "--out" in run_err(capsys, ["report", *SO5])
 
 
+def test_n_and_partition_are_checked_first(capsys):
+    bad = ["--n", "5", "--partition", "2,2,2,0"]
+    assert "partition" in run_err(capsys, ["report", *bad])
+    assert "partition" in run_err(capsys, ["geodesic", *bad, "--t-samples", ""])
+
+
+# each report file but connection.json, with the subcommand and format
+# whose stdout it is
+REPORT_SOURCES = {
+    "grade.json": ["grade"],
+    "family.json": ["metrics"],
+    "reductive.json": ["reductive"],
+    "curvature.json": ["curvature"],
+    "curvature.csv": ["curvature", "--format", "csv"],
+    "lorentz.json": ["lorentz"],
+}
+
+
+@pytest.mark.parametrize("part", ["3,0,0,0", "1,1,1,1", "2,2,1,0", "1,1,3,0"])
+def test_report_files_are_what_the_subcommands_print(tmp_path, capsys, part):
+    args = ["--n", str(sum(map(int, part.split(",")))), "--partition", part]
+    outdir = tmp_path / "rep"
+    run_ok(capsys, ["report", *args, "--out", str(outdir)])
+    for name, (cmd, *fmt) in REPORT_SOURCES.items():
+        printed = run_ok(capsys, [cmd, *args, *fmt]).encode("utf-8")
+        assert (outdir / name).read_bytes() == printed, name
+
+
 def test_unwritable_out_is_a_user_error(tmp_path, capsys):
     existing = tmp_path / "taken"
     existing.write_text("")
@@ -336,6 +364,7 @@ MANIFEST_SHA256 = {
     ("21", "5,5,5,6"): "62555e968ce031dce0c8b0ccd6771acb545f36ad58bfbbd2628a54724bf21f78",
     ("29", "7,7,7,8"): "2d2562eb63658a26f1a5e2631457e0fcbde233f464dfc12313646170cac4c139",
     ("37", "9,9,9,10"): "f99a07a421ca632424f9bd4ae4b96b1a76d96d38f5a4b4487e6f5fe9308126e1",
+    ("55", "13,14,14,14"): "455f5c0d26e2cace3a589ec0ce5f4aed60becd9a01783b56e8a88f1fc92e4154",
 }
 
 

@@ -101,7 +101,7 @@ def dense_route(g, x, y, z):
     """Torsion and both curvatures from the dense bracket and a projection
     by degree, with no use of the split."""
     alg = g.algebra
-    fixed = [g.degree(k).is_identity() for k in range(alg.dim)]
+    fixed = [g.assignment[k].is_identity() for k in range(alg.dim)]
 
     def m_part(v):
         return [F(0) if fixed[k] else c for k, c in enumerate(v)]

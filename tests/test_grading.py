@@ -6,7 +6,7 @@ import pytest
 from gammasym.grading import ComponentView, Grading, block_grading, holonomy_span, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
 from gammasym.liealg import LieAlgebra, build_so
-from oracles import row_space_basis
+from oracles import bracket_basis, row_space_basis
 
 F = Fraction
 
@@ -70,9 +70,9 @@ def test_degree_is_multiplicative_on_brackets():
     alg = g.algebra
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
-            expected = g.degree(p) * g.degree(q)
-            for k, _ in alg.bracket_basis(p, q):
-                assert g.degree(k) == expected
+            expected = g.assignment[p] * g.assignment[q]
+            for k, _ in bracket_basis(alg, p, q):
+                assert g.assignment[k] == expected
 
 
 def test_corruption_yields_witness():
@@ -100,17 +100,17 @@ def test_corruption_yields_witness():
     def first_hit():
         for p in range(alg.dim):
             for q in range(p + 1, alg.dim):
-                expected = g.degree(p) * g.degree(q)
-                for k, _ in alg.bracket_basis(p, q):
-                    if g.degree(k) != expected:
-                        return (p, q, k, expected.label, g.degree(k).label)
+                expected = g.assignment[p] * g.assignment[q]
+                for k, _ in bracket_basis(alg, p, q):
+                    if g.assignment[k] != expected:
+                        return (p, q, k, expected.label, g.assignment[k].label)
         return None
 
     corrupted = set()
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             for wrong in range(alg.dim):
-                if g.degree(wrong) == g.degree(p) * g.degree(q):
+                if g.assignment[wrong] == g.assignment[p] * g.assignment[q]:
                     continue
                 alg._table[(p, q)] = ((wrong, F(-1)),)
                 w = verify_grading(g)
@@ -183,7 +183,7 @@ def test_component_by_mask_matches_element_equality():
 
 def test_complement_ordering_is_component_contiguous():
     g = block_grading(5, (2, 1, 1, 1))
-    labels = [g.degree(k).label for k in g.complement_indices]
+    labels = [g.assignment[k].label for k in g.complement_indices]
     assert labels == sorted(labels, key=["a", "b", "c"].index)
     # and fixed part is excluded
     assert set(g.complement_indices).isdisjoint(g.fixed_indices)
@@ -253,7 +253,7 @@ def test_holonomy_spans_fixed_part():
     for (n, part), per in expectations.items():
         hs = holonomy_span(block_grading(n, part))
         assert {k: len(v) for k, v in hs.by_component.items()} == per
-        assert hs.spans_fixed_part()
+        assert hs.total_dim == len(hs.fixed_indices)
 
 
 def test_holonomy_matches_row_space_route():
@@ -292,7 +292,7 @@ def test_holonomy_abelian_toy():
     hs = holonomy_span(block_grading(3, (1, 1, 1, 0)))
     assert hs.fixed_indices == ()
     assert hs.total == []
-    assert hs.spans_fixed_part()
+    assert hs.total_dim == len(hs.fixed_indices)
 
 
 def test_grading_assignment_length_checked():

@@ -3,12 +3,14 @@
 numpy and scipy load only where a caller asks for an ndarray; dataclasses
 (and the inspect it pulls in) never load, and hashlib only where ``report``
 writes its manifest; every exported name exists; the benchmark's tracer
-still finds every entry point it wraps.
+still finds every entry point it wraps; the README states the line count
+of ``src/``.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,3 +175,12 @@ def test_no_module_imports_a_name_it_never_uses():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def test_readme_states_the_src_line_count():
+    """The README's "`src/` holds N lines" is the `wc -l src/gammasym/*.py`
+    total, the count the roadmap tracks."""
+    root = Path(__file__).resolve().parents[1]
+    total = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "gammasym").glob("*.py"))
+    stated = re.findall(r"`src/` holds ([\d,]+) lines", (root / "README.md").read_text())
+    assert stated == [f"{total:,}"]

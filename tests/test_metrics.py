@@ -24,6 +24,7 @@ from gammasym.metrics import (
 from oracles import (
     basis_vector,
     bracket,
+    bracket_basis,
     classify,
     dense_killing_metric_operator,
     mat_mul,
@@ -261,9 +262,9 @@ def invariant_on(g, form, carrier):
         for x in carrier:
             for y in carrier:
                 total = F(0)
-                for r, c in alg.bracket_basis(z, g.complement_indices[x]):
+                for r, c in bracket_basis(alg, z, g.complement_indices[x]):
                     total += c * form.entry(local[r], y)
-                for r, c in alg.bracket_basis(z, g.complement_indices[y]):
+                for r, c in bracket_basis(alg, z, g.complement_indices[y]):
                     total += c * form.entry(x, local[r])
                 if total:
                     return False
@@ -319,9 +320,9 @@ def test_family_members_are_invariant():
             for x in range(len(carrier)):
                 for y in range(x, len(carrier)):
                     total = F(0)
-                    for r, c in alg.bracket_basis(z, carrier[x]):
+                    for r, c in bracket_basis(alg, z, carrier[x]):
                         total += c * b.entry(local[r], y)
-                    for r, c in alg.bracket_basis(z, carrier[y]):
+                    for r, c in bracket_basis(alg, z, carrier[y]):
                         total += c * b.entry(x, local[r])
                     assert total == 0
 
@@ -346,10 +347,10 @@ def test_family_matches_dense_nullspace_route():
                 for a in range(comp.dim):
                     for b in range(a, comp.dim):
                         row = [F(0)] * len(unknowns)
-                        for r, c in alg.bracket_basis(z, comp.indices[a]):
+                        for r, c in bracket_basis(alg, z, comp.indices[a]):
                             x, y = sorted((local[r], b))
                             row[col[(comp.label, x, y)]] += c
-                        for r, c in alg.bracket_basis(z, comp.indices[b]):
+                        for r, c in bracket_basis(alg, z, comp.indices[b]):
                             x, y = sorted((a, local[r]))
                             row[col[(comp.label, x, y)]] += c
                         if any(row):

@@ -30,6 +30,7 @@ from gammasym.metrics import (
 from oracles import (
     basis_vector,
     bracket,
+    bracket_basis,
     nullspace_basis,
     rank,
     reductivity_rows,
@@ -48,10 +49,10 @@ SMALL_PARTITIONS = st.integers(3, 6).flatmap(lambda n: st.sampled_from(compositi
 
 def brute_split(g):
     alg = g.algebra
-    fixed = [k for k in range(alg.dim) if g.degree(k).is_identity()]
+    fixed = [k for k in range(alg.dim) if g.assignment[k].is_identity()]
     carrier = sorted(
-        (k for k in range(alg.dim) if not g.degree(k).is_identity()),
-        key=lambda k: (g.degree(k).bits, k),
+        (k for k in range(alg.dim) if not g.assignment[k].is_identity()),
+        key=lambda k: (g.assignment[k].bits, k),
     )
     pos_m = {k: t for t, k in enumerate(carrier)}
     pos_e = {k: t for t, k in enumerate(fixed)}
@@ -60,7 +61,7 @@ def brute_split(g):
     em = [{} for _ in fixed]
     for x, p in enumerate(carrier):
         for y, q in enumerate(carrier):
-            terms = alg.bracket_basis(p, q)
+            terms = bracket_basis(alg, p, q)
             in_m = tuple((pos_m[k], c) for k, c in terms if k in pos_m)
             in_e = tuple((pos_e[k], c) for k, c in terms if k in pos_e)
             if in_m:
@@ -69,7 +70,7 @@ def brute_split(g):
                 me[x][y] = in_e
     for z, p in enumerate(fixed):
         for x, q in enumerate(carrier):
-            terms = alg.bracket_basis(p, q)
+            terms = bracket_basis(alg, p, q)
             if terms:
                 em[z][x] = tuple((pos_m[k], c) for k, c in terms)
     return tuple(fixed), tuple(carrier), (mm, me, em)
@@ -86,7 +87,7 @@ def test_split_matches_brute_force():
             assert g.split == split
             slices = {label: tuple(carrier[t] for t in sl) for label, sl in g.carrier_slices.items()}
             assert slices == {
-                gamma.label: tuple(k for k in carrier if g.degree(k) == gamma)
+                gamma.label: tuple(k for k in carrier if g.assignment[k] == gamma)
                 for gamma in enumerate_group(2)[1:]
             }
             count += 1
