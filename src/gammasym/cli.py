@@ -13,10 +13,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import serialize
-from .geometry import ambrose_singer_check, geodesic_curve, sectional_table
+from .geometry import geodesic_curve, sectional_table
 from .grading import Grading, block_grading, verify_grading
 from .linalg import SymmetricForm, congruence_signature
 from .metrics import (
@@ -25,6 +25,9 @@ from .metrics import (
     lorentzian_search,
     naturally_reductive_subfamily,
 )
+
+if TYPE_CHECKING:  # pathlib loads only in report and --out
+    from pathlib import Path
 
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
@@ -269,13 +272,13 @@ _REPORT_FILES = {
 def _run_report(args: argparse.Namespace, g: Grading) -> str:
     if args.out is None:
         raise CommandError("report requires --out DIRECTORY")
+    from pathlib import Path  # loaded only where a file is written
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CommandError(f"cannot create --out directory {args.out!r}: {exc.strerror or exc}")
-    asr = ambrose_singer_check(g, SymmetricForm.identity(len(g.complement_indices)))
-    docs = {"connection.json": serialize.dumps(serialize.connection_doc(g, asr))}
+    docs = {"connection.json": serialize.dumps(serialize.connection_doc(g))}
     for name, (run, fmt) in _REPORT_FILES.items():
         docs[name] = run(argparse.Namespace(fmt=fmt, params=None), g)
     payloads = {name: docs[name].encode("utf-8") for name in sorted(docs)}
@@ -304,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CommandError(f"csv format is not supported for '{args.command}'")
         payload = _COMMANDS[args.command][1](args, _grading(args))
         if args.out is not None and args.command != "report":
+            from pathlib import Path
             _write(Path(args.out), payload.encode("utf-8"))
         else:
             sys.stdout.write(payload)

@@ -61,8 +61,9 @@ def _apply(partners: Partners, x: Local, y: Local) -> Local:
     for a, ca in x.items():
         row = partners[a]
         for b, cb in y.items():
-            for l, c in row.get(b, ()):
-                out[l] = out.get(l, ZERO) + ca * cb * c
+            if b in row:
+                l, s = row[b]
+                out[l] = out.get(l, ZERO) + ca * cb * s
     return out
 
 

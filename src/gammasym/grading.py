@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .groups import GroupElement, enumerate_group, identity
-from .liealg import MINUS_ONE, BracketTerms, LieAlgebra, build_so
+from .liealg import LieAlgebra, build_so
 from .linalg import ONE, Vector, ZERO
 
 # sub-block names for the rank-2 block gradings, keyed by the pair of
@@ -30,9 +30,9 @@ _SUBBLOCK = {
 }
 
 # A restricted bracket as partner lists: entry x maps each y with a nonzero
-# bracket to its terms, all indices local (positions in complement_indices
-# or fixed_indices).
-Partners = list[dict[int, BracketTerms]]
+# bracket s E_l to the record (l, s), the sign s the int 1 or -1 and all
+# indices local (positions in complement_indices or fixed_indices).
+Partners = list[dict[int, tuple[int, int]]]
 
 
 class ComponentView(NamedTuple):
@@ -138,13 +138,12 @@ class Grading(_Grading):
     def split(self) -> tuple[Partners, Partners, Partners]:
         """The brackets restricted to m and to g_e, in local coordinates.
 
-        Returns (mm, me, em): ``mm[x][y]`` are the terms of [E_x, E_y]_m and
-        ``me[x][y]`` those of [E_x, E_y]_{g_e}, for complement positions x,
-        y; ``em[z][x]`` are the terms of [Z_z, E_x], for a g_e position z.
-        Only nonzero brackets are listed, each with its one structure
-        constant term, a +-1 that the reductivity, contraction and sectional
-        kernels read as a sign; [E_q, E_p] takes the other of the shared
-        constants ``ONE`` and ``MINUS_ONE``.  Raises ValueError if
+        Returns (mm, me, em): ``mm[x][y]`` is the record (l, s) of
+        [E_x, E_y]_m = s E_l and ``me[x][y]`` that of [E_x, E_y]_{g_e}, for
+        complement positions x, y; ``em[z][x]`` is that of [Z_z, E_x], for
+        a g_e position z.  Only nonzero brackets are listed: each is one
+        structure constant, so l is a local position and s the int 1 or -1,
+        and [E_q, E_p] has the record (l, -s).  Raises ValueError if
         ``verify_grading``, run here when the split is first built, finds a
         violation; additivity has that one implementation, and its verdict
         is not stored on the grading.
@@ -159,18 +158,17 @@ class Grading(_Grading):
         mm: Partners = [{} for _ in self.complement_indices]
         me: Partners = [{} for _ in self.complement_indices]
         em: Partners = [{} for _ in self.fixed_indices]
-        for (p, q), ((k, c),) in self.algebra.structure_constants().items():
-            neg = MINUS_ONE if c.numerator > 0 else ONE
+        for (p, q), ((k, s),) in self.algebra.structure_constants().items():
             term = local[k]
-            for a, b, coef in ((p, q, c), (q, p, neg)):
+            for a, b, sign in ((p, q, s), (q, p, -s)):
                 if not in_m[b]:
                     continue
                 if not in_m[a]:
-                    em[local[a]][local[b]] = ((term, coef),)
+                    em[local[a]][local[b]] = (term, sign)
                 elif in_m[k]:  # one component holds the term
-                    mm[local[a]][local[b]] = ((term, coef),)
+                    mm[local[a]][local[b]] = (term, sign)
                 else:
-                    me[local[a]][local[b]] = ((term, coef),)
+                    me[local[a]][local[b]] = (term, sign)
         return mm, me, em
 
     @cached_property
@@ -291,7 +289,7 @@ def holonomy_span(grading: Grading) -> HolonomySpan:
     per: dict[str, list[Vector]] = {}
     pooled: set[int] = set()
     for label, carrier in grading.carrier_slices.items():
-        hit = {t for a in carrier for ((t, _),) in me[a].values()}
+        hit = {t for a in carrier for t, _ in me[a].values()}
         per[label] = units(hit)
         pooled |= hit
     return HolonomySpan(fixed, per, units(pooled))

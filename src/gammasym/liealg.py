@@ -6,20 +6,19 @@ form of the matrix commutators E_ij E_kl - E_kl E_ij and are stored
 sparsely; for this basis a bracket of two basis elements has at most one
 nonzero term, and only basis pairs sharing exactly one index have one.
 
-Elements of the algebra are coefficient vectors over this basis (exact
-rationals); ``basis_matrix`` gives the n x n matrix of a basis element.
+Each structure constant is the int 1 or -1.  Elements of the algebra are
+coefficient vectors over this basis (exact rationals); ``basis_matrix``
+gives the n x n matrix of a basis element.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import ONE, Matrix, SymmetricForm, ZERO
 
-MINUS_ONE = -ONE
-
-BracketTerms = tuple[tuple[int, Fraction], ...]
+# the terms (k, s) of a bracket s E_k, s the int 1 or -1
+BracketTerms = tuple[tuple[int, int], ...]
 
 
 class LieAlgebra:
@@ -55,11 +54,11 @@ class LieAlgebra:
             for q in sorted(q for q in {*touching[a], *touching[b]} if q > p):
                 c, d = self.pairs[q]
                 if b == c:
-                    term = (self.pair_index[(a, d)], ONE)
+                    term = (self.pair_index[(a, d)], 1)
                 elif a == c:
-                    term = (self.pair_index[(b, d)], MINUS_ONE)
+                    term = (self.pair_index[(b, d)], -1)
                 else:
-                    term = (self.pair_index[(a, c)], MINUS_ONE)
+                    term = (self.pair_index[(a, c)], -1)
                 self._table[(p, q)] = (term,)
 
     # -- basic data ----------------------------------------------------
@@ -71,7 +70,7 @@ class LieAlgebra:
     def basis_matrix(self, k: int) -> Matrix:
         m = [[ZERO] * self.n for _ in range(self.n)]
         i, j = self.pairs[k]
-        m[i][j], m[j][i] = ONE, MINUS_ONE
+        m[i][j], m[j][i] = ONE, -ONE
         return m
 
     def structure_constants(self) -> MappingProxyType[tuple[int, int], BracketTerms]:

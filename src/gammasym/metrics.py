@@ -147,19 +147,18 @@ def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fractio
     """
     mm, _, _ = grading.split
     den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
-    # l -> [(z, den B(E_l, E_z), -den B(E_l, E_z))], each entry in both orders
-    by_row: list[list[tuple[int, int, int]]] = [[] for _ in mm]
+    # l -> [(z, den B(E_l, E_z))], each entry in both orders
+    by_row: list[list[tuple[int, int]]] = [[] for _ in mm]
     for i, j, e in form.nonzero_entries:
         v = e.numerator * (den // e.denominator)
-        by_row[i].append((j, v, -v))
+        by_row[i].append((j, v))
         if i != j:
-            by_row[j].append((i, v, -v))
+            by_row[j].append((i, v))
     for partners in mm:
         skew: dict[tuple[int, int], int] = {}
-        for y, ((l, c),) in partners.items():
-            up = c.numerator > 0
-            for z, e, neg in by_row[l]:
-                v = e if up else neg
+        for y, (l, s) in partners.items():
+            for z, e in by_row[l]:
+                v = s * e
                 if z == y:
                     v += v
                 key = (y, z) if y < z else (z, y)
@@ -356,9 +355,9 @@ def killing_metric_operator(
     witness = None
     for z in grading.fixed_generators:
         left, right = {}, {}  # ad(Z) beta and beta ad(Z), with [Z, E_x] = +-E_r read as a sign
-        for x, ((r, c),) in em[z].items():
+        for x, (r, s) in em[z].items():
             if x in carrier:
-                src, dst, up = x - carrier.start, r - carrier.start, c.numerator > 0
+                src, dst, up = x - carrier.start, r - carrier.start, s > 0
                 for j, v, neg in by_row[src]:
                     left[dst, j] = v if up else neg
                 for i, v, neg in by_col[dst]:

@@ -183,9 +183,9 @@ def reductivity_rows(grading, forms):
                 by_row[j].append((i, k, e, -e))
     for partners in mm:
         skew = {}
-        for y, ((l, c),) in partners.items():
+        for y, (l, c) in partners.items():
             for z, k, e, neg in by_row[l]:
-                v = e if c.numerator > 0 else neg
+                v = e if c > 0 else neg
                 if z == y:
                     v += v
                 cell = skew.setdefault((y, z) if y < z else (z, y), {})
@@ -284,7 +284,7 @@ def dense_killing_metric_operator(grading, form, gamma):
         left = [[ZERO] * d for _ in range(d)]
         right = [[ZERO] * d for _ in range(d)]
         for x in carrier:
-            for r, c in em[z].get(x, ()):
+            for r, c in [em[z][x]] if x in em[z] else []:
                 src, dst = x - carrier.start, r - carrier.start
                 for j in range(d):
                     left[dst][j] += c * beta[src][j]

@@ -274,11 +274,10 @@ def test_holonomy_matches_row_space_route():
         for label, carrier in g.carrier_slices.items():
             vecs = []
             for a in carrier:
-                for b, terms in me[a].items():
+                for b, (t, c) in me[a].items():
                     if b > a:
                         v = [F(0)] * len(g.fixed_indices)
-                        for t, c in terms:
-                            v[t] = c
+                        v[t] = c
                         vecs.append(v)
             per[label] = row_space_basis(vecs)
             pooled.extend(per[label])

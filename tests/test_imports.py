@@ -1,10 +1,10 @@
 """What importing gammasym loads and exports.
 
 numpy and scipy load only where a caller asks for an ndarray; dataclasses
-(and the inspect it pulls in) never load, and hashlib only where ``report``
-writes its manifest; every exported name exists; the benchmark's tracer
-still finds every entry point it wraps; the README states the line count
-of ``src/``.
+(and the inspect it pulls in) never load, hashlib only where ``report``
+writes its manifest, and pathlib only where a file is written; every
+exported name exists; the benchmark's tracer still finds every entry point
+it wraps; the README states the line count of ``src/``.
 """
 
 import ast
@@ -52,11 +52,13 @@ SUBCOMMANDS = pytest.mark.parametrize(
 )
 
 
-def loaded_modules(body: str, *args: str, roots: tuple[str, ...] = HEAVY) -> list[str]:
+def loaded_modules(
+    body: str, *args: str, roots: tuple[str, ...] = HEAVY, flags: tuple[str, ...] = ()
+) -> list[str]:
     path = [SRC, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body, roots=roots), *args],
+        [sys.executable, *flags, "-c", PROBE.format(body=body, roots=roots), *args],
         env=env,
         capture_output=True,
         text=True,
@@ -88,6 +90,17 @@ def test_only_report_loads_hashlib(argv, tmp_path):
     args = [a.replace("{tmp}", str(tmp_path / "report")) for a in argv]
     want = ["hashlib"] if argv[0] == "report" else []
     assert loaded_modules(RUN_MAIN, *args, roots=STARTUP) == want
+
+
+def test_only_writing_a_file_loads_pathlib(tmp_path):
+    """``report`` and ``--out`` load pathlib where they write; importing the
+    CLI and printing to stdout do not.  Run with -S, since the site module
+    may load pathlib on its own."""
+    probe = dict(roots=("pathlib",), flags=("-S",))
+    assert loaded_modules("import gammasym.cli", **probe) == []
+    assert loaded_modules(RUN_MAIN, "grade", *SO5, **probe) == []
+    out = str(tmp_path / "grade.json")
+    assert loaded_modules(RUN_MAIN, "grade", *SO5, "--out", out, **probe) == ["pathlib"]
 
 
 def test_float_oracle_still_returns_ndarrays():

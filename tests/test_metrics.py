@@ -158,7 +158,7 @@ def family_by_row_reduction(g):
         for action in (em[z] for z in g.fixed_generators):
             for x in sl:
                 for y in sl:
-                    ax, ay = action.get(x, ()), action.get(y, ())
+                    ax, ay = ([action[v]] if v in action else [] for v in (x, y))
                     if not ax or (ay and y < x):
                         continue
                     row = {}

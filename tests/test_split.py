@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group
+from gammasym.liealg import build_so
 from gammasym.linalg import RowReducer, SymmetricForm
 from gammasym.metrics import (
     FormFamily,
@@ -62,17 +63,17 @@ def brute_split(g):
     for x, p in enumerate(carrier):
         for y, q in enumerate(carrier):
             terms = bracket_basis(alg, p, q)
-            in_m = tuple((pos_m[k], c) for k, c in terms if k in pos_m)
-            in_e = tuple((pos_e[k], c) for k, c in terms if k in pos_e)
+            in_m = [(pos_m[k], c) for k, c in terms if k in pos_m]
+            in_e = [(pos_e[k], c) for k, c in terms if k in pos_e]
             if in_m:
-                mm[x][y] = in_m
+                (mm[x][y],) = in_m  # a record holds one term; two fail here
             if in_e:
-                me[x][y] = in_e
+                (me[x][y],) = in_e
     for z, p in enumerate(fixed):
         for x, q in enumerate(carrier):
             terms = bracket_basis(alg, p, q)
             if terms:
-                em[z][x] = tuple((pos_m[k], c) for k, c in terms)
+                (em[z][x],) = [(pos_m[k], c) for k, c in terms]
     return tuple(fixed), tuple(carrier), (mm, me, em)
 
 
@@ -92,6 +93,26 @@ def test_split_matches_brute_force():
             }
             count += 1
     assert count == 315
+
+
+def test_structure_constants_and_split_records_are_int_signs():
+    """A structure constant of so(n) is the int 1 or -1, and a split record
+    is the flat pair (local index, sign).  The table keeps each value a
+    1-tuple ((k, s),), the terms of one bracket, because the benchmark's
+    tracer counts ``liealg.table_terms`` as the summed length of the values,
+    and a flat pair would double that count."""
+    for n in range(3, 8):
+        for terms in build_so(n).structure_constants().values():
+            assert type(terms) is tuple
+            ((k, s),) = terms
+            assert type(k) is int and type(s) is int and s in (1, -1)
+        for part in compositions(n):
+            for partners in block_grading(n, part).split:
+                for row in partners:
+                    for record in row.values():
+                        assert type(record) is tuple and len(record) == 2
+                        l, s = record
+                        assert type(l) is int and type(s) is int and s in (1, -1)
 
 
 def test_split_needs_a_verified_grading():
