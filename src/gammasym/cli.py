@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pathlib loads only in report and --out
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
 # The largest accepted --n, set when ``report`` at a balanced partition took
-# 58 s at n=55 and grew about as n^5; it now takes 2.7 s there, with a 200 MB
+# 58 s at n=55 and grew about as n^5; it now takes 2.5 s there, with a 195 MB
 # peak RSS (median of 7 runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
 # It stays 55 until the bound is re-derived from a measured grid.
 MAX_N = 55

@@ -159,16 +159,14 @@ class Grading(_Grading):
         me: Partners = [{} for _ in self.complement_indices]
         em: Partners = [{} for _ in self.fixed_indices]
         for (p, q), ((k, s),) in self.algebra.structure_constants().items():
-            term = local[k]
-            for a, b, sign in ((p, q, s), (q, p, -s)):
-                if not in_m[b]:
-                    continue
-                if not in_m[a]:
-                    em[local[a]][local[b]] = (term, sign)
-                elif in_m[k]:  # one component holds the term
-                    mm[local[a]][local[b]] = (term, sign)
-                else:
-                    me[local[a]][local[b]] = (term, sign)
+            a, b, term = local[p], local[q], local[k]
+            if in_m[p] and in_m[q]:
+                half = mm if in_m[k] else me  # one component holds the term
+                half[a][b], half[b][a] = (term, s), (term, -s)
+            elif in_m[q]:
+                em[a][b] = (term, s)
+            elif in_m[p]:
+                em[b][a] = (term, -s)
         return mm, me, em
 
     @cached_property
@@ -284,7 +282,12 @@ def holonomy_span(grading: Grading) -> HolonomySpan:
     _, me, _ = grading.split
 
     def units(positions: set[int]) -> list[Vector]:
-        return [[ONE if i == t else ZERO for i in range(len(fixed))] for t in sorted(positions)]
+        out = []
+        for t in sorted(positions):
+            row = [ZERO] * len(fixed)
+            row[t] = ONE
+            out.append(row)
+        return out
 
     per: dict[str, list[Vector]] = {}
     pooled: set[int] = set()

@@ -137,7 +137,7 @@ class SymmetricForm(_SymmetricForm):
 
     @staticmethod
     def identity(n: int) -> "SymmetricForm":
-        return SymmetricForm.diagonal([ONE] * n)
+        return SymmetricForm(n, tuple([(i, i, ONE) for i in range(n)]))
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymmetricForm":

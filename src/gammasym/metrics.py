@@ -18,6 +18,7 @@ condition on any one form.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
@@ -234,7 +235,10 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     Off-diagonal parameters are held at 0.  Forms whose supports share an
     index are grouped (``support_components``); each member is block
     diagonal over the groups plus zero rows, and inertia adds over blocks.
-    A group's inertia is computed once per sign key on its own block; the
+    A group's signs are keyed by ``itemgetter`` over its forms: an int for
+    a one-form group, a tuple otherwise.  Its inertia is computed once per
+    +- pair of keys, on its own block at the key whose first sign is +1 (a
+    one-form group restricts its form as it is, negating nothing), and the
     negated key swaps the positive and negative counts.  Sign vectors are
     enumerated in lexicographic order with -1 before +1, so the first
     Lorentzian assignment reported by ``lorentzian_search`` is well defined.
@@ -244,29 +248,44 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     forms = [family.basis[k] for k in diag]
     supports = [sorted({i for e in f.nonzero_entries for i in e[:2]}) for f in forms]
     groups = support_components(m_dim, [(s[0], i) for s in supports for i in s])
-    members = [[t for t, s in enumerate(supports) if s and s[0] in comp] for comp in groups]
+    group_of = {i: g for g, comp in enumerate(groups) for i in comp}
+    members: list[list[int]] = [[] for _ in groups]
+    for t, s in enumerate(supports):
+        if s:
+            members[group_of[s[0]]].append(t)
     untouched = m_dim - sum(map(len, groups))
     cache: list[dict] = [{} for _ in groups]
 
-    def group_inertia(g: int, key: tuple[int, ...]) -> tuple[int, int, int]:
-        if key not in cache[g]:
-            member = linear_combination(m_dim, key, [forms[t] for t in members[g]])
-            p, n, z = congruence_signature(member.restrict(groups[g]))
-            cache[g][key], cache[g][tuple(-s for s in key)] = (p, n, z), (n, p, z)
+    def fill(g: int, key) -> tuple[int, int, int]:
+        ts = members[g]
+        if len(ts) == 1:
+            plus, minus = 1, -1
+            block = forms[ts[0]].restrict(groups[g])
+        else:
+            plus = key if key[0] > 0 else tuple([-s for s in key])
+            minus = tuple([-s for s in plus])
+            block = linear_combination(m_dim, plus, [forms[t] for t in ts]).restrict(groups[g])
+        p, n, z = congruence_signature(block)
+        cache[g][plus], cache[g][minus] = (p, n, z), (n, p, z)
         return cache[g][key]
 
+    keyed = [(operator.itemgetter(*ts), seen) for ts, seen in zip(members, cache)]
     unit = {-1: Fraction(-1), 1: ONE}
+    values = zeros(family.dimension)
     for signs in iter_product((-1, 1), repeat=len(diag)):
-        values = zeros(family.dimension)
         for pos, s in zip(diag, signs):
             values[pos] = unit[s]
         pos_sum = neg_sum = 0
         zero_sum = untouched
-        for g, ts in enumerate(members):
-            p, n, z = group_inertia(g, tuple([signs[t] for t in ts]))
+        for g, (key_of, seen) in enumerate(keyed):
+            key = key_of(signs)
+            try:
+                p, n, z = seen[key]
+            except KeyError:
+                p, n, z = fill(g, key)
             pos_sum, neg_sum, zero_sum = pos_sum + p, neg_sum + n, zero_sum + z
         inertia = (pos_sum, neg_sum, zero_sum)
-        yield SignatureReport(list(family.names), values, inertia, inertia == (m_dim - 1, 1, 0))
+        yield SignatureReport(list(family.names), values.copy(), inertia, inertia == (m_dim - 1, 1, 0))
 
 
 def lorentzian_search(family: FormFamily) -> SignatureReport | None:

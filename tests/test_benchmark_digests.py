@@ -89,10 +89,14 @@ def test_tracer_sees_the_sweep_stages():
     """The benchmark's tracer wraps gammasym from outside, by name; in a
     fresh interpreter, so that nothing is patched here, two sweep ops must
     still show the family, adaptedness, Lorentzian-scan and signature
-    spans, two family and two is_adapted calls per op, and a nonzero
-    count of scanned forms; and each op's geodesic check under its traced
-    names, one curve build and four ``at`` calls (``geometry.geodesic``)
-    and four float oracles (``geometry.oracle``)."""
+    spans, two family and two is_adapted calls per op, and the exact work
+    of the two scans: 12 signatures (one per diagonal form, each group
+    cached for both of its signs) over 96 scanned forms (all 64 sign
+    vectors of (2,2,2,2), which has no Lorentzian member, and the 32 of
+    (1,1,3,3) up to its first Lorentzian one); and each op's
+    geodesic check under its traced names, one curve build and four ``at``
+    calls (``geometry.geodesic``) and four float oracles
+    (``geometry.oracle``)."""
     done = subprocess.run(
         [sys.executable, "-c", TRACED_SWEEP, str(SRC), str(PERFBENCH)],
         capture_output=True,
@@ -104,9 +108,8 @@ def test_tracer_sees_the_sweep_stages():
     spans = Counter(doc["spans"])
     assert spans["metrics.invariant_family"] == spans["metrics.is_adapted"] == 4
     assert spans["metrics.lorentz"] == 2
-    assert spans["linalg.signature"] > 0
-    assert doc["counts"]["metrics.lorentz_forms_tried"] > 0
-    assert doc["counts"]["linalg.signature_calls"] == spans["linalg.signature"]
+    assert spans["linalg.signature"] == doc["counts"]["linalg.signature_calls"] == 12
+    assert doc["counts"]["metrics.lorentz_forms_tried"] == 96
     assert spans["geometry.geodesic"] == 2 * 5
     assert spans["geometry.oracle"] == 2 * 4
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammasym import metrics
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
-from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature
+from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, support_components
 from gammasym.metrics import (
     FormFamily,
     _poly_product,
@@ -499,22 +499,38 @@ def scan_by_gram_matrices(fam):
 
 
 def scan_reports(fam):
-    return [
-        (rep.parameter_names, rep.parameter_values, rep.inertia, rep.lorentzian)
-        for rep in signature_scan(fam)
-    ]
+    """A full scan's reports as tuples, and how many times it called
+    ``congruence_signature``."""
+    calls = 0
+    real = metrics.congruence_signature
+
+    def counted(form):
+        nonlocal calls
+        calls += 1
+        return real(form)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "congruence_signature", counted)
+        reports = [
+            (rep.parameter_names, rep.parameter_values, rep.inertia, rep.lorentzian)
+            for rep in signature_scan(fam)
+        ]
+    return reports, calls
 
 
 def test_signature_scan_matches_gram_matrix_route():
     """Block-wise inertia with cached groups equals one signature of the
     full member per sign vector, report by report, for the invariant and
-    the refined family of every ordered partition with 3 <= n <= 7 and of
-    n=8 (2,2,2,2)."""
-    cases = ordered_partitions(3, 7) + [(8, (2, 2, 2, 2))]
-    for n, part in cases:
+    the refined family of every ordered partition with 3 <= n <= 8.  Each
+    diagonal form of these families is its own group, so the cache computes
+    one inertia per form with nonzero entries: the +-1 pair of its key."""
+    for n, part in ordered_partitions(3, 8):
         fam = family(n, part)
         for f in (fam, naturally_reductive_subfamily(fam)):
-            assert scan_reports(f) == list(scan_by_gram_matrices(f)), (n, part)
+            reports, calls = scan_reports(f)
+            assert reports == list(scan_by_gram_matrices(f)), (n, part)
+            diag = [f.basis[k] for k in f.diagonal_parameters()]
+            assert calls == sum(1 for form in diag if form.nonzero_entries), (n, part)
 
 
 @st.composite
@@ -549,7 +565,15 @@ def coupled_families(draw):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(coupled_families())
 def test_signature_scan_coupled_groups_match_gram_matrix_route(fam):
-    assert scan_reports(fam) == list(scan_by_gram_matrices(fam))
+    """Report by report as above; the cache computes a group of k forms at
+    most once per +-1 pair of its 2^k keys."""
+    reports, calls = scan_reports(fam)
+    assert reports == list(scan_by_gram_matrices(fam))
+    supports = [
+        {i for e in fam.basis[k].nonzero_entries for i in e[:2]} for k in fam.diagonal_parameters()
+    ]
+    groups = support_components(len(fam.carrier), [(min(s), i) for s in supports for i in s])
+    assert calls <= sum(2 ** (sum(1 for s in supports if s & set(g)) - 1) for g in groups)
 
 
 # -- Killing comparison operator -------------------------------------------
