@@ -13,6 +13,7 @@ gives the n x n matrix of a basis element.
 
 from __future__ import annotations
 
+import functools
 from types import MappingProxyType
 
 from .linalg import ONE, Matrix, SymmetricForm, ZERO
@@ -37,7 +38,7 @@ class LieAlgebra:
         }
         self._table: dict[tuple[int, int], BracketTerms] = {}
         self._build_table()
-        self._killing: SymmetricForm | None = None
+        self._killing = SymmetricForm.diagonal([-2 * (n - 2)] * self.dim)
 
     # -- construction -------------------------------------------------
 
@@ -84,18 +85,12 @@ class LieAlgebra:
     def killing_form(self) -> SymmetricForm:
         """K(X, Y) = trace(ad X . ad Y) = (n-2) tr(XY), so on the E_ij basis
         K = -2(n-2) I, since tr(E_ij E_ij) = -2 and distinct E_ij are
-        trace-orthogonal.  Built once and cached."""
-        if self._killing is None:
-            self._killing = SymmetricForm.diagonal([-2 * (self.n - 2)] * self.dim)
+        trace-orthogonal.  Built with the algebra."""
         return self._killing
 
 
-_cache: dict[int, LieAlgebra] = {}
-
-
+@functools.cache
 def build_so(n: int) -> LieAlgebra:
     """Construct (and cache) so(n) with its structure constants."""
-    if n not in _cache:
-        _cache[n] = LieAlgebra(n)
-    return _cache[n]
+    return LieAlgebra(n)
 

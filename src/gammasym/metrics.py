@@ -236,10 +236,11 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     index are grouped (``support_components``); each member is block
     diagonal over the groups plus zero rows, and inertia adds over blocks.
     A group's signs are keyed by ``itemgetter`` over its forms: an int for
-    a one-form group, a tuple otherwise.  Its inertia is computed once per
-    +- pair of keys, on its own block at the key whose first sign is +1 (a
-    one-form group restricts its form as it is, negating nothing), and the
-    negated key swaps the positive and negative counts.  Sign vectors are
+    a one-form group, a tuple otherwise.  Each group's table is filled
+    before the first report: its inertia is computed once per +- pair of
+    keys, on its own block at the key whose first sign is +1 (a one-form
+    group restricts its form as it is, negating nothing), and the negated
+    key swaps the positive and negative counts.  Sign vectors are
     enumerated in lexicographic order with -1 before +1, so the first
     Lorentzian assignment reported by ``lorentzian_search`` is well defined.
     """
@@ -254,35 +255,26 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
         if s:
             members[group_of[s[0]]].append(t)
     untouched = m_dim - sum(map(len, groups))
-    cache: list[dict] = [{} for _ in groups]
-
-    def fill(g: int, key) -> tuple[int, int, int]:
-        ts = members[g]
-        if len(ts) == 1:
-            plus, minus = 1, -1
-            block = forms[ts[0]].restrict(groups[g])
-        else:
-            plus = key if key[0] > 0 else tuple([-s for s in key])
-            minus = tuple([-s for s in plus])
-            block = linear_combination(m_dim, plus, [forms[t] for t in ts]).restrict(groups[g])
-        p, n, z = congruence_signature(block)
-        cache[g][plus], cache[g][minus] = (p, n, z), (n, p, z)
-        return cache[g][key]
-
-    keyed = [(operator.itemgetter(*ts), seen) for ts, seen in zip(members, cache)]
+    tables = []
+    for comp, ts in zip(groups, members):
+        table = {}
+        for tail in iter_product((-1, 1), repeat=len(ts) - 1):
+            if tail:
+                plus, minus = (1, *tail), (-1, *[-s for s in tail])
+                block = linear_combination(m_dim, plus, [forms[t] for t in ts])
+            else:
+                plus, minus, block = 1, -1, forms[ts[0]]
+            p, n, z = congruence_signature(block.restrict(comp))
+            table[plus], table[minus] = (p, n, z), (n, p, z)
+        tables.append((operator.itemgetter(*ts), table))
     unit = {-1: Fraction(-1), 1: ONE}
     values = zeros(family.dimension)
     for signs in iter_product((-1, 1), repeat=len(diag)):
         for pos, s in zip(diag, signs):
             values[pos] = unit[s]
-        pos_sum = neg_sum = 0
-        zero_sum = untouched
-        for g, (key_of, seen) in enumerate(keyed):
-            key = key_of(signs)
-            try:
-                p, n, z = seen[key]
-            except KeyError:
-                p, n, z = fill(g, key)
+        pos_sum, neg_sum, zero_sum = 0, 0, untouched
+        for key_of, table in tables:
+            p, n, z = table[key_of(signs)]
             pos_sum, neg_sum, zero_sum = pos_sum + p, neg_sum + n, zero_sum + z
         inertia = (pos_sum, neg_sum, zero_sum)
         yield SignatureReport(list(family.names), values.copy(), inertia, inertia == (m_dim - 1, 1, 0))
@@ -290,10 +282,7 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
 
 def lorentzian_search(family: FormFamily) -> SignatureReport | None:
     """First Lorentzian member among the +-1 diagonal assignments, if any."""
-    for report in signature_scan(family):
-        if report.lorentzian:
-            return report
-    return None
+    return next((r for r in signature_scan(family) if r.lorentzian), None)
 
 
 class KillingMetricOperator(NamedTuple):

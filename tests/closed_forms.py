@@ -8,7 +8,12 @@ formula reads a structure constant or a split.  The sums run over pairs
 of blocks b < c.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
+
+# the sub-blocks V_bc of m in the invariant family's order, A1, A2, B1, B2,
+# C1, C2: two per component, the first of each with b = 0
+SUBBLOCKS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
 def ordered_partitions(n):
@@ -42,3 +47,52 @@ def em_records(part):
     E_qk for the n - r_b points k outside the block."""
     n = sum(part)
     return sum(r * (r - 1) * (n - r) for r in part)
+
+
+def point_blocks(part):
+    """The block of each point 0..n-1: four consecutive runs of r_b points."""
+    return [b for b, r in enumerate(part) for _ in range(r)]
+
+
+def sectional_counts(part):
+    """(ones, quarters, zeros) among the C(dim m, 2) sectional numerators of
+    the normal metric on an orthonormal basis: a plane E_x, E_y has 1 when
+    [E_x, E_y] lands in g_e, 1/4 when it lands in m, and 0 otherwise, and
+    each unordered pair is two ordered split records."""
+    d = dim_m(part)
+    ones, quarters = me_records(part) // 2, mm_records(part) // 2
+    return ones, quarters, d * (d - 1) // 2 - ones - quarters
+
+
+def sectional_row_sum(part, b, c):
+    """Ric(E_pq, E_pq) of the normal metric, p in block b and q in block c:
+    the sum of the sectional numerators of the planes through E_pq, which
+    has r_b - 1 + r_c - 1 partners worth 1 and 2 (n - r_b - r_c) worth 1/4."""
+    return Fraction(sum(part) + part[b] + part[c] - 4, 2)
+
+
+def lorentzian_witness(part):
+    """The first Lorentzian member of the invariant family among the +-1
+    assignments of its diagonal parameters, -1 before +1, the off-diagonal
+    ones held at 0; None when there is none.
+
+    The parameters are, per nonempty sub-block V_bc in ``SUBBLOCKS`` order,
+    t (the identity on V_bc), then u when r_b = r_c = 2, and at (1, 1, 1, 1)
+    one more u after each component's first sub-block.  With every u at 0,
+    t = -1 gives V_bc r_b r_c negative directions, so a Lorentzian member has
+    one t at -1, on a cell with r_b = r_c = 1, and the first in scan order
+    puts it on the first such t."""
+    values, flip = [], None
+    for b, c in SUBBLOCKS:
+        if part[b] * part[c]:
+            if flip is None and part[b] == part[c] == 1:
+                flip = len(values)
+            values.append(1)
+        if part[b] == part[c] == 2:
+            values.append(0)
+        if tuple(part) == (1, 1, 1, 1) and b == 0:
+            values.append(0)
+    if flip is None:
+        return None
+    values[flip] = -1
+    return values

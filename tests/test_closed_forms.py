@@ -1,15 +1,29 @@
-"""The split and the normal metric's connection against closed forms in the
-block sizes (``closed_forms.py``), on every ordered partition with
-3 <= n <= 12."""
+"""The split, the normal metric's connection and curvature, and the
+Lorentzian scan against closed forms in the block sizes
+(``closed_forms.py``), on every ordered partition with 3 <= n <= 12."""
 
-from closed_forms import dim_m, em_records, me_records, mm_records, ordered_partitions
+from fractions import Fraction
+
+from closed_forms import (
+    dim_m,
+    em_records,
+    lorentzian_witness,
+    me_records,
+    mm_records,
+    ordered_partitions,
+    point_blocks,
+    sectional_counts,
+    sectional_row_sum,
+)
 
 from gammasym import serialize
-from gammasym.geometry import ambrose_singer_check
+from gammasym.geometry import ambrose_singer_check, sectional_table
 from gammasym.grading import block_grading
-from gammasym.linalg import SymmetricForm
+from gammasym.linalg import SymmetricForm, congruence_signature
+from gammasym.metrics import evaluate_family, invariant_family, lorentzian_search
 
 PARTITIONS = [(n, part) for n in range(3, 13) for part in ordered_partitions(n)]
+QUARTERS = {Fraction(1): 4, Fraction(1, 4): 1, Fraction(0): 0}
 
 
 def test_split_sizes_match_the_closed_forms():
@@ -42,3 +56,39 @@ def test_connection_doc_is_the_ambrose_singer_check_of_the_normal_metric():
         assert report == (True, True), (n, part)
         doc = serialize.connection_doc(g)
         assert (doc["contraction_vanishes"], doc["totally_skew"]) == report
+
+
+def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
+    """``lorentzian_search`` returns the closed-form witness, a member of
+    inertia (dim m - 1, 1, 0) that exists exactly when two blocks have one
+    point; the normal metric's sectional table has the closed-form counts
+    of 1, 1/4 and 0, and its row at E_pq sums to Ric(E_pq, E_pq)."""
+    witnesses = 0
+    for n, part in PARTITIONS:
+        g = block_grading(n, part)
+        fam = invariant_family(g)
+        report, witness = lorentzian_search(fam), lorentzian_witness(part)
+        assert (witness is not None) == (sum(r == 1 for r in part) >= 2), (n, part)
+        if witness is None:
+            assert report is None, (n, part)
+        else:
+            witnesses += 1
+            assert report.parameter_values == witness, (n, part)
+            inertia = congruence_signature(evaluate_family(fam, witness))
+            assert inertia == report.inertia == (dim_m(part) - 1, 1, 0), (n, part)
+
+        d = len(g.complement_indices)
+        table = sectional_table(g, SymmetricForm.identity(d), SymmetricForm.identity(len(g.fixed_indices)))
+        counts = {4: 0, 1: 0, 0: 0}  # by value in quarters: 1, 1/4 and 0
+        rows = [0] * d
+        for (i, j), v in table.items():
+            w = QUARTERS[v]
+            counts[w] += 1
+            rows[i] += w
+            rows[j] += w
+        assert tuple(counts.values()) == sectional_counts(part), (n, part)
+        block, pairs = point_blocks(part), g.algebra.pairs
+        for x, k in enumerate(g.complement_indices):
+            p, q = pairs[k]
+            assert Fraction(rows[x], 4) == sectional_row_sum(part, block[p], block[q]), (n, part, x)
+    assert witnesses == 313
