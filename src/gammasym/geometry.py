@@ -259,7 +259,9 @@ class GeodesicCurve(_GeodesicCurve):
         dense a + s b + c d: read on the support, at a = 1 or 0, b = d = 0 elsewhere."""
         n, s, c = self.size, math.sin(t), math.cos(t)
         off, on = (0.0 + s * 0.0) + c * 0.0, (1.0 + s * 0.0) + c * 0.0
-        out = [[off] * i + [on] + [off] * (n - 1 - i) for i in range(n)]
+        out = [[off] * n for _ in range(n)]
+        for i, row in enumerate(out):
+            row[i] = on
         for i, j, a, b, d in self._support:
             out[i][j] = a + s * b + c * d
         return out
@@ -302,8 +304,10 @@ def matrix_exp_numeric(x: Sequence[Sequence], t: float = 1.0) -> np.ndarray:
     from scipy.linalg import expm
 
     n = len(x)
-    if not n or not all(hasattr(row, "__len__") and len(row) == n for row in x):
-        raise ValueError(f"matrix must be square and nonempty, got shape {np.shape(x)}")
+    widths = {len(row) if hasattr(row, "__len__") else "scalar" for row in x}
+    if not n or widths != {n}:  # described without numpy, which refuses ragged input
+        lengths = ", ".join(map(str, sorted(widths, key=str))) or "none"
+        raise ValueError(f"matrix must be square and nonempty, got {n} rows of lengths {lengths}")
     a = np.zeros((n, n))
     for i, row in enumerate(x):
         for j, v in enumerate(row):

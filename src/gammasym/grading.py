@@ -144,11 +144,14 @@ class Grading(_Grading):
         a g_e position z.  Only nonzero brackets are listed: each is one
         structure constant, so l is a local position and s the int 1 or -1,
         and [E_q, E_p] has the record (l, -s).  Raises ValueError if
-        ``verify_grading``, run here when the split is first built, finds a
-        violation; additivity has that one implementation, and its verdict
-        is not stored on the grading.
+        ``verify_grading`` finds a violation.  It runs here only when
+        ``blocks`` is None: otherwise the grading is ``block_grading`` of
+        its own partition, E_ij has the mask block[i] ^ block[j], and
+        [E_ij, E_jk] = +-E_ik has the XOR of the two masks, so additivity
+        holds by proof.  A Grading is immutable, so neither verdict can go
+        stale; additivity keeps its one implementation.
         """
-        bad = verify_grading(self)
+        bad = None if self.blocks is not None else verify_grading(self)
         if bad is not None:
             raise ValueError(f"not a grading: bracket ({bad.p},{bad.q}) lands in {bad.found}")
         # every index is in g_e or in m: its local position there, and whether it is in m

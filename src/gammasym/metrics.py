@@ -134,6 +134,13 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return linear_combination(len(family.carrier), values, family.basis)
 
 
+def _scaled(form: SymmetricForm) -> tuple[int, list[tuple[int, int, int]]]:
+    """The lcm ``den`` of the form's denominators, and its nonzero entries
+    (i, j, v) with v = den * B_ij, an int."""
+    den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
+    return den, [(i, j, e.numerator * (den // e.denominator)) for i, j, e in form.nonzero_entries]
+
+
 def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fraction]:
     """B([X,Y]_m, Z) + B([X,Z]_m, Y) per basis triple of m, for one form.
 
@@ -147,11 +154,10 @@ def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fractio
     value is yielded as Fraction(v, den), or ZERO when v is 0.
     """
     mm, _, _ = grading.split
-    den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
+    den, scaled = _scaled(form)
     # l -> [(z, den B(E_l, E_z))], each entry in both orders
     by_row: list[list[tuple[int, int]]] = [[] for _ in mm]
-    for i, j, e in form.nonzero_entries:
-        v = e.numerator * (den // e.denominator)
+    for i, j, v in scaled:
         by_row[i].append((j, v))
         if i != j:
             by_row[j].append((i, v))
@@ -211,10 +217,25 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
 
 
 def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
-    """Whether the form satisfies the natural-reductivity identity on m."""
+    """Whether the form satisfies the natural-reductivity identity on m.
+
+    ad(E_x) is skew on the Killing-orthonormal E basis (c_xy^l = -c_xl^y),
+    so ``mm[x][y]`` is (l, s) exactly when ``mm[x][l]`` is (y, -s).  For a
+    form that is diagonal, B = sum B_k E_k (x) E_k, the walk of
+    ``_reductivity_rows`` then meets the pair {y, l} from both records and
+    nowhere else, with residual s (B_l - B_y): the form qualifies exactly
+    when B_l = B_y on every record, compared as integer numerators over
+    the lcm of the denominators.  Every other form takes the walk.
+    """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
-    return not any(_reductivity_rows(grading, form))
+    mm, _, _ = grading.split  # raises "not a grading" before any verdict
+    if any(i != j for i, j, _ in form.nonzero_entries):
+        return not any(_reductivity_rows(grading, form))
+    b = [0] * form.dim
+    for i, _, v in _scaled(form)[1]:
+        b[i] = v
+    return all(b[y] == b[l] for partners in mm for y, (l, _) in partners.items())
 
 
 class SignatureReport(NamedTuple):
@@ -238,11 +259,13 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     A group's signs are keyed by ``itemgetter`` over its forms: an int for
     a one-form group, a tuple otherwise.  Each group's table is filled
     before the first report: its inertia is computed once per +- pair of
-    keys, on its own block at the key whose first sign is +1 (a one-form
-    group restricts its form as it is, negating nothing), and the negated
-    key swaps the positive and negative counts.  Sign vectors are
-    enumerated in lexicographic order with -1 before +1, so the first
-    Lorentzian assignment reported by ``lorentzian_search`` is well defined.
+    keys, at the key whose first sign is +1 (a one-form group takes its
+    form as it is, negating nothing), and the negated key swaps the
+    positive and negative counts.  A block is not restricted to its group:
+    the indices outside it are zero rows, taken off the zero count.  Sign
+    vectors are enumerated in lexicographic order with -1 before +1, so the
+    first Lorentzian assignment reported by ``lorentzian_search`` is well
+    defined.
     """
     diag = family.diagonal_parameters()
     m_dim = len(family.carrier)
@@ -264,7 +287,8 @@ def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
                 block = linear_combination(m_dim, plus, [forms[t] for t in ts])
             else:
                 plus, minus, block = 1, -1, forms[ts[0]]
-            p, n, z = congruence_signature(block.restrict(comp))
+            p, n, z = congruence_signature(block)  # indices outside comp are zero rows
+            z -= m_dim - len(comp)
             table[plus], table[minus] = (p, n, z), (n, p, z)
         tables.append((operator.itemgetter(*ts), table))
     unit = {-1: Fraction(-1), 1: ONE}

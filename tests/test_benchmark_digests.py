@@ -89,7 +89,8 @@ def test_tracer_sees_the_sweep_stages():
     """The benchmark's tracer wraps gammasym from outside, by name; in a
     fresh interpreter, so that nothing is patched here, two sweep ops must
     still show the family, adaptedness, Lorentzian-scan and signature
-    spans, two family and two is_adapted calls per op, and the exact work
+    spans, two family and two is_adapted calls per op, one additivity
+    check per op (the split of a block grading needs none), and the exact work
     of the two scans: 12 signatures (one per diagonal form, each group
     cached for both of its signs) over 96 scanned forms (all 64 sign
     vectors of (2,2,2,2), which has no Lorentzian member, and the 32 of
@@ -108,6 +109,7 @@ def test_tracer_sees_the_sweep_stages():
     spans = Counter(doc["spans"])
     assert spans["metrics.invariant_family"] == spans["metrics.is_adapted"] == 4
     assert spans["metrics.lorentz"] == 2
+    assert spans["grading.verify"] == 2
     assert spans["linalg.signature"] == doc["counts"]["linalg.signature_calls"] == 12
     assert doc["counts"]["metrics.lorentz_forms_tried"] == 96
     assert spans["geometry.geodesic"] == 2 * 5

@@ -283,6 +283,25 @@ def test_report_reruns_byte_identical(tmp_path, capsys):
         assert p.read_bytes() == (b / p.name).read_bytes()
 
 
+def test_report_checks_additivity_once(tmp_path, capsys, monkeypatch):
+    """``grade.json`` carries the one additivity check; the split of a block
+    grading holds it by proof and runs none."""
+    import gammasym.cli
+    import gammasym.grading
+
+    calls = []
+    verify = gammasym.grading.verify_grading
+
+    def counted(g):
+        calls.append(g)
+        return verify(g)
+
+    monkeypatch.setattr(gammasym.grading, "verify_grading", counted)
+    monkeypatch.setattr(gammasym.cli, "verify_grading", counted)
+    run_ok(capsys, ["report", *SO5, "--out", str(tmp_path / "rep")])
+    assert len(calls) == 1
+
+
 def test_report_requires_out(capsys):
     assert "--out" in run_err(capsys, ["report", *SO5])
 

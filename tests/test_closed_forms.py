@@ -2,6 +2,7 @@
 Lorentzian scan against closed forms in the block sizes
 (``closed_forms.py``), on every ordered partition with 3 <= n <= 12."""
 
+import random
 from fractions import Fraction
 
 from closed_forms import (
@@ -18,9 +19,16 @@ from closed_forms import (
 
 from gammasym import serialize
 from gammasym.geometry import ambrose_singer_check, sectional_table
-from gammasym.grading import block_grading
+from gammasym.grading import Grading, block_grading
+from gammasym.groups import from_label
 from gammasym.linalg import SymmetricForm, congruence_signature
-from gammasym.metrics import evaluate_family, invariant_family, lorentzian_search
+from gammasym.metrics import (
+    _reductivity_rows,
+    evaluate_family,
+    invariant_family,
+    is_adapted,
+    lorentzian_search,
+)
 
 PARTITIONS = [(n, part) for n in range(3, 13) for part in ordered_partitions(n)]
 QUARTERS = {Fraction(1): 4, Fraction(1, 4): 1, Fraction(0): 0}
@@ -58,16 +66,49 @@ def test_connection_doc_is_the_ambrose_singer_check_of_the_normal_metric():
         assert (doc["contraction_vanishes"], doc["totally_skew"]) == report
 
 
+def random_diagonal_member(rng, fam):
+    """The family member with signed rational t values, one of them 0, and
+    every u at 0."""
+    diag = fam.diagonal_parameters()
+    values = [Fraction(0)] * fam.dimension
+    for k in diag:
+        values[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if diag:
+        values[rng.choice(diag)] = Fraction(0)
+    return evaluate_family(fam, values)
+
+
+def check_adapted_is_the_walk(g, forms, where):
+    """The skewness behind ``is_adapted``'s diagonal path, mm[x][y] == (l, s)
+    exactly when mm[x][l] == (y, -s), checked from every record; and its
+    verdict on each form against the residual walk."""
+    mm, _, _ = g.split
+    for x, row in enumerate(mm):
+        for y, (l, s) in row.items():
+            assert row.get(l) == (y, -s), (where, x, y)
+    for form in forms:
+        assert is_adapted(form, g) == (not any(_reductivity_rows(g, form))), (where, form)
+
+
 def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
     """``lorentzian_search`` returns the closed-form witness, a member of
     inertia (dim m - 1, 1, 0) that exists exactly when two blocks have one
     point; the normal metric's sectional table has the closed-form counts
-    of 1, 1/4 and 0, and its row at E_pq sums to Ric(E_pq, E_pq)."""
-    witnesses = 0
+    of 1, 1/4 and 0, and its row at E_pq sums to Ric(E_pq, E_pq).
+    ``is_adapted`` agrees with the residual walk on the identity, a seeded
+    random diagonal member and the witness."""
+    rng = random.Random(31)
+    witnesses = refused = 0
     for n, part in PARTITIONS:
         g = block_grading(n, part)
         fam = invariant_family(g)
         report, witness = lorentzian_search(fam), lorentzian_witness(part)
+        d = len(g.complement_indices)
+        forms = [SymmetricForm.identity(d), random_diagonal_member(rng, fam)]
+        if witness is not None:
+            forms.append(evaluate_family(fam, witness))
+        check_adapted_is_the_walk(g, forms, (n, part))
+        refused += not is_adapted(forms[1], g)
         assert (witness is not None) == (sum(r == 1 for r in part) >= 2), (n, part)
         if witness is None:
             assert report is None, (n, part)
@@ -77,7 +118,6 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
             inertia = congruence_signature(evaluate_family(fam, witness))
             assert inertia == report.inertia == (dim_m(part) - 1, 1, 0), (n, part)
 
-        d = len(g.complement_indices)
         table = sectional_table(g, SymmetricForm.identity(d), SymmetricForm.identity(len(g.fixed_indices)))
         counts = {4: 0, 1: 0, 0: 0}  # by value in quarters: 1, 1/4 and 0
         rows = [0] * d
@@ -92,3 +132,21 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
             p, q = pairs[k]
             assert Fraction(rows[x], 4) == sectional_row_sum(part, block[p], block[q]), (n, part, x)
     assert witnesses == 313
+    assert refused == 1374  # the random members are not all adapted
+
+
+def test_adapted_is_the_walk_off_the_block_gradings():
+    """The diagonal path of ``is_adapted`` reads only the skewness of so(n),
+    so it also agrees with the walk on a grading whose ``blocks`` is None:
+    (2, 2, 1, 1) with the labels a and b swapped."""
+    g = block_grading(6, (2, 2, 1, 1))
+    swap = {"a": from_label(2, "b"), "b": from_label(2, "a")}
+    other = Grading(g.algebra, 2, tuple(swap.get(x.label, x) for x in g.assignment), g.partition)
+    assert other.blocks is None
+    rng = random.Random(6)
+    d = len(other.complement_indices)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+    values[rng.randrange(d)] = Fraction(0)
+    forms = [SymmetricForm.identity(d), SymmetricForm.diagonal(values)]
+    check_adapted_is_the_walk(other, forms, "a/b swapped")
+    assert [is_adapted(f, other) for f in forms] == [True, False]

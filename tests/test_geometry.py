@@ -540,6 +540,6 @@ def test_matrix_exp_numeric_is_expm_of_the_dense_float_array():
 def test_matrix_exp_numeric_rejects_nonsquare():
     with pytest.raises(ValueError):
         matrix_exp_numeric([[0.0, 1.0]])
-    for bad in ([], [0.0, 1.0], np.zeros(3), [[]]):
+    for bad in ([], [0.0, 1.0], np.zeros(3), [[]], [[0.0, 1.0], [0.0]], [[0, 1], 5]):
         with pytest.raises(ValueError, match="square and nonempty"):
             matrix_exp_numeric(bad)

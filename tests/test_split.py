@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gammasym.geometry import ambrose_singer_check
-from gammasym.grading import Grading, block_grading
+from gammasym.grading import Grading, block_grading, holonomy_span
 from gammasym.groups import enumerate_group
 from gammasym.liealg import build_so
 from gammasym.linalg import RowReducer, SymmetricForm
@@ -123,6 +123,23 @@ def test_split_needs_a_verified_grading():
         mangled.split
     with pytest.raises(ValueError, match="not a grading"):
         invariant_family(mangled)
+
+
+def test_a_broken_assignment_is_refused_under_either_label():
+    """Only a grading whose ``blocks`` is set skips the additivity check, so
+    a broken assignment is still refused under its block label, where
+    ``blocks`` is None, and with no label: by the split and by the two
+    stages that read it."""
+    g = block_grading(5, (2, 2, 1, 0))
+    broken = (g.assignment[1],) + g.assignment[1:]
+    for label in (g.partition, None):
+        mangled = Grading(g.algebra, 2, broken, label)
+        assert mangled.blocks is None
+        b_m = SymmetricForm.identity(len(mangled.complement_indices))
+        for stage in (lambda: mangled.split, lambda: is_adapted(b_m, mangled),
+                      lambda: holonomy_span(mangled)):
+            with pytest.raises(ValueError, match="not a grading"):
+                stage()
 
 
 def torsions(g):
