@@ -255,13 +255,15 @@ def support_components(dim: int, pairs: Iterable[tuple[int, int]]) -> list[list[
 
 def dense_blocks(form: SymmetricForm, comps: Sequence[Sequence[int]]) -> list[Matrix]:
     """The dense restriction of ``form`` to each of ``comps``: disjoint
-    index lists that cover its support, such as ``support_components``."""
+    index lists that no nonzero entry joins to another index, such as
+    ``support_components``; the entries on indices outside them are skipped."""
     blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
     where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}
     for i, j, v in form.nonzero_entries:
-        block, a = where[i]
-        b = where[j][1]
-        block[a][b] = block[b][a] = v
+        if i in where:
+            block, a = where[i]
+            b = where[j][1]
+            block[a][b] = block[b][a] = v
     return blocks
 
 

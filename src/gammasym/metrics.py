@@ -339,13 +339,16 @@ def killing_metric_operator(
     kappa = -2(n-2), read off ``algebra.killing_form()``, so B and beta =
     kappa B^-1 are block diagonal over the connected components of the
     support of B plus the diagonal (an index where B vanishes is a 1 x 1
-    block).  Blocks with equal dense B blocks share one solve of
-    B_blk X = kappa I and one char_poly, raised to their multiplicity; a
+    block).  A 1 x 1 block [b] is read off: beta is kappa / b there, and
+    the characteristic polynomial gets the factor x - kappa / b once per
+    distinct b, raised to the number of indices that share it.  Larger
+    blocks with equal dense B blocks share one solve of B_blk X = kappa I
+    and one char_poly, raised to their multiplicity.  A zero b or a
     singular block means B is degenerate on the component, which is
     rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] = +-E_r
     makes ad(Z) a signed partial permutation, so each entry of ad(Z) beta
     and of beta ad(Z) is one signed entry of beta, and the two are
-    compared as dicts.
+    compared as dicts, built from the records of ad(Z) on the component.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -359,8 +362,20 @@ def killing_metric_operator(
     b_form = form.restrict(carrier)
     kappa = grading.algebra.killing_form().entry(0, 0)
     d = len(carrier)
-    diagonal = [(i, i) for i in range(d)]
-    blocks = support_components(d, [e[:2] for e in b_form.nonzero_entries] + diagonal)
+    b_diag, edges = [ZERO] * d, []
+    for i, j, v in b_form.nonzero_entries:
+        if i == j:
+            b_diag[i] = v
+        else:
+            edges.append((i, j))
+    blocks = support_components(d, edges)  # the blocks of size >= 2
+    paired = {i for blk in blocks for i in blk}
+    # the 1 x 1 blocks [b], grouped by the value of b, keyed by its ratio,
+    # which hashes faster than a Fraction
+    ones: dict[tuple[int, int], tuple[Fraction, list[int]]] = {}
+    for i, b in enumerate(b_diag):
+        if i not in paired:
+            ones.setdefault(b.as_integer_ratio(), (b, []))[1].append(i)
     # a block's flat key has size ** 2 entries, so it fixes the size
     shared: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
     for blk, b_blk in zip(blocks, dense_blocks(b_form, blocks)):
@@ -369,6 +384,16 @@ def killing_metric_operator(
     beta, polys = [[ZERO] * d for _ in range(d)], []
     # the nonzero entries of beta by row and by column: (column or row, value, -value)
     by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
+    for b, group in ones.values():
+        if not b:
+            raise ValueError(f"form is degenerate on component {gamma.label}")
+        v = kappa / b
+        neg = -v
+        polys.append(([ONE, neg], len(group)))
+        for i in group:
+            beta[i][i] = v
+            by_row[i].append((i, v, neg))
+            by_col[i].append((i, v, neg))
     for b_blk, group in shared.values():
         size = range(len(b_blk))
         try:
@@ -387,8 +412,10 @@ def killing_metric_operator(
     witness = None
     for z in grading.fixed_generators:
         left, right = {}, {}  # ad(Z) beta and beta ad(Z), with [Z, E_x] = +-E_r read as a sign
-        for x, (r, s) in em[z].items():
-            if x in carrier:
+        ad_z = em[z]
+        for x in carrier:
+            if x in ad_z:
+                r, s = ad_z[x]
                 src, dst, up = x - carrier.start, r - carrier.start, s > 0
                 for j, v, neg in by_row[src]:
                     left[dst, j] = v if up else neg

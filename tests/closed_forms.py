@@ -96,3 +96,41 @@ def lorentzian_witness(part):
         return None
     values[flip] = -1
     return values
+
+
+def beta_char_poly(part, values, mask):
+    """The characteristic polynomial of beta = kappa B^-1, kappa = -2(n - 2),
+    on the component of mask 1, 2 or 3 (a, b or c; V_bc lies in mask
+    b ^ c) of the family member at ``values``, in the order of
+    ``lorentzian_witness``, as [1, a_1, ..., a_d]; ZeroDivisionError when
+    the member is degenerate there.
+
+    B is t on V_bc, plus u on the pairs of a 2 x 2 sub-block, where its
+    two blocks [[t, -u], [-u, t]] and [[t, u], [u, t]] have the eigenvalues
+    t + u and t - u; so each sub-block gives (x - kappa/t)^(r_b r_c), or
+    (x - kappa/(t + u))^2 (x - kappa/(t - u))^2.  At (1, 1, 1, 1) u joins
+    the component's two cells into [[t_1, u], [u, t_2]], and beta has trace
+    kappa (t_1 + t_2) / det and determinant kappa^2 / det, det = t_1 t_2 - u^2."""
+    kappa = Fraction(-2 * (sum(part) - 2))
+    all_ones = tuple(part) == (1, 1, 1, 1)
+    params, roots, joined = iter(values), [], []
+    for b, c in SUBBLOCKS:
+        cells = part[b] * part[c]
+        t = next(params) if cells else None
+        u = next(params) if part[b] == part[c] == 2 or (all_ones and b == 0) else None
+        if b ^ c != mask or not cells:
+            continue
+        if all_ones:
+            joined.append((t, u))
+        elif u is None:
+            roots += [kappa / t] * cells
+        else:
+            roots += [kappa / (t + u)] * 2 + [kappa / (t - u)] * 2
+    if joined:
+        (t1, u), (t2, _) = joined
+        det = t1 * t2 - u * u
+        return [Fraction(1), -kappa * (t1 + t2) / det, kappa * kappa / det]
+    poly = [Fraction(1)]
+    for root in roots:
+        poly = [a - root * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly

@@ -118,31 +118,38 @@ def test_tracer_sees_the_sweep_stages():
 
 TRACED_BETA = """
 import json, sys
-sys.path[:0] = sys.argv[1:]
+size = sys.argv[1]
+sys.path[:0] = sys.argv[2:]
 import gammasym, libworker, tracing
 tracer = tracing.Tracer(op=0)
 tracing.install(tracer)
-for label, call, check in next(libworker.killing_rounds(gammasym, "tiny", 7, {})):
+for label, call, check in next(libworker.killing_rounds(gammasym, size, 7, {})):
     assert check(call()), label
 print(json.dumps({"spans": [s[1] for s in tracer.spans], "counts": tracer.counts}))
 """
 
 
 def test_tracer_sees_the_beta_solves():
-    """One batch of the killing-beta workload at its tiny size, traced in a
-    fresh interpreter: beta's solve and characteristic polynomial show as
-    spans, and the solve's rows reach ``RowReducer.insert``, each of the
-    invertible blocks' rows giving a pivot."""
-    done = subprocess.run(
-        [sys.executable, "-c", TRACED_BETA, str(SRC), str(PERFBENCH)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    doc = json.loads(done.stdout.splitlines()[-1])
-    spans = Counter(doc["spans"])
-    assert spans["linalg.solve"] > 0
-    assert spans["linalg.charpoly"] > 0
-    counts = doc["counts"]
-    assert counts.get("linalg.rows_inserted", 0) == counts.get("linalg.pivots", 0) > 0
+    """One batch of the killing-beta workload at each size, traced in a
+    fresh interpreter.  At the tiny size, so(7) (2,2,2,1), the members'
+    2 x 2 blocks show beta's solve and characteristic polynomial as spans,
+    and the solve's rows reach ``RowReducer.insert``, each of the
+    invertible blocks' rows giving a pivot.  At the full size, (3,3,3,4),
+    every block is 1 x 1 and read off, so neither span shows."""
+    spans, counts = {}, {}
+    for size in ("tiny", "full"):
+        done = subprocess.run(
+            [sys.executable, "-c", TRACED_BETA, size, str(SRC), str(PERFBENCH)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout.splitlines()[-1])
+        spans[size], counts[size] = Counter(doc["spans"]), doc["counts"]
+    assert spans["tiny"]["linalg.solve"] > 0
+    assert spans["tiny"]["linalg.charpoly"] > 0
+    tiny = counts["tiny"]
+    assert tiny.get("linalg.rows_inserted", 0) == tiny.get("linalg.pivots", 0) > 0
+    assert spans["full"]["metrics.beta"] == 3
+    assert spans["full"]["linalg.solve"] == spans["full"]["linalg.charpoly"] == 0

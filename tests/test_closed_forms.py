@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from closed_forms import (
+    beta_char_poly,
     dim_m,
     em_records,
     lorentzian_witness,
@@ -20,13 +21,14 @@ from closed_forms import (
 from gammasym import serialize
 from gammasym.geometry import ambrose_singer_check, sectional_table
 from gammasym.grading import Grading, block_grading
-from gammasym.groups import from_label
+from gammasym.groups import enumerate_group, from_label
 from gammasym.linalg import SymmetricForm, congruence_signature
 from gammasym.metrics import (
     _reductivity_rows,
     evaluate_family,
     invariant_family,
     is_adapted,
+    killing_metric_operator,
     lorentzian_search,
 )
 
@@ -133,6 +135,33 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
             assert Fraction(rows[x], 4) == sectional_row_sum(part, block[p], block[q]), (n, part, x)
     assert witnesses == 313
     assert refused == 1374  # the random members are not all adapted
+
+
+def test_beta_char_poly_matches_the_closed_form():
+    """``killing_metric_operator`` on every nonzero component, at a seeded
+    random member with signed values that is nondegenerate on all of them,
+    has the closed-form characteristic polynomial (``beta_char_poly``, which
+    eliminates nothing) and commutes with ad(g_e)."""
+    rng = random.Random(32)
+    components = 0
+    for n, part in PARTITIONS:
+        g = block_grading(n, part)
+        fam = invariant_family(g)
+        gammas = [gamma for gamma in enumerate_group(2)[1:] if g.carrier_slices[gamma.label]]
+        while True:
+            values = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in fam.names]
+            try:
+                want = [beta_char_poly(part, values, gamma.bits) for gamma in gammas]
+            except ZeroDivisionError:
+                continue
+            break
+        form = evaluate_family(fam, values)
+        for gamma, poly in zip(gammas, want):
+            op = killing_metric_operator(g, form, gamma)
+            assert op.char_poly == poly, (n, part, gamma.label)
+            assert op.commutes, (n, part, gamma.label)
+            components += 1
+    assert components == 4515
 
 
 def test_adapted_is_the_walk_off_the_block_gradings():

@@ -723,18 +723,20 @@ def count_block_solves(monkeypatch, g, form, gamma):
 
 
 def test_beta_solves_each_distinct_block_once(monkeypatch):
-    """Blocks with equal B and K entries share one solve and one char_poly.
+    """A 1 x 1 block is read off, with no solve and no char_poly; larger
+    blocks with equal B and K entries share one solve and one char_poly.
 
     On component a of (3,3,3,4) a member is t_A1 on 9 cells and t_A2 on 12:
-    21 blocks, 2 distinct.  On (2,2,2,2), V_A1 and V_A2 each split into
-    the 2 x 2 blocks [[t, -u], [-u, t]] and [[t, u], [u, t]]: 4 distinct
-    blocks, or 2 when t_A1 = t_A2 and u_A1 = u_A2.  A diagonal form with
-    distinct entries has d distinct blocks."""
+    21 blocks, all 1 x 1.  So is every block of a diagonal form.  On
+    (2,2,2,2), V_A1 and V_A2 each split into the 2 x 2 blocks
+    [[t, -u], [-u, t]] and [[t, u], [u, t]]: 4 distinct blocks, or 2 when
+    t_A1 = t_A2 and u_A1 = u_A2; with u_A1 = 0 the four cells of V_A1 are
+    1 x 1 blocks, and only V_A2's 2 distinct blocks are solved."""
     a = from_label(2, "a")
     g = block_grading(13, (3, 3, 3, 4))
     fam = invariant_family(g)
     member = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
-    assert count_block_solves(monkeypatch, g, member, a) == (2, 2)
+    assert count_block_solves(monkeypatch, g, member, a) == (0, 0)
     g = block_grading(8, (2, 2, 2, 2))
     fam = invariant_family(g)
     assert fam.names[:4] == ["t_A1", "u_A1", "t_A2", "u_A2"]
@@ -742,10 +744,11 @@ def test_beta_solves_each_distinct_block_once(monkeypatch):
     assert count_block_solves(monkeypatch, g, distinct, a) == (4, 4)
     paired = evaluate_family(fam, [F(3), F(1, 2)] * 2 + [F(k + 2, 3) for k in range(4, fam.dimension)])
     assert count_block_solves(monkeypatch, g, paired, a) == (2, 2)
+    half = evaluate_family(fam, [F(3), F(0), F(2), F(1, 2)] + [F(k + 2, 3) for k in range(4, fam.dimension)])
+    assert count_block_solves(monkeypatch, g, half, a) == (2, 2)
     g = block_grading(7, (2, 2, 2, 1))
-    d = len(g.carrier_slices["a"])
     diagonal = SymmetricForm.diagonal(range(1, len(g.complement_indices) + 1))
-    assert count_block_solves(monkeypatch, g, diagonal, a) == (d, d)
+    assert count_block_solves(monkeypatch, g, diagonal, a) == (0, 0)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
