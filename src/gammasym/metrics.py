@@ -134,44 +134,39 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return linear_combination(len(family.carrier), values, family.basis)
 
 
-def _scaled(form: SymmetricForm) -> tuple[int, list[tuple[int, int, int]]]:
-    """The lcm ``den`` of the form's denominators, and its nonzero entries
-    (i, j, v) with v = den * B_ij, an int."""
+def _scaled(form: SymmetricForm) -> list[tuple[int, int, int]]:
+    """The form's nonzero entries (i, j, v) with v = den * B_ij, an int, den
+    the lcm of its denominators."""
     den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
-    return den, [(i, j, e.numerator * (den // e.denominator)) for i, j, e in form.nonzero_entries]
+    return [(i, j, e.numerator * (den // e.denominator)) for i, j, e in form.nonzero_entries]
 
 
-def _reductivity_rows(grading: Grading, form: SymmetricForm) -> Iterator[Fraction]:
-    """B([X,Y]_m, Z) + B([X,Z]_m, Y) per basis triple of m, for one form.
+def _noncommuting_entry(
+    records: dict[int, tuple[int, int]], rows: Sequence[list[tuple]], start: int = 0
+) -> tuple[int, int] | None:
+    """The first entry (i, j), row-major, where P M and M P differ, or None.
 
-    With M_x[y][z] = B([E_x, E_y]_m, E_z) the residual at (x, y, z) is
-    M_x[y][z] + M_x[z][y].  [E_x, E_y]_m is +-E_l (``Grading.split``), so
-    row y of M_x is +-B(E_l, .), read off the row support of the form with
-    its sign.  One value is yielded per unordered pair {y, z} in the
-    support of M_x (2 M_x[y][y] when y = z), and it may be zero; every
-    other pair has a zero residual.  The sums run over integer numerators
-    of the form scaled by the lcm ``den`` of its denominators, and each
-    value is yielded as Fraction(v, den), or ZERO when v is 0.
+    P is the signed partial permutation with P e_x = s e_r for each record
+    x: (r, s), and M is symmetric, row i given by rows[i] as its nonzero
+    entries (j, M_ij, -M_ij).  M's index i is the records' index start + i;
+    a record outside M is skipped, and one inside must map into M.  P is
+    injective, so (P M)_rj = s M_xj and (M P)_ix = s M_ir = s M_ri are each
+    one signed entry: the two sides are compared as dicts, with no sums.
     """
-    mm, _, _ = grading.split
-    den, scaled = _scaled(form)
-    # l -> [(z, den B(E_l, E_z))], each entry in both orders
-    by_row: list[list[tuple[int, int]]] = [[] for _ in mm]
-    for i, j, v in scaled:
-        by_row[i].append((j, v))
-        if i != j:
-            by_row[j].append((i, v))
-    for partners in mm:
-        skew: dict[tuple[int, int], int] = {}
-        for y, (l, s) in partners.items():
-            for z, e in by_row[l]:
-                v = s * e
-                if z == y:
-                    v += v
-                key = (y, z) if y < z else (z, y)
-                skew[key] = skew.get(key, 0) + v
-        for v in skew.values():
-            yield Fraction(v, den) if v else ZERO
+    left, right = {}, {}  # P M and M P
+    end = len(rows)
+    for x, (r, s) in records.items():
+        x -= start
+        if 0 <= x < end:
+            r -= start
+            up = s > 0
+            for j, v, neg in rows[x]:
+                left[r, j] = v if up else neg
+            for i, v, neg in rows[r]:
+                right[i, x] = v if up else neg
+    if left == right:
+        return None
+    return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
 
 
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
@@ -219,21 +214,29 @@ def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
 def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     """Whether the form satisfies the natural-reductivity identity on m.
 
+    Let A_x = ad_m(E_x), the signed partial permutation with A_x e_y = s e_l
+    for each record ``mm[x][y]`` = (l, s).  B([E_x, E_y]_m, E_z) is
+    (A_x^T B)_yz, so the identity at X = E_x reads A_x^T B + B A_x = 0; and
     ad(E_x) is skew on the Killing-orthonormal E basis (c_xy^l = -c_xl^y),
-    so ``mm[x][y]`` is (l, s) exactly when ``mm[x][l]`` is (y, -s).  For a
-    form that is diagonal, B = sum B_k E_k (x) E_k, the walk of
-    ``_reductivity_rows`` then meets the pair {y, l} from both records and
-    nowhere else, with residual s (B_l - B_y): the form qualifies exactly
-    when B_l = B_y on every record, compared as integer numerators over
-    the lcm of the denominators.  Every other form takes the walk.
+    so A_x^T = -A_x and the identity is B A_x = A_x B.  Each x is checked by
+    ``_noncommuting_entry`` on the form scaled to integers by the lcm of its
+    denominators.  For a form that is diagonal, B = sum B_k E_k (x) E_k, the
+    entry (y, l) of B A_x - A_x B is s (B_l - B_y), so the form qualifies
+    exactly when B_l = B_y on every record, which is read off with no dicts.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
     mm, _, _ = grading.split  # raises "not a grading" before any verdict
-    if any(i != j for i, j, _ in form.nonzero_entries):
-        return not any(_reductivity_rows(grading, form))
+    scaled = _scaled(form)
+    if any(i != j for i, j, _ in scaled):
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in mm]
+        for i, j, v in scaled:
+            rows[i].append((j, v, -v))
+            if i != j:
+                rows[j].append((i, v, -v))
+        return all(_noncommuting_entry(partners, rows) is None for partners in mm)
     b = [0] * form.dim
-    for i, _, v in _scaled(form)[1]:
+    for i, _, v in scaled:
         b[i] = v
     return all(b[y] == b[l] for partners in mm for y, (l, _) in partners.items())
 
@@ -346,9 +349,11 @@ def killing_metric_operator(
     and one char_poly, raised to their multiplicity.  A zero b or a
     singular block means B is degenerate on the component, which is
     rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] = +-E_r
-    makes ad(Z) a signed partial permutation, so each entry of ad(Z) beta
-    and of beta ad(Z) is one signed entry of beta, and the two are
-    compared as dicts, built from the records of ad(Z) on the component.
+    makes ad(Z) a signed partial permutation, and ``_noncommuting_entry``
+    compares ad(Z) beta with beta ad(Z) on the records ``em[z]`` of the
+    component.  beta is symmetric, as B is, so its rows serve as its
+    columns; they are in component coordinates, shifted by
+    ``carrier.start``.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -382,8 +387,8 @@ def killing_metric_operator(
         key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
         shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
-    # the nonzero entries of beta by row and by column: (column or row, value, -value)
-    by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
+    # the nonzero entries of beta by row: (column, value, -value)
+    rows: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(d)]
     for b, group in ones.values():
         if not b:
             raise ValueError(f"form is degenerate on component {gamma.label}")
@@ -392,8 +397,7 @@ def killing_metric_operator(
         polys.append(([ONE, neg], len(group)))
         for i in group:
             beta[i][i] = v
-            by_row[i].append((i, v, neg))
-            by_col[i].append((i, v, neg))
+            rows[i].append((i, v, neg))
     for b_blk, group in shared.values():
         size = range(len(b_blk))
         try:
@@ -405,24 +409,13 @@ def killing_metric_operator(
         for blk in group:
             for a, b, v, neg in nonzero:
                 beta[blk[a]][blk[b]] = v
-                by_row[blk[a]].append((blk[b], v, neg))
-                by_col[blk[b]].append((blk[a], v, neg))
+                rows[blk[a]].append((blk[b], v, neg))
 
     _, _, em = grading.split
     witness = None
     for z in grading.fixed_generators:
-        left, right = {}, {}  # ad(Z) beta and beta ad(Z), with [Z, E_x] = +-E_r read as a sign
-        ad_z = em[z]
-        for x in carrier:
-            if x in ad_z:
-                r, s = ad_z[x]
-                src, dst, up = x - carrier.start, r - carrier.start, s > 0
-                for j, v, neg in by_row[src]:
-                    left[dst, j] = v if up else neg
-                for i, v, neg in by_col[dst]:
-                    right[i, src] = v if up else neg
-        if left != right:
-            bad = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+        bad = _noncommuting_entry(em[z], rows, carrier.start)
+        if bad is not None:
             witness = (grading.fixed_indices[z], *bad)
             break
     return KillingMetricOperator(gamma, beta, _poly_product(polys), witness)

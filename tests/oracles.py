@@ -169,9 +169,11 @@ def classify(form, grading, carrier, order):
 def reductivity_rows(grading, forms):
     """B_k([X,Y]_m, Z) + B_k([X,Z]_m, Y) over ``forms``, per basis triple of m.
 
-    The library's skewness pass run on every form at once: one row per
-    unordered pair {y, z} in the support of M_x[y][z] = B_k([E_x, E_y]_m,
-    E_z), mapping k to the residual of ``forms[k]`` (a value may be zero).
+    The independent residual route to natural reductivity, which the
+    library tests instead as B ad_m(E_x) = ad_m(E_x) B: Fraction sums over
+    every form at once, one row per unordered pair {y, z} in the support of
+    M_x[y][z] = B_k([E_x, E_y]_m, E_z), mapping k to the residual of
+    ``forms[k]`` (a value may be zero).  The rows come x by x.
     """
     mm, _, _ = grading.split
     # l -> [(z, k, B_k(E_l, E_z), -B_k(E_l, E_z))], each entry in both orders
@@ -191,6 +193,18 @@ def reductivity_rows(grading, forms):
                 cell = skew.setdefault((y, z) if y < z else (z, y), {})
                 cell[k] = cell[k] + v if k in cell else v
         yield from skew.values()
+
+
+def symmetric_rows(form):
+    """Row i of a symmetric form as its nonzero entries (j, B_ij, -B_ij),
+    each entry in both orders: the layout ``metrics._noncommuting_entry``
+    reads."""
+    rows = [[] for _ in range(form.dim)]
+    for i, j, e in form.nonzero_entries:
+        rows[i].append((j, e, -e))
+        if i != j:
+            rows[j].append((i, e, -e))
+    return rows
 
 
 def refinement_by_row_reduction(family):

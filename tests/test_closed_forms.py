@@ -24,13 +24,14 @@ from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group, from_label
 from gammasym.linalg import SymmetricForm, congruence_signature
 from gammasym.metrics import (
-    _reductivity_rows,
+    _noncommuting_entry,
     evaluate_family,
     invariant_family,
     is_adapted,
     killing_metric_operator,
     lorentzian_search,
 )
+from oracles import symmetric_rows
 
 PARTITIONS = [(n, part) for n in range(3, 13) for part in ordered_partitions(n)]
 QUARTERS = {Fraction(1): 4, Fraction(1, 4): 1, Fraction(0): 0}
@@ -83,13 +84,16 @@ def random_diagonal_member(rng, fam):
 def check_adapted_is_the_walk(g, forms, where):
     """The skewness behind ``is_adapted``'s diagonal path, mm[x][y] == (l, s)
     exactly when mm[x][l] == (y, -s), checked from every record; and its
-    verdict on each form against the residual walk."""
+    verdict on each form against the commutation check of B with every
+    ad_m(E_x), which the diagonal path skips."""
     mm, _, _ = g.split
     for x, row in enumerate(mm):
         for y, (l, s) in row.items():
             assert row.get(l) == (y, -s), (where, x, y)
     for form in forms:
-        assert is_adapted(form, g) == (not any(_reductivity_rows(g, form))), (where, form)
+        rows = symmetric_rows(form)
+        commutes = all(_noncommuting_entry(row, rows) is None for row in mm)
+        assert is_adapted(form, g) == commutes, (where, form)
 
 
 def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
@@ -97,7 +101,7 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
     inertia (dim m - 1, 1, 0) that exists exactly when two blocks have one
     point; the normal metric's sectional table has the closed-form counts
     of 1, 1/4 and 0, and its row at E_pq sums to Ric(E_pq, E_pq).
-    ``is_adapted`` agrees with the residual walk on the identity, a seeded
+    ``is_adapted`` agrees with the commutation check on the identity, a seeded
     random diagonal member and the witness."""
     rng = random.Random(31)
     witnesses = refused = 0
@@ -166,7 +170,8 @@ def test_beta_char_poly_matches_the_closed_form():
 
 def test_adapted_is_the_walk_off_the_block_gradings():
     """The diagonal path of ``is_adapted`` reads only the skewness of so(n),
-    so it also agrees with the walk on a grading whose ``blocks`` is None:
+    so it also agrees with the commutation check on a grading whose
+    ``blocks`` is None:
     (2, 2, 1, 1) with the labels a and b swapped."""
     g = block_grading(6, (2, 2, 1, 1))
     swap = {"a": from_label(2, "b"), "b": from_label(2, "a")}

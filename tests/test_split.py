@@ -22,7 +22,7 @@ from gammasym.liealg import build_so
 from gammasym.linalg import RowReducer, SymmetricForm
 from gammasym.metrics import (
     FormFamily,
-    _reductivity_rows,
+    _noncommuting_entry,
     evaluate_family,
     invariant_family,
     is_adapted,
@@ -36,6 +36,7 @@ from oracles import (
     rank,
     reductivity_rows,
     refinement_by_row_reduction,
+    symmetric_rows,
 )
 
 F = Fraction
@@ -225,10 +226,12 @@ def test_adapted_verdicts_match_torsion_oracle():
 
 
 def test_adapted_verdicts_on_forms_outside_the_family():
-    # the residuals skip triples by the support of the form itself, so
-    # forms that are not invariant, not component-orthogonal or have a
-    # single entry must get the same verdicts as the oracle, and every
-    # nonzero residual must still be generated, once per x and {y, z}
+    # the commutation check walks only the records of ad_m(E_x) and the
+    # support of the form, so forms that are not invariant, not
+    # component-orthogonal or have a single entry must get the same
+    # verdicts as the oracle; and for each x, the first entry where
+    # B ad_m(E_x) and ad_m(E_x) B differ must be the first nonzero
+    # residual (y, z), row-major
     rng = random.Random(29)
     verdicts = set()
     for n in range(3, 7):
@@ -241,18 +244,18 @@ def test_adapted_verdicts_on_forms_outside_the_family():
             forms = [random_symmetric(rng, m) for _ in range(2)]
             pairs = [(i, j) for i in range(m) for j in range(i, m)]
             forms += [single_entry(m, i, j) for i, j in rng.sample(pairs, min(4, len(pairs)))]
+            mm, _, _ = g.split
             for form in forms:
                 w = omega_table(torsion, form)
-                want = Counter(
-                    -(w[x][y][z] + w[x][z][y])
-                    for x in range(m)
-                    for y in range(m)
-                    for z in range(y, m)
-                    if w[x][y][z] + w[x][z][y]
-                )
-                got = Counter(v for v in _reductivity_rows(g, form) if v)
-                assert got == want, (n, part, form.nonzero_entries)
-                adapted = not want
+                rows = symmetric_rows(form)
+                adapted = True
+                for x in range(m):
+                    want = next(
+                        ((y, z) for y in range(m) for z in range(m) if w[x][y][z] + w[x][z][y]),
+                        None,
+                    )
+                    assert _noncommuting_entry(mm[x], rows) == want, (n, part, x, form.nonzero_entries)
+                    adapted = adapted and want is None
                 assert is_adapted(form, g) == adapted, (n, part)
                 assert ambrose_singer_check(g, form).totally_skew == adapted, (n, part)
                 verdicts.add(adapted)
@@ -290,16 +293,15 @@ def test_refinement_matches_dense_triple_route():
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(SMALL_PARTITIONS, st.data())
 def test_family_rows_contract_to_the_member_walk(part, data):
-    # the refinement's rows over the basis, contracted with c, give the
-    # nonzero residuals that is_adapted meets on the member at c
+    # the refinement's rows over the basis, contracted with c, vanish
+    # exactly when is_adapted holds on the member at c
     g = block_grading(sum(part), part)
     fam = invariant_family(g)
     rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
     c = data.draw(st.lists(rational, min_size=fam.dimension, max_size=fam.dimension))
     rows = reductivity_rows(g, fam.basis)
-    contracted = Counter(v for row in rows if (v := sum(c[k] * e for k, e in row.items())))
-    member = _reductivity_rows(g, evaluate_family(fam, c))
-    assert contracted == Counter(v for v in member if v)
+    vanish = not any(sum(c[k] * e for k, e in row.items()) for row in rows)
+    assert is_adapted(evaluate_family(fam, c), g) == vanish
 
 
 # values whose sums cancel only over a common denominator: 1/2 + 1/3 - 5/6 = 0
@@ -338,17 +340,16 @@ def lcm_cancelling_form():
 @given(forms_on_small_partitions())
 @example(lcm_cancelling_form())
 def test_integer_residuals_match_the_rational_oracle(case):
-    """The residuals summed over integer numerators equal the oracle's
-    Fraction sums on the same single form: one value per pair, the same
-    nonzero values, and the same is_adapted verdict."""
+    """``is_adapted``, which compares integer numerators over the lcm of
+    the denominators, gives the verdict of the oracle's Fraction sums on
+    the same single form, and so does the commutation check on the
+    Fraction entries themselves."""
     g, form = case
-    rows = list(reductivity_rows(g, [form]))
-    got = list(_reductivity_rows(g, form))
-    assert len(got) == len(rows)
-    assert all(type(v) is F for v in got)
-    want = Counter(row[0] for row in rows if row[0])
-    assert Counter(v for v in got if v) == want
-    assert is_adapted(form, g) == (not want)
+    want = not any(row[0] for row in reductivity_rows(g, [form]))
+    assert is_adapted(form, g) == want
+    mm, _, _ = g.split
+    rows = symmetric_rows(form)
+    assert all(_noncommuting_entry(partners, rows) is None for partners in mm) == want
 
 
 def family_fields(fam):
