@@ -169,6 +169,25 @@ def _noncommuting_entry(
     return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
 
 
+def _first_mismatch(
+    records: Sequence[dict[int, tuple[int, int]]], labels: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """The first (k, r, x) where P_k M and M P_k differ at (r, x), or None.
+
+    M is diagonal, and labels[i] == labels[j] exactly when M_i = M_j; P_k
+    is the signed partial permutation with P_k e_x = s e_r for each record
+    x: (r, s) of records[k].  Column x of P_k M is s M_x e_r and that of
+    M P_k is s M_r e_r, so the two differ exactly at the (r, x) with M_x !=
+    M_r.  k is the first such P_k, and (r, x) the least such entry,
+    row-major, which is what ``_noncommuting_entry`` returns.
+    """
+    for k, recs in enumerate(records):
+        for x, (r, _) in recs.items():
+            if labels[x] != labels[r]:
+                return k, *min((r, x) for x, (r, _) in recs.items() if labels[x] != labels[r])
+    return None
+
+
 def naturally_reductive_subfamily(family: FormFamily) -> FormFamily:
     """Members whose torsion-free canonical connection is metric-derived.
 
@@ -218,11 +237,10 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     for each record ``mm[x][y]`` = (l, s).  B([E_x, E_y]_m, E_z) is
     (A_x^T B)_yz, so the identity at X = E_x reads A_x^T B + B A_x = 0; and
     ad(E_x) is skew on the Killing-orthonormal E basis (c_xy^l = -c_xl^y),
-    so A_x^T = -A_x and the identity is B A_x = A_x B.  Each x is checked by
-    ``_noncommuting_entry`` on the form scaled to integers by the lcm of its
-    denominators.  For a form that is diagonal, B = sum B_k E_k (x) E_k, the
-    entry (y, l) of B A_x - A_x B is s (B_l - B_y), so the form qualifies
-    exactly when B_l = B_y on every record, which is read off with no dicts.
+    so A_x^T = -A_x and the identity is B A_x = A_x B.  The form is scaled
+    to integers by the lcm of its denominators; each x is then checked by
+    ``_noncommuting_entry`` on its rows, or, when the form is diagonal, all
+    of mm by ``_first_mismatch`` with its scaled entries as labels.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -238,7 +256,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     b = [0] * form.dim
     for i, _, v in scaled:
         b[i] = v
-    return all(b[y] == b[l] for partners in mm for y, (l, _) in partners.items())
+    return _first_mismatch(mm, b) is None
 
 
 class SignatureReport(NamedTuple):
@@ -349,11 +367,15 @@ def killing_metric_operator(
     and one char_poly, raised to their multiplicity.  A zero b or a
     singular block means B is degenerate on the component, which is
     rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] = +-E_r
-    makes ad(Z) a signed partial permutation, and ``_noncommuting_entry``
-    compares ad(Z) beta with beta ad(Z) on the records ``em[z]`` of the
-    component.  beta is symmetric, as B is, so its rows serve as its
-    columns; they are in component coordinates, shifted by
-    ``carrier.start``.
+    makes ad(Z) a signed partial permutation, compared with beta on the
+    records ``em[z]``.  When every block is 1 x 1, beta is diagonal and
+    ``_first_mismatch`` reads the comparison off int labels of m: each
+    index of the component is labelled by its group of equal b, and every
+    other index by -1, so the records of other components never differ.
+    Otherwise ``_noncommuting_entry`` compares beta's rows with ad(Z) on
+    the component; beta is symmetric, as B is, so its rows serve as its
+    columns.  The records are in m's coordinates, and beta in the
+    component's, which start at ``carrier.start``.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -387,9 +409,12 @@ def killing_metric_operator(
         key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
         shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
-    # the nonzero entries of beta by row: (column, value, -value)
-    rows: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(d)]
-    for b, group in ones.values():
+    start = carrier.start
+    # beta's nonzero entries by row, (column, value, -value), when a block
+    # is larger than 1 x 1; a diagonal beta is compared on labels of m
+    rows: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(d)] if shared else []
+    labels = [-1] * form.dim
+    for label, (b, group) in enumerate(ones.values()):
         if not b:
             raise ValueError(f"form is degenerate on component {gamma.label}")
         v = kappa / b
@@ -397,7 +422,9 @@ def killing_metric_operator(
         polys.append(([ONE, neg], len(group)))
         for i in group:
             beta[i][i] = v
-            rows[i].append((i, v, neg))
+            labels[start + i] = label
+            if shared:
+                rows[i].append((i, v, neg))
     for b_blk, group in shared.values():
         size = range(len(b_blk))
         try:
@@ -412,12 +439,19 @@ def killing_metric_operator(
                 rows[blk[a]].append((blk[b], v, neg))
 
     _, _, em = grading.split
+    fixed = grading.fixed_generators
     witness = None
-    for z in grading.fixed_generators:
-        bad = _noncommuting_entry(em[z], rows, carrier.start)
+    if shared:
+        for z in fixed:
+            bad = _noncommuting_entry(em[z], rows, start)
+            if bad is not None:
+                witness = (grading.fixed_indices[z], *bad)
+                break
+    else:
+        bad = _first_mismatch([em[z] for z in fixed], labels)
         if bad is not None:
-            witness = (grading.fixed_indices[z], *bad)
-            break
+            k, r, x = bad
+            witness = (grading.fixed_indices[fixed[k]], r - start, x - start)
     return KillingMetricOperator(gamma, beta, _poly_product(polys), witness)
 
 
@@ -429,7 +463,9 @@ def _poly_product(factors: Iterable[tuple[Vector, int]]) -> Vector:
 
         q_m = sum_{j=1}^{min(m, deg)} ((k + 1) j - m) a_j q_{m-j} / (m a_0),
 
-    an exact division.  The product is divided once."""
+    an exact division.  At deg 1 the sum is its one term, (k + 1 - m) a_1
+    q_{m-1} / (m a_0), the binomial recurrence.  The product is divided
+    once."""
     out = [1]
     for p, k in factors:
         den = lcm(*(c.denominator for c in p))
@@ -437,7 +473,10 @@ def _poly_product(factors: Iterable[tuple[Vector, int]]) -> Vector:
         deg = len(a) - 1
         q = [den**k]
         for m in range(1, k * deg + 1):
-            s = sum(((k + 1) * j - m) * a[j] * q[m - j] for j in range(1, min(m, deg) + 1))
+            if deg == 1:
+                s = (k + 1 - m) * a[1] * q[-1]
+            else:
+                s = sum(((k + 1) * j - m) * a[j] * q[m - j] for j in range(1, min(m, deg) + 1))
             q.append(s // (m * den))
         prod = [0] * (len(out) + len(q) - 1)
         for j, y in enumerate(q):

@@ -24,6 +24,7 @@ from gammasym.grading import Grading, block_grading
 from gammasym.groups import enumerate_group, from_label
 from gammasym.linalg import SymmetricForm, congruence_signature
 from gammasym.metrics import (
+    _first_mismatch,
     _noncommuting_entry,
     evaluate_family,
     invariant_family,
@@ -83,17 +84,25 @@ def random_diagonal_member(rng, fam):
 
 def check_adapted_is_the_walk(g, forms, where):
     """The skewness behind ``is_adapted``'s diagonal path, mm[x][y] == (l, s)
-    exactly when mm[x][l] == (y, -s), checked from every record; and its
-    verdict on each form against the commutation check of B with every
-    ad_m(E_x), which the diagonal path skips."""
+    exactly when mm[x][l] == (y, -s), checked from every record; and, on
+    each diagonal form, ``_first_mismatch`` with the form's entries as
+    labels against the commutation check of B with ad_m(E_x) by
+    ``_noncommuting_entry``: the same first differing entry, or None, for
+    every x, and the same first x over all of mm; ``is_adapted``'s verdict
+    is that of the walk."""
     mm, _, _ = g.split
     for x, row in enumerate(mm):
         for y, (l, s) in row.items():
             assert row.get(l) == (y, -s), (where, x, y)
     for form in forms:
-        rows = symmetric_rows(form)
-        commutes = all(_noncommuting_entry(row, rows) is None for row in mm)
-        assert is_adapted(form, g) == commutes, (where, form)
+        rows, labels = symmetric_rows(form), [form.entry(i, i) for i in range(form.dim)]
+        assert all(i == j for i, j, _ in form.nonzero_entries), (where, form)
+        walked = [_noncommuting_entry(row, rows) for row in mm]
+        for x, entry in enumerate(walked):
+            assert _first_mismatch([mm[x]], labels) == (None if entry is None else (0, *entry)), (where, form, x)
+        first = next(((x, *e) for x, e in enumerate(walked) if e is not None), None)
+        assert _first_mismatch(mm, labels) == first, (where, form)
+        assert is_adapted(form, g) == (first is None), (where, form)
 
 
 def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
@@ -101,9 +110,10 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
     inertia (dim m - 1, 1, 0) that exists exactly when two blocks have one
     point; the normal metric's sectional table has the closed-form counts
     of 1, 1/4 and 0, and its row at E_pq sums to Ric(E_pq, E_pq).
-    ``is_adapted`` agrees with the commutation check on the identity, a seeded
-    random diagonal member and the witness."""
-    rng = random.Random(31)
+    ``is_adapted`` and ``_first_mismatch`` agree with the commutation check
+    on the identity, a seeded random diagonal member, the witness and, for
+    n <= 8, a random diagonal form."""
+    rng, entries = random.Random(31), random.Random(34)
     witnesses = refused = 0
     for n, part in PARTITIONS:
         g = block_grading(n, part)
@@ -113,6 +123,9 @@ def test_lorentzian_witness_and_sectional_table_match_the_closed_forms():
         forms = [SymmetricForm.identity(d), random_diagonal_member(rng, fam)]
         if witness is not None:
             forms.append(evaluate_family(fam, witness))
+        if n <= 8:  # a random diagonal form, mostly not a member, with many equal entries
+            values = [Fraction(entries.randint(-2, 2), entries.randint(1, 2)) for _ in range(d)]
+            forms.append(SymmetricForm.diagonal(values))
         check_adapted_is_the_walk(g, forms, (n, part))
         refused += not is_adapted(forms[1], g)
         assert (witness is not None) == (sum(r == 1 for r in part) >= 2), (n, part)

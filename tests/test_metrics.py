@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammasym import metrics
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
-from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, support_components
+from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, linear_combination, support_components
 from gammasym.metrics import (
     FormFamily,
     _poly_product,
@@ -440,6 +440,24 @@ def test_nat_reductive_members_are_adapted():
     assert again.dimension == nr.dimension
 
 
+def test_nat_reductive_refuses_a_parentless_family_that_is_not_the_invariant_one():
+    """The closed form holds for the invariant family's own basis: a
+    parentless family with one basis form doubled, or with two forms
+    swapped, is refused; a refined family, whose parent is set, is taken
+    whole, even with a basis form doubled."""
+    fam = family(5, (2, 2, 1, 0))
+    doubled = [linear_combination(len(fam.carrier), [2], [fam.basis[0]]), *fam.basis[1:]]
+    swapped = [fam.basis[1], fam.basis[0], *fam.basis[2:]]
+    for basis in (doubled, swapped):
+        with pytest.raises(ValueError, match="the closed-form refinement needs the invariant family of its grading"):
+            naturally_reductive_subfamily(fam._replace(basis=basis))
+    nr = naturally_reductive_subfamily(fam)
+    for refined in (nr, nr._replace(basis=[linear_combination(len(nr.carrier), [2], nr.basis)])):
+        again = naturally_reductive_subfamily(refined)
+        assert again.parent is refined
+        assert again.basis == refined.basis
+
+
 def test_is_adapted_cases():
     g = block_grading(5, (2, 2, 1, 0))
     fam = invariant_family(g)
@@ -677,12 +695,16 @@ def test_beta_blocks_match_the_dense_route():
     Every ordered partition with 3 <= n <= 7 (among them (1,1,1,1)) and
     (2,2,2,2), (3,3,3,4), at random rational family members, some of them
     degenerate; for n <= 6 also at random diagonal and random dense
-    symmetric forms, which are mostly not invariant; and, except on
-    (2,2,2,2), at diagonal forms with entries in {-1, 0, 1, 2}, whose many
-    equal blocks share a solve, a singular one when it is 0.
+    symmetric forms, which are mostly not invariant; except on (2,2,2,2),
+    at diagonal forms with entries in {-1, 0, 1, 2}, whose many equal
+    blocks share a solve, a singular one when it is 0; and at two
+    nondegenerate diagonal forms with entries in {-2, -1, 1, 2}, where
+    beta is diagonal and its commutation is read off labels: a random one,
+    which mostly fails to commute, and a member, every u at 0, which
+    commutes.
     """
-    rng = random.Random(14)
-    seen = Counter()
+    rng, signs = random.Random(14), random.Random(34)
+    seen, diagonal = Counter(), Counter()
     for n, part in ordered_partitions(3, 7) + [(8, (2, 2, 2, 2)), (13, (3, 3, 3, 4))]:
         g = block_grading(n, part)
         fam = invariant_family(g)
@@ -696,16 +718,25 @@ def test_beta_blocks_match_the_dense_route():
             forms.append(random_symmetric(rng, dim))
         if part != (2, 2, 2, 2):
             forms.append(SymmetricForm.diagonal([rng.choice((-1, 0, 1, 2)) for _ in range(dim)]))
-        for form in forms:
+        diag = fam.diagonal_parameters()
+        forms.append(SymmetricForm.diagonal([signs.choice((-2, -1, 1, 2)) for _ in range(dim)]))
+        member = [signs.choice((-2, -1, 1, 2)) if k in diag else 0 for k in range(fam.dimension)]
+        forms.append(evaluate_family(fam, member))
+        for k, form in enumerate(forms):
             for gamma in enumerate_group(2):
                 got = beta_outcome(killing_metric_operator, g, form, gamma)
-                assert got == beta_outcome(dense_killing_metric_operator, g, form, gamma)
-                seen[got.split(" on ")[0] if isinstance(got, str) else got[2]] += 1
+                assert got == beta_outcome(dense_killing_metric_operator, g, form, gamma), (part, gamma.label)
+                key = got.split(" on ")[0] if isinstance(got, str) else got[2]
+                seen[key] += 1
+                if k >= len(forms) - 2:
+                    diagonal[key] += 1
     assert seen[True] and seen[False] and seen["form is degenerate"]
+    assert diagonal[True] and diagonal[False] and not diagonal["form is degenerate"]
 
 
-def count_block_solves(monkeypatch, g, form, gamma):
-    """Calls of ``solve_matrix`` and of ``char_poly`` by one beta."""
+def count_calls(monkeypatch, g, form, gamma, names=("solve_matrix", "char_poly")):
+    """Calls of each of ``names``, functions that ``metrics`` looks up by
+    name, by one beta."""
     calls = Counter()
 
     def spy(name, fn):
@@ -715,11 +746,11 @@ def count_block_solves(monkeypatch, g, form, gamma):
 
         return counted
 
-    for name in ("solve_matrix", "char_poly"):
+    for name in names:
         monkeypatch.setattr(metrics, name, spy(name, getattr(metrics, name)))
     killing_metric_operator(g, form, gamma)
     monkeypatch.undo()
-    return calls["solve_matrix"], calls["char_poly"]
+    return tuple(calls[name] for name in names)
 
 
 def test_beta_solves_each_distinct_block_once(monkeypatch):
@@ -736,19 +767,36 @@ def test_beta_solves_each_distinct_block_once(monkeypatch):
     g = block_grading(13, (3, 3, 3, 4))
     fam = invariant_family(g)
     member = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
-    assert count_block_solves(monkeypatch, g, member, a) == (0, 0)
+    assert count_calls(monkeypatch, g, member, a) == (0, 0)
     g = block_grading(8, (2, 2, 2, 2))
     fam = invariant_family(g)
     assert fam.names[:4] == ["t_A1", "u_A1", "t_A2", "u_A2"]
     distinct = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
-    assert count_block_solves(monkeypatch, g, distinct, a) == (4, 4)
+    assert count_calls(monkeypatch, g, distinct, a) == (4, 4)
     paired = evaluate_family(fam, [F(3), F(1, 2)] * 2 + [F(k + 2, 3) for k in range(4, fam.dimension)])
-    assert count_block_solves(monkeypatch, g, paired, a) == (2, 2)
+    assert count_calls(monkeypatch, g, paired, a) == (2, 2)
     half = evaluate_family(fam, [F(3), F(0), F(2), F(1, 2)] + [F(k + 2, 3) for k in range(4, fam.dimension)])
-    assert count_block_solves(monkeypatch, g, half, a) == (2, 2)
+    assert count_calls(monkeypatch, g, half, a) == (2, 2)
     g = block_grading(7, (2, 2, 2, 1))
     diagonal = SymmetricForm.diagonal(range(1, len(g.complement_indices) + 1))
-    assert count_block_solves(monkeypatch, g, diagonal, a) == (0, 0)
+    assert count_calls(monkeypatch, g, diagonal, a) == (0, 0)
+
+
+def test_beta_on_a_diagonal_b_never_walks_the_rows(monkeypatch):
+    """With every block 1 x 1, as on each component of a (3,3,3,4) member,
+    beta's commutation is read off labels by ``_first_mismatch``, once, and
+    ``_noncommuting_entry`` is never called; a (2,2,2,2) member with every
+    u nonzero has 2 x 2 blocks on every component and takes the row walk."""
+    names = ("_noncommuting_entry", "_first_mismatch")
+    rng = random.Random(34)
+    for n, part, walks in [(13, (3, 3, 3, 4), False), (8, (2, 2, 2, 2), True)]:
+        g = block_grading(n, part)
+        fam = invariant_family(g)
+        for _ in range(3):
+            member = evaluate_family(fam, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in fam.names])
+            for gamma in enumerate_group(2)[1:]:
+                walked, labelled = count_calls(monkeypatch, g, member, gamma, names)
+                assert (walked > 0, labelled) == ((True, 0) if walks else (False, 1)), (part, gamma.label)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -765,6 +813,9 @@ def test_beta_solves_each_distinct_block_once(monkeypatch):
 @example([([F(-1, 2), F(3, 4)], 1)])
 @example([([F(5, 7)], 0), ([F(-1, 2), F(3, 4)], 0)])
 @example([([F(-1, 2), F(3, 4)], 4), ([F(2, 3), F(-5, 6)], 3), ([F(0), F(-4)], 2)])
+@example([([F(22, 7)], 9), ([F(11, 4)], 12)])  # beta's shape at (3,3,3,4): negative roots
+@example([([F(0)], 5), ([F(-3, 2)], 2)])  # x ** 5, a zero root
+@example([([F(5, 9)], 3), ([F(-1, 2), F(3, 4)], 2), ([F(2)], 1)])  # linear and quadratic
 def test_poly_product_with_multiplicities_is_the_plain_product(factors):
     """prod p ** k equals the product of k copies of each monic p in Fractions."""
     want = [F(1)]
