@@ -356,26 +356,28 @@ def killing_metric_operator(
     """Solve B_gamma . beta = K_gamma on the component of ``gamma``, block by block.
 
     ``form`` is any symmetric form on m in carrier coordinates; ``commutes``
-    is the verdict on it, true on the invariant family.  K = kappa I with
-    kappa = -2(n-2), read off ``algebra.killing_form()``, so B and beta =
-    kappa B^-1 are block diagonal over the connected components of the
-    support of B plus the diagonal (an index where B vanishes is a 1 x 1
-    block).  A 1 x 1 block [b] is read off: beta is kappa / b there, and
-    the characteristic polynomial gets the factor x - kappa / b once per
-    distinct b, raised to the number of indices that share it.  Larger
-    blocks with equal dense B blocks share one solve of B_blk X = kappa I
-    and one char_poly, raised to their multiplicity.  A zero b or a
-    singular block means B is degenerate on the component, which is
-    rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] = +-E_r
-    makes ad(Z) a signed partial permutation, compared with beta on the
-    records ``em[z]``.  When every block is 1 x 1, beta is diagonal and
-    ``_first_mismatch`` reads the comparison off int labels of m: each
-    index of the component is labelled by its group of equal b, and every
-    other index by -1, so the records of other components never differ.
-    Otherwise ``_noncommuting_entry`` compares beta's rows with ad(Z) on
-    the component; beta is symmetric, as B is, so its rows serve as its
-    columns.  The records are in m's coordinates, and beta in the
-    component's, which start at ``carrier.start``.
+    is the verdict on it, true on the invariant family.  B_gamma is read off
+    the form's entries, shifted by ``carrier.start``; one joining two
+    components is dropped.  K = kappa I with kappa = -2(n-2), read off
+    ``algebra.killing_form()``, so B and beta = kappa B^-1 are block
+    diagonal over the connected components of the support of B plus the
+    diagonal (an index where B vanishes is a 1 x 1 block).  A 1 x 1 block
+    [b] is read off: beta is kappa / b there, and the characteristic
+    polynomial gets the factor x - kappa / b once per distinct b, raised to
+    the number of indices that share it.  Larger blocks with equal dense B
+    blocks share one solve of B_blk X = kappa I and one char_poly, raised to
+    their multiplicity.  A zero b or a singular block means B is degenerate
+    on the component, which is rejected.  For Z in
+    ``grading.fixed_generators``, [Z, E_x] = +-E_r makes ad(Z) a signed
+    partial permutation, compared with beta on the records ``em[z]``.  When
+    every block is 1 x 1, beta is diagonal and ``_first_mismatch`` reads the
+    comparison off int labels of m, built on this path only: each index of
+    the component is labelled by its group of equal b, and every other index
+    by -1, so the records of other components never differ.  Otherwise
+    ``_noncommuting_entry`` compares beta's rows with ad(Z) on the
+    component; beta is symmetric, as B is, so its rows serve as its columns.
+    The records are in m's coordinates, and beta in the component's, which
+    start at ``carrier.start``.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -386,11 +388,12 @@ def killing_metric_operator(
     carrier = grading.carrier_slices[gamma.label]
     if not carrier:
         raise ValueError(f"component {gamma.label} is zero")
-    b_form = form.restrict(carrier)
     kappa = grading.algebra.killing_form().entry(0, 0)
-    d = len(carrier)
+    d, start, stop = len(carrier), carrier.start, carrier.stop
+    # i <= j, so an entry lies on the component when start <= i and j < stop
+    local = [(i - start, j - start, v) for i, j, v in form.nonzero_entries if start <= i and j < stop]
     b_diag, edges = [ZERO] * d, []
-    for i, j, v in b_form.nonzero_entries:
+    for i, j, v in local:
         if i == j:
             b_diag[i] = v
         else:
@@ -405,16 +408,15 @@ def killing_metric_operator(
             ones.setdefault(b.as_integer_ratio(), (b, []))[1].append(i)
     # a block's flat key has size ** 2 entries, so it fixes the size
     shared: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
-    for blk, b_blk in zip(blocks, dense_blocks(b_form, blocks)):
-        key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
-        shared.setdefault(key, (b_blk, []))[1].append(blk)
+    if blocks:
+        for blk, b_blk in zip(blocks, dense_blocks(SymmetricForm(d, tuple(local)), blocks)):
+            key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
+            shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
-    start = carrier.start
     # beta's nonzero entries by row, (column, value, -value), when a block
     # is larger than 1 x 1; a diagonal beta is compared on labels of m
     rows: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(d)] if shared else []
-    labels = [-1] * form.dim
-    for label, (b, group) in enumerate(ones.values()):
+    for b, group in ones.values():
         if not b:
             raise ValueError(f"form is degenerate on component {gamma.label}")
         v = kappa / b
@@ -422,7 +424,6 @@ def killing_metric_operator(
         polys.append(([ONE, neg], len(group)))
         for i in group:
             beta[i][i] = v
-            labels[start + i] = label
             if shared:
                 rows[i].append((i, v, neg))
     for b_blk, group in shared.values():
@@ -448,6 +449,10 @@ def killing_metric_operator(
                 witness = (grading.fixed_indices[z], *bad)
                 break
     else:
+        labels = [-1] * form.dim
+        for label, (_, group) in enumerate(ones.values()):
+            for i in group:
+                labels[start + i] = label
         bad = _first_mismatch([em[z] for z in fixed], labels)
         if bad is not None:
             k, r, x = bad
@@ -456,31 +461,40 @@ def killing_metric_operator(
 
 
 def _poly_product(factors: Iterable[tuple[Vector, int]]) -> Vector:
-    """The product of p ** k over pairs of a monic rational p and k >= 0, over
-    the integers.  Each p is scaled once by the lcm of its denominators to
-    a, with a_0 = den, and q = a ** k comes from J. C. P. Miller's power
-    recurrence: q_0 = a_0 ** k and, for m = 1 .. k deg,
-
-        q_m = sum_{j=1}^{min(m, deg)} ((k + 1) j - m) a_j q_{m-j} / (m a_0),
-
-    an exact division.  At deg 1 the sum is its one term, (k + 1 - m) a_1
-    q_{m-1} / (m a_0), the binomial recurrence.  The product is divided
-    once."""
-    out = [1]
+    """The product of p ** k over pairs of a monic rational p and k >= 0, by
+    Kronecker substitution.  Each p is scaled once by the lcm of its
+    denominators to integers a, packed into one int (a evaluated at 2 ** w)
+    and raised to k, so CPython's big-int ``**`` and ``*`` do every
+    convolution.  The product's deg lower coefficients are read back as
+    balanced base-2 ** w digits, lowest first: a digit d >= 2 ** (w - 1)
+    stands for d - 2 ** w and carries one into the next; what is left is
+    the leading coefficient, prod a_0 ** k.  A digit is exact when its
+    coefficient c has |c| < 2 ** (w - 1).  |c| is at most the sum of the
+    absolute coefficients, a submultiplicative norm, so |c| <= prod |a|_1 **
+    k < 2 ** S with S = sum k bit_length(|a|_1) >= 1 whenever deg >= 1, and
+    w = S + 1.  The product is divided by its leading coefficient once."""
+    scaled, w = [], 1
     for p, k in factors:
         den = lcm(*(c.denominator for c in p))
         a = [c.numerator * (den // c.denominator) for c in p]
-        deg = len(a) - 1
-        q = [den**k]
-        for m in range(1, k * deg + 1):
-            if deg == 1:
-                s = (k + 1 - m) * a[1] * q[-1]
-            else:
-                s = sum(((k + 1) * j - m) * a[j] * q[m - j] for j in range(1, min(m, deg) + 1))
-            q.append(s // (m * den))
-        prod = [0] * (len(out) + len(q) - 1)
-        for j, y in enumerate(q):
-            for i, x in enumerate(out, j):
-                prod[i] += x * y
-        out = prod
+        scaled.append((a, k))
+        w += k * sum(map(abs, a)).bit_length()
+    packed, deg = 1, 0
+    for a, k in scaled:
+        v = 0
+        for c in a:
+            v = (v << w) + c
+        packed *= v**k
+        deg += k * (len(a) - 1)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(deg):
+        c = packed & mask
+        packed >>= w
+        if c >= half:
+            c -= mask + 1
+            packed += 1
+        out.append(c)
+    out.append(packed)
+    out.reverse()
     return [Fraction(c, out[0]) for c in out]

@@ -701,9 +701,12 @@ def test_beta_blocks_match_the_dense_route():
     nondegenerate diagonal forms with entries in {-2, -1, 1, 2}, where
     beta is diagonal and its commutation is read off labels: a random one,
     which mostly fails to commute, and a member, every u at 0, which
-    commutes.
+    commutes.  Also at a form diagonal on each component, entries in
+    {-2, -1, 1, 2}, plus entries that join each nonzero component to the
+    next: beta on a component must drop them, as the dense route's
+    ``restrict`` does, and its blocks stay 1 x 1.
     """
-    rng, signs = random.Random(14), random.Random(34)
+    rng, signs, joins = random.Random(14), random.Random(34), random.Random(35)
     seen, diagonal = Counter(), Counter()
     for n, part in ordered_partitions(3, 7) + [(8, (2, 2, 2, 2)), (13, (3, 3, 3, 4))]:
         g = block_grading(n, part)
@@ -718,6 +721,11 @@ def test_beta_blocks_match_the_dense_route():
             forms.append(random_symmetric(rng, dim))
         if part != (2, 2, 2, 2):
             forms.append(SymmetricForm.diagonal([rng.choice((-1, 0, 1, 2)) for _ in range(dim)]))
+        cells = {(x, x): joins.choice((-2, -1, 1, 2)) for x in range(dim)}
+        comps = [c for c in g.carrier_slices.values() if c]
+        for c, nxt in zip(comps, comps[1:]):
+            cells[c[0], nxt[-1]] = cells[c[-1], nxt[0]] = joins.choice((-2, -1, 1, 2))
+        forms.append(SymmetricForm(dim, tuple(sorted((i, j, F(v)) for (i, j), v in cells.items()))))
         diag = fam.diagonal_parameters()
         forms.append(SymmetricForm.diagonal([signs.choice((-2, -1, 1, 2)) for _ in range(dim)]))
         member = [signs.choice((-2, -1, 1, 2)) if k in diag else 0 for k in range(fam.dimension)]
@@ -814,10 +822,19 @@ def test_beta_on_a_diagonal_b_never_walks_the_rows(monkeypatch):
 @example([([F(5, 7)], 0), ([F(-1, 2), F(3, 4)], 0)])
 @example([([F(-1, 2), F(3, 4)], 4), ([F(2, 3), F(-5, 6)], 3), ([F(0), F(-4)], 2)])
 @example([([F(22, 7)], 9), ([F(11, 4)], 12)])  # beta's shape at (3,3,3,4): negative roots
-@example([([F(0)], 5), ([F(-3, 2)], 2)])  # x ** 5, a zero root
+@example([([F(0)], 5), ([F(-3, 2)], 2)])  # x ** 5, a zero root: five zero trailing coefficients
+@example([([F(1)], 40)])  # every coefficient positive, the central binomial largest
+@example([([F(-1)], 40)])  # alternating signs
+@example([([F(-3, 5)], 3)])  # |a|_1 = |(5, -3)|_1 = 8, a power of two
+@example([([F(-6)], 1)])  # |a|_1 = 7, w = 4: the digit -6 needs all four bits
+@example([([F(2, 3), F(-1, 5), F(7, 4)], 0)])  # a lone k = 0 factor
+@example([([F(-1, 2), F(3, 4), F(-5, 6)], 7)])  # a cubic to the 7th
 @example([([F(5, 9)], 3), ([F(-1, 2), F(3, 4)], 2), ([F(2)], 1)])  # linear and quadratic
 def test_poly_product_with_multiplicities_is_the_plain_product(factors):
-    """prod p ** k equals the product of k copies of each monic p in Fractions."""
+    """prod p ** k equals the product of k copies of each monic p in Fractions.
+
+    The examples sit at the edges of the packing width: large positive,
+    alternating, zero and top-of-digit coefficients, and empty products."""
     want = [F(1)]
     for tail, k in factors:
         for _ in range(k):
