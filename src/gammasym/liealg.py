@@ -44,23 +44,17 @@ class LieAlgebra:
 
     def _build_table(self) -> None:
         # [E_ab, E_cd] = d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc, so only
-        # pairs sharing exactly one index have a nonzero bracket.  For
-        # (a, b) < (c, d) the shared index is b = c, a = c or b = d, and the
-        # surviving E_xy already has x < y.
-        touching: list[list[int]] = [[] for _ in range(self.n)]
-        for k, (i, j) in enumerate(self.pairs):
-            touching[i].append(k)
-            touching[j].append(k)
+        # pairs sharing exactly one index have a nonzero bracket.  For a < b
+        # the partners (c, d) > (a, b), in lexicographic order, are (a, c) for
+        # c > b, (c, b) for a < c < b and (b, c) for c > b.
+        n, index, table = self.n, self.pair_index, self._table
         for p, (a, b) in enumerate(self.pairs):
-            for q in sorted(q for q in {*touching[a], *touching[b]} if q > p):
-                c, d = self.pairs[q]
-                if b == c:
-                    term = (self.pair_index[(a, d)], 1)
-                elif a == c:
-                    term = (self.pair_index[(b, d)], -1)
-                else:
-                    term = (self.pair_index[(a, c)], -1)
-                self._table[(p, q)] = (term,)
+            for c in range(b + 1, n):
+                table[p, index[a, c]] = ((index[b, c], -1),)
+            for c in range(a + 1, b):
+                table[p, index[c, b]] = ((index[a, c], -1),)
+            for c in range(b + 1, n):
+                table[p, index[b, c]] = ((index[a, c], 1),)
 
     # -- basic data ----------------------------------------------------
 

@@ -93,16 +93,14 @@ def invariant_family(grading: Grading) -> FormFamily:
     sub-block, plus 3 for (1, 1, 1, 1).  Gradings whose ``blocks`` is
     None raise ValueError, "not a grading" first when they do not verify.
     """
-    block = grading.blocks
-    if block is None:
+    if grading.blocks is None:
         grading.split  # raises "not a grading" when brackets break additivity
         raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
     part = tuple(grading.partition)
-    carrier, pairs = grading.complement_indices, grading.algebra.pairs
+    carrier = grading.complement_indices
     cells: dict[str, list[int]] = {sub: [] for sub in _SUBBLOCK.values()}
     for x, k in enumerate(carrier):
-        i, j = pairs[k]  # i < j, so block[i] <= block[j]
-        cells[_SUBBLOCK[block[i], block[j]]].append(x)
+        cells[grading.subblock(k)].append(x)
     labels = enumerate_group(2)
     names: list[str] = []
     supports: list[str] = []
@@ -142,28 +140,23 @@ def _scaled(form: SymmetricForm) -> list[tuple[int, int, int]]:
 
 
 def _noncommuting_entry(
-    records: dict[int, tuple[int, int]], rows: Sequence[list[tuple]], start: int = 0
+    records: dict[int, tuple[int, int]], rows: Sequence[list[tuple]]
 ) -> tuple[int, int] | None:
     """The first entry (i, j), row-major, where P M and M P differ, or None.
 
     P is the signed partial permutation with P e_x = s e_r for each record
     x: (r, s), and M is symmetric, row i given by rows[i] as its nonzero
-    entries (j, M_ij, -M_ij).  M's index i is the records' index start + i;
-    a record outside M is skipped, and one inside must map into M.  P is
-    injective, so (P M)_rj = s M_xj and (M P)_ix = s M_ir = s M_ri are each
-    one signed entry: the two sides are compared as dicts, with no sums.
+    entries (j, M_ij, -M_ij); rows covers every index the records name.  P
+    is injective, so (P M)_rj = s M_xj and (M P)_ix = s M_ir = s M_ri are
+    each one signed entry: the two sides are compared as dicts, with no sums.
     """
     left, right = {}, {}  # P M and M P
-    end = len(rows)
     for x, (r, s) in records.items():
-        x -= start
-        if 0 <= x < end:
-            r -= start
-            up = s > 0
-            for j, v, neg in rows[x]:
-                left[r, j] = v if up else neg
-            for i, v, neg in rows[r]:
-                right[i, x] = v if up else neg
+        up = s > 0
+        for j, v, neg in rows[x]:
+            left[r, j] = v if up else neg
+        for i, v, neg in rows[r]:
+            right[i, x] = v if up else neg
     if left == right:
         return None
     return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
@@ -369,15 +362,14 @@ def killing_metric_operator(
     their multiplicity.  A zero b or a singular block means B is degenerate
     on the component, which is rejected.  For Z in
     ``grading.fixed_generators``, [Z, E_x] = +-E_r makes ad(Z) a signed
-    partial permutation, compared with beta on the records ``em[z]``.  When
-    every block is 1 x 1, beta is diagonal and ``_first_mismatch`` reads the
-    comparison off int labels of m, built on this path only: each index of
-    the component is labelled by its group of equal b, and every other index
-    by -1, so the records of other components never differ.  Otherwise
-    ``_noncommuting_entry`` compares beta's rows with ad(Z) on the
-    component; beta is symmetric, as B is, so its rows serve as its columns.
-    The records are in m's coordinates, and beta in the component's, which
-    start at ``carrier.start``.
+    partial permutation, compared with beta on the records ``em[z]``, in m's
+    coordinates.  When every block is 1 x 1, beta is diagonal and
+    ``_first_mismatch`` reads the comparison off int labels of m: each index
+    of the component is labelled by its group of equal b, and every other
+    index by -1.  Otherwise ``_noncommuting_entry`` reads beta's rows, shifted
+    by ``carrier.start``, off the dense beta; beta is symmetric, as B is, so
+    its rows serve as its columns.  Either way the records of other
+    components never differ, and the witness is shifted back once.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -413,19 +405,13 @@ def killing_metric_operator(
             key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
             shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
-    # beta's nonzero entries by row, (column, value, -value), when a block
-    # is larger than 1 x 1; a diagonal beta is compared on labels of m
-    rows: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(d)] if shared else []
     for b, group in ones.values():
         if not b:
             raise ValueError(f"form is degenerate on component {gamma.label}")
         v = kappa / b
-        neg = -v
-        polys.append(([ONE, neg], len(group)))
+        polys.append(([ONE, -v], len(group)))
         for i in group:
             beta[i][i] = v
-            if shared:
-                rows[i].append((i, v, neg))
     for b_blk, group in shared.values():
         size = range(len(b_blk))
         try:
@@ -433,20 +419,21 @@ def killing_metric_operator(
         except ValueError:
             raise ValueError(f"form is degenerate on component {gamma.label}") from None
         polys.append((char_poly(sol), len(group)))
-        nonzero = [(a, b, v, -v) for a, row in enumerate(sol) for b, v in enumerate(row) if v]
+        nonzero = [(a, b, v) for a, row in enumerate(sol) for b, v in enumerate(row) if v]
         for blk in group:
-            for a, b, v, neg in nonzero:
+            for a, b, v in nonzero:
                 beta[blk[a]][blk[b]] = v
-                rows[blk[a]].append((blk[b], v, neg))
 
     _, _, em = grading.split
     fixed = grading.fixed_generators
-    witness = None
+    bad = None
     if shared:
-        for z in fixed:
-            bad = _noncommuting_entry(em[z], rows, start)
-            if bad is not None:
-                witness = (grading.fixed_indices[z], *bad)
+        rows: list[list[tuple]] = [[] for _ in range(form.dim)]
+        rows[start:stop] = [[(j, v, -v) for j, v in enumerate(row, start) if v] for row in beta]
+        for k, z in enumerate(fixed):
+            entry = _noncommuting_entry(em[z], rows)
+            if entry is not None:
+                bad = (k, *entry)
                 break
     else:
         labels = [-1] * form.dim
@@ -454,9 +441,10 @@ def killing_metric_operator(
             for i in group:
                 labels[start + i] = label
         bad = _first_mismatch([em[z] for z in fixed], labels)
-        if bad is not None:
-            k, r, x = bad
-            witness = (grading.fixed_indices[fixed[k]], r - start, x - start)
+    witness = None
+    if bad is not None:
+        k, r, x = bad
+        witness = (grading.fixed_indices[fixed[k]], r - start, x - start)
     return KillingMetricOperator(gamma, beta, _poly_product(polys), witness)
 
 

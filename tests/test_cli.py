@@ -42,6 +42,14 @@ def test_grade_text_and_csv(capsys):
 def test_bad_partition(capsys):
     err = run_err(capsys, ["grade", "--n", "5", "--partition", "2,2,2,0"])
     assert "partition" in err
+    for text, message in (
+        ("1,x,1,1", "partition must be four integers, got '1,x,1,1'"),
+        ("1,1,1", "partition must have four parts, got 3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["grade", "--n", "5", "--partition", text])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_metrics_json(capsys):
@@ -205,6 +213,8 @@ def test_geodesic_generator_errors(capsys):
     assert "not a basis" in run_err(capsys, ["geodesic", *SO5, "--generator", "E19"])
     assert "generator" in run_err(capsys, ["geodesic", *SO5, "--generator", "banana"])
     assert "t-samples" in run_err(capsys, ["geodesic", *SO5, "--t-samples", "abc"])
+    err = run_err(capsys, ["geodesic", "--n", "5", "--partition", "5,0,0,0"])
+    assert err == "gammasym: the complement m is zero; no geodesic generators\n"
 
 
 def test_geodesic_generator_is_a_printed_basis_label(capsys):
@@ -236,6 +246,59 @@ def test_geodesic_rejects_non_finite_samples(capsys):
     for tok in ("inf", "1e400", "nan"):
         err = run_err(capsys, ["geodesic", *SO5, "--t-samples", f"0.5,{tok}"])
         assert "--t-samples" in err and repr(tok) in err
+
+
+# exact stdout of every text renderer that the JSON tests leave unread: the
+# family with and without an inertia line, a refinement, a found Lorentzian
+# member and geodesic samples
+TEXT_OUTPUTS = {
+    ("metrics", *SO5): (
+        "invariant family dimension: 4\n"
+        "  t_A1       a:diag:A1\n"
+        "  u_A1       a:offdiag:A1\n"
+        "  t_B1       b:diag:B1\n"
+        "  t_C2       c:diag:C2\n"
+        "naturally reductive subfamily dimension: 1\n"
+    ),
+    ("metrics", *SO5, "--params=-1,1/2,1,1"): (
+        "invariant family dimension: 4\n"
+        "  t_A1       a:diag:A1\n"
+        "  u_A1       a:offdiag:A1\n"
+        "  t_B1       b:diag:B1\n"
+        "  t_C2       c:diag:C2\n"
+        "naturally reductive subfamily dimension: 1\n"
+        "inertia at given values: (4, 4, 0)\n"
+    ),
+    ("reductive", "--n", "4", "--partition", "1,1,1,1"): (
+        "naturally reductive subfamily dimension: 2\n"
+        "  s1: t_A1=0, u_A1=1, t_A2=0, t_B1=0, u_B1=-1, t_B2=0, t_C1=0, u_C1=1, t_C2=0\n"
+        "  s2: t_A1=1, u_A1=0, t_A2=1, t_B1=1, u_B1=0, t_B2=1, t_C1=1, u_C1=0, t_C2=1\n"
+    ),
+    ("lorentz", "--n", "5", "--partition", "1,1,3,0"): (
+        "lorentzian member: t_A1=-1, t_B1=1, t_C2=1\n"
+        "inertia: (6, 1, 0)\n"
+    ),
+    ("geodesic", *SO5, "--generator", "E13", "--t-samples", "0.1,1"): (
+        "generator E13: closed curve, period 2*pi\n"
+        "t = 0.1:\n"
+        "   0.995004165278   0.000000000000   0.099833416647   0.000000000000   0.000000000000\n"
+        "   0.000000000000   1.000000000000   0.000000000000   0.000000000000   0.000000000000\n"
+        "  -0.099833416647   0.000000000000   0.995004165278   0.000000000000   0.000000000000\n"
+        "   0.000000000000   0.000000000000   0.000000000000   1.000000000000   0.000000000000\n"
+        "   0.000000000000   0.000000000000   0.000000000000   0.000000000000   1.000000000000\n"
+        "t = 1:\n"
+        "   0.540302305868   0.000000000000   0.841470984808   0.000000000000   0.000000000000\n"
+        "   0.000000000000   1.000000000000   0.000000000000   0.000000000000   0.000000000000\n"
+        "  -0.841470984808   0.000000000000   0.540302305868   0.000000000000   0.000000000000\n"
+        "   0.000000000000   0.000000000000   0.000000000000   1.000000000000   0.000000000000\n"
+        "   0.000000000000   0.000000000000   0.000000000000   0.000000000000   1.000000000000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_OUTPUTS))
+def test_text_outputs_pinned(capsys, argv):
+    assert run_ok(capsys, [*argv, "--format", "text"]) == TEXT_OUTPUTS[argv]
 
 
 def test_output_deterministic(capsys):

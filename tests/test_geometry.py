@@ -296,6 +296,9 @@ def test_ambrose_singer():
     uneven = ambrose_singer_check(GRADING, SymmetricForm.diagonal([1, 1, 1, 1, 2, 2, 3, 3]))
     assert uneven.contraction_vanishes
     assert not uneven.totally_skew
+    for dim in (7, 9):
+        with pytest.raises(ValueError, match=r"^b_m dimension does not match the complement$"):
+            ambrose_singer_check(GRADING, SymmetricForm.identity(dim))
 
 
 # -- geodesics --------------------------------------------------------------

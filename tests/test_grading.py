@@ -41,6 +41,8 @@ def test_partition_validation():
         block_grading(5, (2, 2, 1))
     with pytest.raises(ValueError):
         block_grading(5, (3, 3, -1, 0))
+    with pytest.raises(ValueError, match=r"^algebra size does not match n$"):
+        block_grading(5, (2, 2, 1, 0), algebra=build_so(6))
     # refused and named, not truncated or read as 0 or 1
     for part in NOT_INTEGER_PARTS:
         with pytest.raises(ValueError, match=r"^partition parts must be integers: \(") as err:

@@ -77,6 +77,30 @@ def test_structure_constants_match_dense_commutators():
                 assert vector_to_matrix(alg, via_table) == comm
 
 
+def test_structure_constants_match_the_delta_formula():
+    """[E_ab, E_cd] = d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc, with
+    E_yx = -E_xy, evaluated for every pair p < q up to n = 21: the table
+    holds exactly the nonzero brackets, in lexicographic (p, q) order."""
+
+    def term(x, y, s):
+        return (alg.pair_index[(x, y)], s) if x < y else (alg.pair_index[(y, x)], -s)
+
+    for n in range(3, 22):
+        alg = build_so(n)
+        want = {}
+        for p, (a, b) in enumerate(alg.pairs):
+            for q in range(p + 1, alg.dim):
+                c, d = alg.pairs[q]
+                terms = [
+                    term(x, y, s)
+                    for hit, x, y, s in ((b == c, a, d, 1), (a == c, b, d, -1), (b == d, a, c, -1), (a == d, b, c, 1))
+                    if hit
+                ]
+                if terms:
+                    want[p, q] = tuple(terms)
+        assert list(alg.structure_constants().items()) == list(want.items()), n
+
+
 def test_jacobi_identity_so5():
     alg = build_so(5)
     d = alg.dim

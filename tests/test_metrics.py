@@ -656,6 +656,8 @@ def test_beta_rejects_degenerate_and_identity_component():
         killing_metric_operator(g, degenerate, from_label(2, "a"))
     with pytest.raises(ValueError):
         killing_metric_operator(g, SymmetricForm.identity(8), identity(2))
+    with pytest.raises(ValueError, match=r"^group element of rank 3 in rank-2 grading$"):
+        killing_metric_operator(g, SymmetricForm.identity(8), GroupElement(3, 1))
 
 
 def test_beta_rejects_a_form_of_the_wrong_dimension():
