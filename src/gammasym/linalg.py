@@ -186,7 +186,7 @@ def linear_combination(dim: int, coeffs: Sequence, forms: Sequence[SymmetricForm
     """The form sum(c * f) on Q^dim over paired ``coeffs`` and ``forms``."""
     total: dict[tuple[int, int], Fraction] = {}
     for c, f in zip(coeffs, forms):
-        c = c if type(c) is int and c in (1, -1) else frac(c)  # an int +-1 builds no Fraction
+        c = frac(c)
         sign = 1 if c == 1 else -1 if c == -1 else 0  # a +-1 is read as a sign
         for i, j, e in f.nonzero_entries if c else ():
             t = e if sign > 0 else -e if sign else c * e

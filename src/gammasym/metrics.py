@@ -28,7 +28,6 @@ from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
-    Matrix,
     SymmetricForm,
     Vector,
     ZERO,
@@ -132,47 +131,42 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
     return linear_combination(len(family.carrier), values, family.basis)
 
 
-def _scaled(form: SymmetricForm) -> list[tuple[int, int, int]]:
-    """The form's nonzero entries (i, j, v) with v = den * B_ij, an int, den
-    the lcm of its denominators."""
-    den = lcm(*(e.denominator for _, _, e in form.nonzero_entries))
-    return [(i, j, e.numerator * (den // e.denominator)) for i, j, e in form.nonzero_entries]
-
-
 def _noncommuting_entry(
-    records: dict[int, tuple[int, int]], rows: Sequence[list[tuple]]
-) -> tuple[int, int] | None:
-    """The first entry (i, j), row-major, where P M and M P differ, or None.
-
-    P is the signed partial permutation with P e_x = s e_r for each record
-    x: (r, s), and M is symmetric, row i given by rows[i] as its nonzero
-    entries (j, M_ij, -M_ij); rows covers every index the records name.  P
-    is injective, so (P M)_rj = s M_xj and (M P)_ix = s M_ir = s M_ri are
-    each one signed entry: the two sides are compared as dicts, with no sums.
-    """
-    left, right = {}, {}  # P M and M P
-    for x, (r, s) in records.items():
-        up = s > 0
-        for j, v, neg in rows[x]:
-            left[r, j] = v if up else neg
-        for i, v, neg in rows[r]:
-            right[i, x] = v if up else neg
-    if left == right:
-        return None
-    return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-
-
-def _first_mismatch(
-    records: Sequence[dict[int, tuple[int, int]]], labels: Sequence[int]
+    records: Sequence[dict[int, tuple[int, int]]], rows: Sequence[list[tuple]]
 ) -> tuple[int, int, int] | None:
     """The first (k, r, x) where P_k M and M P_k differ at (r, x), or None.
 
-    M is diagonal, and labels[i] == labels[j] exactly when M_i = M_j; P_k
-    is the signed partial permutation with P_k e_x = s e_r for each record
-    x: (r, s) of records[k].  Column x of P_k M is s M_x e_r and that of
-    M P_k is s M_r e_r, so the two differ exactly at the (r, x) with M_x !=
-    M_r.  k is the first such P_k, and (r, x) the least such entry,
-    row-major, which is what ``_noncommuting_entry`` returns.
+    This is the contract of both commutation checks, this one and
+    ``_first_mismatch``: P_k is the signed partial permutation with P_k e_x
+    = s e_r for each record x: (r, s) of records[k], M is symmetric, k is
+    the first P_k that M does not commute with, and (r, x) the least entry,
+    row-major, where the two products differ.  Here row i of M is given by
+    rows[i] as its nonzero entries (j, M_ij, -M_ij); rows covers every
+    index the records name.  P_k is injective, so (P_k M)_rj = s M_xj and
+    (M P_k)_ix = s M_ir = s M_ri are each one signed entry: the two sides
+    are compared as dicts, with no sums.
+    """
+    for k, recs in enumerate(records):
+        left, right = {}, {}  # P_k M and M P_k
+        for x, (r, s) in recs.items():
+            up = s > 0
+            for j, v, neg in rows[x]:
+                left[r, j] = v if up else neg
+            for i, v, neg in rows[r]:
+                right[i, x] = v if up else neg
+        if left != right:
+            return k, *min(e for e in left.keys() | right.keys() if left.get(e) != right.get(e))
+    return None
+
+
+def _first_mismatch(
+    records: Sequence[dict[int, tuple[int, int]]], labels: Sequence
+) -> tuple[int, int, int] | None:
+    """``_noncommuting_entry``'s contract for a diagonal M, read off labels.
+
+    labels[i] == labels[j] exactly when M_i = M_j.  Column x of P_k M is s
+    M_x e_r and that of M P_k is s M_r e_r, so the two differ exactly at
+    the (r, x) with M_x != M_r.
     """
     for k, recs in enumerate(records):
         for x, (r, _) in recs.items():
@@ -230,26 +224,26 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     for each record ``mm[x][y]`` = (l, s).  B([E_x, E_y]_m, E_z) is
     (A_x^T B)_yz, so the identity at X = E_x reads A_x^T B + B A_x = 0; and
     ad(E_x) is skew on the Killing-orthonormal E basis (c_xy^l = -c_xl^y),
-    so A_x^T = -A_x and the identity is B A_x = A_x B.  The form is scaled
-    to integers by the lcm of its denominators; each x is then checked by
-    ``_noncommuting_entry`` on its rows, or, when the form is diagonal, all
-    of mm by ``_first_mismatch`` with its scaled entries as labels.
+    so A_x^T = -A_x and the identity is B A_x = A_x B.  All of mm goes to
+    one commutation check on the form's own entries: ``_first_mismatch``
+    on their ``as_integer_ratio()`` when the form is diagonal, else
+    ``_noncommuting_entry`` on its Fraction rows.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
     mm, _, _ = grading.split  # raises "not a grading" before any verdict
-    scaled = _scaled(form)
-    if any(i != j for i, j, _ in scaled):
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in mm]
-        for i, j, v in scaled:
+    entries = form.nonzero_entries
+    if any(i != j for i, j, _ in entries):
+        rows: list[list[tuple]] = [[] for _ in mm]
+        for i, j, v in entries:
             rows[i].append((j, v, -v))
             if i != j:
                 rows[j].append((i, v, -v))
-        return all(_noncommuting_entry(partners, rows) is None for partners in mm)
-    b = [0] * form.dim
-    for i, _, v in scaled:
-        b[i] = v
-    return _first_mismatch(mm, b) is None
+        return _noncommuting_entry(mm, rows) is None
+    labels = [(0, 1)] * form.dim
+    for i, _, v in entries:
+        labels[i] = v.as_integer_ratio()
+    return _first_mismatch(mm, labels) is None
 
 
 class SignatureReport(NamedTuple):
@@ -357,12 +351,12 @@ def killing_metric_operator(
     diagonal (an index where B vanishes is a 1 x 1 block).  A 1 x 1 block
     [b] is read off: beta is kappa / b there, and the characteristic
     polynomial gets the factor x - kappa / b once per distinct b, raised to
-    the number of indices that share it.  Larger blocks with equal dense B
-    blocks share one solve of B_blk X = kappa I and one char_poly, raised to
-    their multiplicity.  A zero b or a singular block means B is degenerate
-    on the component, which is rejected.  For Z in
-    ``grading.fixed_generators``, [Z, E_x] = +-E_r makes ad(Z) a signed
-    partial permutation, compared with beta on the records ``em[z]``, in m's
+    the number of indices that share it.  Each larger block is solved
+    where it stands, B_blk X = kappa I, and its char_poly is one factor.  A
+    zero b or a singular block means B is degenerate on the component,
+    which is rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] =
+    +-E_r makes ad(Z) a signed partial permutation, and beta is compared
+    with all of them in one call, on the records ``em[z]`` in m's
     coordinates.  When every block is 1 x 1, beta is diagonal and
     ``_first_mismatch`` reads the comparison off int labels of m: each index
     of the component is labelled by its group of equal b, and every other
@@ -398,12 +392,6 @@ def killing_metric_operator(
     for i, b in enumerate(b_diag):
         if i not in paired:
             ones.setdefault(b.as_integer_ratio(), (b, []))[1].append(i)
-    # a block's flat key has size ** 2 entries, so it fixes the size
-    shared: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
-    if blocks:
-        for blk, b_blk in zip(blocks, dense_blocks(SymmetricForm(d, tuple(local)), blocks)):
-            key = tuple([v.as_integer_ratio() for row in b_blk for v in row])
-            shared.setdefault(key, (b_blk, []))[1].append(blk)
     beta, polys = [[ZERO] * d for _ in range(d)], []
     for b, group in ones.values():
         if not b:
@@ -412,35 +400,29 @@ def killing_metric_operator(
         polys.append(([ONE, -v], len(group)))
         for i in group:
             beta[i][i] = v
-    for b_blk, group in shared.values():
-        size = range(len(b_blk))
-        try:
-            sol = solve_matrix(b_blk, [[kappa if i == j else ZERO for j in size] for i in size])
-        except ValueError:
-            raise ValueError(f"form is degenerate on component {gamma.label}") from None
-        polys.append((char_poly(sol), len(group)))
-        nonzero = [(a, b, v) for a, row in enumerate(sol) for b, v in enumerate(row) if v]
-        for blk in group:
-            for a, b, v in nonzero:
-                beta[blk[a]][blk[b]] = v
-
-    _, _, em = grading.split
-    fixed = grading.fixed_generators
-    bad = None
-    if shared:
+    if blocks:
+        for blk, b_blk in zip(blocks, dense_blocks(SymmetricForm(d, tuple(local)), blocks)):
+            size = range(len(blk))
+            try:
+                sol = solve_matrix(b_blk, [[kappa if i == j else ZERO for j in size] for i in size])
+            except ValueError:
+                raise ValueError(f"form is degenerate on component {gamma.label}") from None
+            polys.append((char_poly(sol), 1))
+            for a, row in zip(blk, sol):
+                for b, v in zip(blk, row):
+                    beta[a][b] = v
         rows: list[list[tuple]] = [[] for _ in range(form.dim)]
         rows[start:stop] = [[(j, v, -v) for j, v in enumerate(row, start) if v] for row in beta]
-        for k, z in enumerate(fixed):
-            entry = _noncommuting_entry(em[z], rows)
-            if entry is not None:
-                bad = (k, *entry)
-                break
+        compare, beta_m = _noncommuting_entry, rows
     else:
         labels = [-1] * form.dim
         for label, (_, group) in enumerate(ones.values()):
             for i in group:
                 labels[start + i] = label
-        bad = _first_mismatch([em[z] for z in fixed], labels)
+        compare, beta_m = _first_mismatch, labels
+    _, _, em = grading.split
+    fixed = grading.fixed_generators
+    bad = compare([em[z] for z in fixed], beta_m)
     witness = None
     if bad is not None:
         k, r, x = bad

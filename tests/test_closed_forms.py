@@ -88,8 +88,8 @@ def check_adapted_is_the_walk(g, forms, where):
     each diagonal form, ``_first_mismatch`` with the form's entries as
     labels against the commutation check of B with ad_m(E_x) by
     ``_noncommuting_entry``: the same first differing entry, or None, for
-    every x, and the same first x over all of mm; ``is_adapted``'s verdict
-    is that of the walk."""
+    each x alone, and over all of mm the same first x as the per-x walk;
+    ``is_adapted``'s verdict is that of the walk."""
     mm, _, _ = g.split
     for x, row in enumerate(mm):
         for y, (l, s) in row.items():
@@ -97,11 +97,11 @@ def check_adapted_is_the_walk(g, forms, where):
     for form in forms:
         rows, labels = symmetric_rows(form), [form.entry(i, i) for i in range(form.dim)]
         assert all(i == j for i, j, _ in form.nonzero_entries), (where, form)
-        walked = [_noncommuting_entry(row, rows) for row in mm]
+        walked = [_noncommuting_entry([row], rows) for row in mm]
         for x, entry in enumerate(walked):
-            assert _first_mismatch([mm[x]], labels) == (None if entry is None else (0, *entry)), (where, form, x)
-        first = next(((x, *e) for x, e in enumerate(walked) if e is not None), None)
-        assert _first_mismatch(mm, labels) == first, (where, form)
+            assert _first_mismatch([mm[x]], labels) == entry, (where, form, x)
+        first = next(((x, *e[1:]) for x, e in enumerate(walked) if e is not None), None)
+        assert _first_mismatch(mm, labels) == _noncommuting_entry(mm, rows) == first, (where, form)
         assert is_adapted(form, g) == (first is None), (where, form)
 
 

@@ -698,15 +698,20 @@ def test_beta_blocks_match_the_dense_route():
     (2,2,2,2), (3,3,3,4), at random rational family members, some of them
     degenerate; for n <= 6 also at random diagonal and random dense
     symmetric forms, which are mostly not invariant; except on (2,2,2,2),
-    at diagonal forms with entries in {-1, 0, 1, 2}, whose many equal
-    blocks share a solve, a singular one when it is 0; and at two
+    at diagonal forms with entries in {-1, 0, 1, 2}, whose 1 x 1 blocks
+    take few values, a degenerate one when it is 0; and at two
     nondegenerate diagonal forms with entries in {-2, -1, 1, 2}, where
     beta is diagonal and its commutation is read off labels: a random one,
     which mostly fails to commute, and a member, every u at 0, which
     commutes.  Also at a form diagonal on each component, entries in
     {-2, -1, 1, 2}, plus entries that join each nonzero component to the
     next: beta on a component must drop them, as the dense route's
-    ``restrict`` does, and its blocks stay 1 x 1.
+    ``restrict`` does, and its blocks stay 1 x 1.  Equal larger blocks:
+    on (2,2,2,2) the member with t_A1 = t_A2 and u_A1 = u_A2, whose
+    component a has two pairs of equal 2 x 2 blocks, and the one with u_A1
+    = 0, whose V_A1 cells are 1 x 1 beside V_A2's 2 x 2 blocks; on
+    (3,3,3,4) the identity with one dense 3 x 3 block written twice on
+    component a, at interleaved positions {0, 2, 4} and {1, 3, 5}.
     """
     rng, signs, joins = random.Random(14), random.Random(34), random.Random(35)
     seen, diagonal = Counter(), Counter()
@@ -723,6 +728,19 @@ def test_beta_blocks_match_the_dense_route():
             forms.append(random_symmetric(rng, dim))
         if part != (2, 2, 2, 2):
             forms.append(SymmetricForm.diagonal([rng.choice((-1, 0, 1, 2)) for _ in range(dim)]))
+        rest = [F(k + 2, 3) for k in range(4, fam.dimension)]
+        if part == (2, 2, 2, 2):
+            forms.append(evaluate_family(fam, [F(3), F(1, 2)] * 2 + rest))
+            forms.append(evaluate_family(fam, [F(3), F(0), F(2), F(1, 2)] + rest))
+        if part == (3, 3, 3, 4):
+            a0 = g.carrier_slices["a"].start
+            dense = [[F(2), F(1, 2), F(-1)], [F(1, 2), F(3), F(1, 3)], [F(-1), F(1, 3), F(1)]]
+            upper = {(x, x): F(1) for x in range(dim)}
+            for blk in ((0, 2, 4), (1, 3, 5)):
+                for p, i in enumerate(blk):
+                    for q, j in enumerate(blk[p:], p):
+                        upper[a0 + i, a0 + j] = dense[p][q]
+            forms.append(SymmetricForm(dim, tuple(sorted((i, j, v) for (i, j), v in upper.items()))))
         cells = {(x, x): joins.choice((-2, -1, 1, 2)) for x in range(dim)}
         comps = [c for c in g.carrier_slices.values() if c]
         for c, nxt in zip(comps, comps[1:]):
@@ -764,15 +782,16 @@ def count_calls(monkeypatch, g, form, gamma, names=("solve_matrix", "char_poly")
 
 
 def test_beta_solves_each_distinct_block_once(monkeypatch):
-    """A 1 x 1 block is read off, with no solve and no char_poly; larger
-    blocks with equal B and K entries share one solve and one char_poly.
+    """A 1 x 1 block is read off, with no solve and no char_poly; each
+    larger block is solved once and gets one char_poly, equal blocks too.
 
     On component a of (3,3,3,4) a member is t_A1 on 9 cells and t_A2 on 12:
     21 blocks, all 1 x 1.  So is every block of a diagonal form.  On
     (2,2,2,2), V_A1 and V_A2 each split into the 2 x 2 blocks
-    [[t, -u], [-u, t]] and [[t, u], [u, t]]: 4 distinct blocks, or 2 when
-    t_A1 = t_A2 and u_A1 = u_A2; with u_A1 = 0 the four cells of V_A1 are
-    1 x 1 blocks, and only V_A2's 2 distinct blocks are solved."""
+    [[t, -u], [-u, t]] and [[t, u], [u, t]]: 4 blocks, all solved, also
+    when t_A1 = t_A2 and u_A1 = u_A2 makes them 2 distinct ones; with u_A1
+    = 0 the four cells of V_A1 are 1 x 1 blocks, and only V_A2's 2 blocks
+    are solved."""
     a = from_label(2, "a")
     g = block_grading(13, (3, 3, 3, 4))
     fam = invariant_family(g)
@@ -784,7 +803,7 @@ def test_beta_solves_each_distinct_block_once(monkeypatch):
     distinct = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
     assert count_calls(monkeypatch, g, distinct, a) == (4, 4)
     paired = evaluate_family(fam, [F(3), F(1, 2)] * 2 + [F(k + 2, 3) for k in range(4, fam.dimension)])
-    assert count_calls(monkeypatch, g, paired, a) == (2, 2)
+    assert count_calls(monkeypatch, g, paired, a) == (4, 4)
     half = evaluate_family(fam, [F(3), F(0), F(2), F(1, 2)] + [F(k + 2, 3) for k in range(4, fam.dimension)])
     assert count_calls(monkeypatch, g, half, a) == (2, 2)
     g = block_grading(7, (2, 2, 2, 1))

@@ -254,7 +254,8 @@ def test_adapted_verdicts_on_forms_outside_the_family():
                         ((y, z) for y in range(m) for z in range(m) if w[x][y][z] + w[x][z][y]),
                         None,
                     )
-                    assert _noncommuting_entry(mm[x], rows) == want, (n, part, x, form.nonzero_entries)
+                    got = _noncommuting_entry([mm[x]], rows)
+                    assert got == (None if want is None else (0, *want)), (n, part, x, form.nonzero_entries)
                     adapted = adapted and want is None
                 assert is_adapted(form, g) == adapted, (n, part)
                 assert ambrose_singer_check(g, form).totally_skew == adapted, (n, part)
@@ -328,7 +329,8 @@ def forms_on_small_partitions(draw):
 
 def lcm_cancelling_form():
     """(1/2 + 1/3) I with a -5/6 and a 1/97 off the diagonal, on (2,1,1,1):
-    the residuals of the diagonal cancel only once scaled by lcm 582."""
+    a diagonal built as a sum of fractions, beside entries whose
+    denominators, 6 and 97, differ."""
     g = block_grading(5, (2, 1, 1, 1))
     m = len(g.complement_indices)
     upper = [(i, i, F(1, 2) + F(1, 3)) for i in range(m)]
@@ -340,16 +342,15 @@ def lcm_cancelling_form():
 @given(forms_on_small_partitions())
 @example(lcm_cancelling_form())
 def test_integer_residuals_match_the_rational_oracle(case):
-    """``is_adapted``, which compares integer numerators over the lcm of
-    the denominators, gives the verdict of the oracle's Fraction sums on
-    the same single form, and so does the commutation check on the
-    Fraction entries themselves."""
+    """``is_adapted``, which compares the form's own entries, gives the
+    verdict of the oracle's Fraction sums on the same single form, and so
+    does the commutation check over all of mm on the Fraction rows."""
     g, form = case
     want = not any(row[0] for row in reductivity_rows(g, [form]))
     assert is_adapted(form, g) == want
     mm, _, _ = g.split
     rows = symmetric_rows(form)
-    assert all(_noncommuting_entry(partners, rows) is None for partners in mm) == want
+    assert (_noncommuting_entry(mm, rows) is None) == want
 
 
 def family_fields(fam):
