@@ -145,15 +145,16 @@ class SymmetricForm(_SymmetricForm):
         return SymmetricForm(len(values), tuple(diag))
 
     @cached_property
-    def _index(self) -> dict[tuple[int, int], Fraction]:
-        """(i, j) -> value for every nonzero entry, in both orders."""
-        index = {}
+    def sparse_rows(self) -> SparseRows:
+        """The form by row, built once: row i maps j to B_ij, for each
+        nonzero entry in both orders."""
+        rows: SparseRows = [{} for _ in range(self.dim)]
         for i, j, v in self.nonzero_entries:
-            index[i, j] = index[j, i] = v
-        return index
+            rows[i][j] = rows[j][i] = v
+        return rows
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._index.get((i, j), ZERO)
+        return self.sparse_rows[i].get(j, ZERO) if 0 <= i < self.dim else ZERO
 
     def rows(self) -> Matrix:
         """The dense Gram matrix, built on each call."""
@@ -200,7 +201,7 @@ def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
     The form is taken one connected component of the support graph of its
     nonzero entries at a time (``support_components``): an index on no
     entry is a zero row, and each component is read off the
-    ``char_poly`` of its dense block, filled from the nonzero entries.  A
+    ``char_poly`` of its dense block, taken from ``form.sparse_rows``.  A
     symmetric matrix has only real eigenvalues, so once the factor x^z is
     divided out, Descartes' rule of signs is exact: the sign changes of
     the nonzero coefficients count the positive eigenvalues, the rest of
@@ -215,14 +216,16 @@ def congruence_signature(form: SymmetricForm) -> tuple[int, int, int]:
         return pos, neg, form.dim - pos - neg
     comps = support_components(form.dim, [(i, j) for i, j, _ in form.nonzero_entries])
     pos, neg, zero = 0, 0, form.dim - sum(map(len, comps))
-    for block in dense_blocks(form, comps):
+    rows = form.sparse_rows
+    for comp in comps:
+        block = [[rows[i].get(j, ZERO) for j in comp] for i in comp]
         coeffs = char_poly(block)
         while not coeffs[-1]:  # divide out x^z
             coeffs.pop()
         positive = [c > 0 for c in coeffs if c]
         p = sum(a != b for a, b in zip(positive, positive[1:]))
         q = len(coeffs) - 1 - p
-        pos, neg, zero = pos + p, neg + q, zero + len(block) - p - q
+        pos, neg, zero = pos + p, neg + q, zero + len(comp) - p - q
     return pos, neg, zero
 
 
@@ -251,20 +254,6 @@ def support_components(dim: int, pairs: Iterable[tuple[int, int]]) -> list[list[
         comp.sort()
         comps.append(comp)
     return comps
-
-
-def dense_blocks(form: SymmetricForm, comps: Sequence[Sequence[int]]) -> list[Matrix]:
-    """The dense restriction of ``form`` to each of ``comps``: disjoint
-    index lists that no nonzero entry joins to another index, such as
-    ``support_components``; the entries on indices outside them are skipped."""
-    blocks = [[[ZERO] * len(comp) for _ in comp] for comp in comps]
-    where = {i: (block, a) for comp, block in zip(comps, blocks) for a, i in enumerate(comp)}
-    for i, j, v in form.nonzero_entries:
-        if i in where:
-            block, a = where[i]
-            b = where[j][1]
-            block[a][b] = block[b][a] = v
-    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ from .grading import _SUBBLOCK, Grading
 from .groups import GroupElement, enumerate_group
 from .linalg import (
     ONE,
+    SparseRows,
     SymmetricForm,
     Vector,
     ZERO,
     congruence_signature,
     char_poly,
-    dense_blocks,
     linear_combination,
     solve_matrix,
     support_components,
@@ -132,7 +132,7 @@ def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
 
 
 def _noncommuting_entry(
-    records: Sequence[dict[int, tuple[int, int]]], rows: Sequence[list[tuple]]
+    records: Sequence[dict[int, tuple[int, int]]], rows: SparseRows
 ) -> tuple[int, int, int] | None:
     """The first (k, r, x) where P_k M and M P_k differ at (r, x), or None.
 
@@ -140,20 +140,20 @@ def _noncommuting_entry(
     ``_first_mismatch``: P_k is the signed partial permutation with P_k e_x
     = s e_r for each record x: (r, s) of records[k], M is symmetric, k is
     the first P_k that M does not commute with, and (r, x) the least entry,
-    row-major, where the two products differ.  Here row i of M is given by
-    rows[i] as its nonzero entries (j, M_ij, -M_ij); rows covers every
-    index the records name.  P_k is injective, so (P_k M)_rj = s M_xj and
-    (M P_k)_ix = s M_ir = s M_ri are each one signed entry: the two sides
-    are compared as dicts, with no sums.
+    row-major, where the two products differ.  Here rows[i] maps j to M_ij
+    for the nonzero entries of row i, as ``SymmetricForm.sparse_rows``
+    does; rows covers every index the records name.  P_k is injective, so
+    (P_k M)_rj = s M_xj and (M P_k)_ix = s M_ir = s M_ri are each one
+    signed entry, negated when s = -1: the two sides are compared as
+    dicts, with no sums.
     """
     for k, recs in enumerate(records):
         left, right = {}, {}  # P_k M and M P_k
         for x, (r, s) in recs.items():
-            up = s > 0
-            for j, v, neg in rows[x]:
-                left[r, j] = v if up else neg
-            for i, v, neg in rows[r]:
-                right[i, x] = v if up else neg
+            for j, v in rows[x].items():
+                left[r, j] = v if s > 0 else -v
+            for i, v in rows[r].items():
+                right[i, x] = v if s > 0 else -v
         if left != right:
             return k, *min(e for e in left.keys() | right.keys() if left.get(e) != right.get(e))
     return None
@@ -227,19 +227,14 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     so A_x^T = -A_x and the identity is B A_x = A_x B.  All of mm goes to
     one commutation check on the form's own entries: ``_first_mismatch``
     on their ``as_integer_ratio()`` when the form is diagonal, else
-    ``_noncommuting_entry`` on its Fraction rows.
+    ``_noncommuting_entry`` on ``form.sparse_rows``.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
     mm, _, _ = grading.split  # raises "not a grading" before any verdict
     entries = form.nonzero_entries
     if any(i != j for i, j, _ in entries):
-        rows: list[list[tuple]] = [[] for _ in mm]
-        for i, j, v in entries:
-            rows[i].append((j, v, -v))
-            if i != j:
-                rows[j].append((i, v, -v))
-        return _noncommuting_entry(mm, rows) is None
+        return _noncommuting_entry(mm, form.sparse_rows) is None
     labels = [(0, 1)] * form.dim
     for i, _, v in entries:
         labels[i] = v.as_integer_ratio()
@@ -351,8 +346,9 @@ def killing_metric_operator(
     diagonal (an index where B vanishes is a 1 x 1 block).  A 1 x 1 block
     [b] is read off: beta is kappa / b there, and the characteristic
     polynomial gets the factor x - kappa / b once per distinct b, raised to
-    the number of indices that share it.  Each larger block is solved
-    where it stands, B_blk X = kappa I, and its char_poly is one factor.  A
+    the number of indices that share it.  Each larger block is taken from
+    ``form.sparse_rows``, shifted by ``carrier.start``, and solved where it
+    stands, B_blk X = kappa I, and its char_poly is one factor.  A
     zero b or a singular block means B is degenerate on the component,
     which is rejected.  For Z in ``grading.fixed_generators``, [Z, E_x] =
     +-E_r makes ad(Z) a signed partial permutation, and beta is compared
@@ -401,7 +397,9 @@ def killing_metric_operator(
         for i in group:
             beta[i][i] = v
     if blocks:
-        for blk, b_blk in zip(blocks, dense_blocks(SymmetricForm(d, tuple(local)), blocks)):
+        b_m = form.sparse_rows
+        for blk in blocks:
+            b_blk = [[b_m[start + i].get(start + j, ZERO) for j in blk] for i in blk]
             size = range(len(blk))
             try:
                 sol = solve_matrix(b_blk, [[kappa if i == j else ZERO for j in size] for i in size])
@@ -411,8 +409,8 @@ def killing_metric_operator(
             for a, row in zip(blk, sol):
                 for b, v in zip(blk, row):
                     beta[a][b] = v
-        rows: list[list[tuple]] = [[] for _ in range(form.dim)]
-        rows[start:stop] = [[(j, v, -v) for j, v in enumerate(row, start) if v] for row in beta]
+        rows: SparseRows = [{} for _ in range(form.dim)]
+        rows[start:stop] = [{j: v for j, v in enumerate(row, start) if v} for row in beta]
         compare, beta_m = _noncommuting_entry, rows
     else:
         labels = [-1] * form.dim

@@ -195,18 +195,6 @@ def reductivity_rows(grading, forms):
         yield from skew.values()
 
 
-def symmetric_rows(form):
-    """Row i of a symmetric form as its nonzero entries (j, B_ij, -B_ij),
-    each entry in both orders: the layout ``metrics._noncommuting_entry``
-    reads."""
-    rows = [[] for _ in range(form.dim)]
-    for i, j, e in form.nonzero_entries:
-        rows[i].append((j, e, -e))
-        if i != j:
-            rows[j].append((i, e, -e))
-    return rows
-
-
 def refinement_by_row_reduction(family):
     """The natural-reductive refinement by general sparse RREF: each
     distinct nonzero row of ``reductivity_rows`` over the family basis goes

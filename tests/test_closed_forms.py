@@ -32,7 +32,6 @@ from gammasym.metrics import (
     killing_metric_operator,
     lorentzian_search,
 )
-from oracles import symmetric_rows
 
 PARTITIONS = [(n, part) for n in range(3, 13) for part in ordered_partitions(n)]
 QUARTERS = {Fraction(1): 4, Fraction(1, 4): 1, Fraction(0): 0}
@@ -95,7 +94,7 @@ def check_adapted_is_the_walk(g, forms, where):
         for y, (l, s) in row.items():
             assert row.get(l) == (y, -s), (where, x, y)
     for form in forms:
-        rows, labels = symmetric_rows(form), [form.entry(i, i) for i in range(form.dim)]
+        rows, labels = form.sparse_rows, [form.entry(i, i) for i in range(form.dim)]
         assert all(i == j for i, j, _ in form.nonzero_entries), (where, form)
         walked = [_noncommuting_entry([row], rows) for row in mm]
         for x, entry in enumerate(walked):

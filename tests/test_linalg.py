@@ -322,6 +322,28 @@ def test_sparse_form_reads_match_the_gram_matrix():
         SymmetricForm.identity(3).restrict([0, 0])
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(sparse_forms() | diagonal_or_mixed_forms())
+@example([])
+@example([[F(0), F(0)], [F(0), F(0)]])
+@example([[F(0), F(0), F(2)], [F(0), F(0), F(0)], [F(2), F(0), F(-1)]])
+def test_sparse_rows_are_the_nonzero_entries_of_rows(rows):
+    """Row i of ``sparse_rows`` maps j to B_ij for exactly the nonzero
+    entries of row i of ``rows()``: a zero row is an empty dict, and a form
+    of dim 0 has no rows."""
+    form = SymmetricForm.from_rows(rows)
+    assert form.sparse_rows == [{j: v for j, v in enumerate(row) if v} for row in form.rows()]
+
+
+def test_entry_outside_the_form_is_zero():
+    """``entry`` is 0 at an index outside range(dim), -1 included, even
+    where a list index would wrap onto a nonzero row."""
+    for form in (SymmetricForm.from_rows([[1, 2], [2, 3]]), SymmetricForm.identity(3), SymmetricForm(0, ())):
+        d = form.dim
+        for i, j in [(d, 0), (0, d), (d, d), (-1, 0), (0, -1), (-1, -1), (-1, d - 1), (d - 1, -1)]:
+            assert form.entry(i, j) == 0, (form, i, j)
+
+
 # -- solving and characteristic polynomials --------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gammasym import metrics
+from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
 from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, linear_combination, support_components
@@ -826,6 +827,32 @@ def test_beta_on_a_diagonal_b_never_walks_the_rows(monkeypatch):
             for gamma in enumerate_group(2)[1:]:
                 walked, labelled = count_calls(monkeypatch, g, member, gamma, names)
                 assert (walked > 0, labelled) == ((True, 0) if walks else (False, 1)), (part, gamma.label)
+
+
+def test_the_diagonal_paths_never_build_the_row_view():
+    """``SymmetricForm.sparse_rows`` is built on demand and cached on the
+    form.  A diagonal form never needs it: beta on every component of a
+    (3,3,3,4) member, its inertia, the signature scan of the family and the
+    checks of the identity on (2,2,2,2) all leave it unbuilt, while a
+    (2,2,2,2) member with every u nonzero builds it for ``is_adapted``."""
+    rng = random.Random(38)
+    g = block_grading(13, (3, 3, 3, 4))
+    fam = invariant_family(g)
+    member = evaluate_family(fam, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in fam.names])
+    for gamma in enumerate_group(2)[1:]:
+        killing_metric_operator(g, member, gamma)
+    congruence_signature(member)
+    lorentzian_search(fam)
+    assert all("sparse_rows" not in f.__dict__ for f in [member, *fam.basis])
+    g = block_grading(8, (2, 2, 2, 2))
+    fam = invariant_family(g)
+    identity = SymmetricForm.identity(len(g.complement_indices))
+    assert is_adapted(identity, g) and ambrose_singer_check(g, identity).totally_skew
+    lorentzian_search(fam)
+    assert all("sparse_rows" not in f.__dict__ for f in [identity, *fam.basis])
+    member = evaluate_family(fam, [F(k + 2, 3) for k in range(fam.dimension)])
+    assert not is_adapted(member, g)
+    assert "sparse_rows" in member.__dict__
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -36,7 +36,6 @@ from oracles import (
     rank,
     reductivity_rows,
     refinement_by_row_reduction,
-    symmetric_rows,
 )
 
 F = Fraction
@@ -247,7 +246,7 @@ def test_adapted_verdicts_on_forms_outside_the_family():
             mm, _, _ = g.split
             for form in forms:
                 w = omega_table(torsion, form)
-                rows = symmetric_rows(form)
+                rows = form.sparse_rows
                 adapted = True
                 for x in range(m):
                     want = next(
@@ -349,8 +348,7 @@ def test_integer_residuals_match_the_rational_oracle(case):
     want = not any(row[0] for row in reductivity_rows(g, [form]))
     assert is_adapted(form, g) == want
     mm, _, _ = g.split
-    rows = symmetric_rows(form)
-    assert (_noncommuting_entry(mm, rows) is None) == want
+    assert (_noncommuting_entry(mm, form.sparse_rows) is None) == want
 
 
 def family_fields(fam):
