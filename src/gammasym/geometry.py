@@ -207,8 +207,10 @@ def _skew_matrix(e: Sequence[Sequence]) -> tuple[Rows, SparseRows]:
     if not all(hasattr(row, "__len__") and len(row) == n for row in e):
         raise ValueError("generator must be square")
     em = tuple(tuple(map(frac, row)) for row in e)
-    # the shared ZERO is passed over without calling Fraction.__bool__
-    rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in em]
+    # an all-zero row is one tuple comparison, and the shared ZERO is
+    # passed over without calling Fraction.__bool__
+    zero = (ZERO,) * n
+    rows = [{} if row == zero else {j: x for j, x in enumerate(row) if x is not ZERO and x} for row in em]
     bad = [
         (min(i, j), max(i, j))
         for i, row in enumerate(rows)
@@ -280,13 +282,20 @@ def geodesic_curve(e: Sequence[Sequence]) -> GeodesicCurve:
 
     -E^2 and (-E^2) E, which must equal E, are formed from the nonzero
     entries of E alone, and I + E^2 and -E^2 are filled from those of -E^2.
+    A zero row of E^2 negates nothing, is the unit row in I + E^2 and one
+    shared zero row in -E^2.
     """
     em, nonzero = _skew_matrix(e)
-    neg_e2 = [{j: -x for j, x in row.items()} for row in sparse_mul(nonzero, nonzero)]
+    neg_e2 = [{j: -x for j, x in row.items()} if row else row for row in sparse_mul(nonzero, nonzero)]
     if sparse_mul(neg_e2, nonzero) != nonzero:
         raise ValueError("generator does not satisfy E^3 = -E; use matrix_exp_numeric instead")
+    zero = (ZERO,) * len(em)
     const, cos_part = [], []
     for i, row in enumerate(neg_e2):
+        if not row:
+            const.append((*zero[:i], ONE, *zero[i + 1 :]))
+            cos_part.append(zero)
+            continue
         c, d = [ZERO] * len(em), [ZERO] * len(em)
         c[i] = ONE
         for j, x in row.items():

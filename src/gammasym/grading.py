@@ -177,7 +177,8 @@ class Grading(_Grading):
         """The block of each point when this grading is ``block_grading`` of
         its own partition label, else None.  Labels e, a, b, c have the
         masks 0 to 3 and the product is XOR, so that grading gives E_ij the
-        mask block[i] ^ block[j]; the label is first checked to partition n."""
+        mask block[i] ^ block[j]; the label is first checked to partition n.
+        ``block_grading`` sets the value it built instead."""
         if self.partition is None or self.rank != 2:
             return None
         try:
@@ -223,15 +224,23 @@ def block_grading(
     ``partition`` are four nonnegative block sizes summing to n.  Blocks
     are labeled e, a, b, c in order; the degree of E_ij is the product of
     the labels of the blocks containing i and j, which makes the bracket
-    additivity automatic.
+    additivity automatic.  The block map and the basis indices of each
+    mask are known here, so they are handed to the grading as its
+    ``blocks`` and ``_by_mask``, the values those cached properties would
+    derive again.
     """
     part, block = _block_map(n, partition)
     alg = algebra if algebra is not None else build_so(n)
     if alg.n != n:
         raise ValueError("algebra size does not match n")
     labels = enumerate_group(2)  # e, a, b, c at masks 0 to 3: the product is XOR
-    assignment = tuple(labels[block[i] ^ block[j]] for i, j in alg.pairs)
-    return Grading(alg, 2, assignment, part)
+    masks = [block[i] ^ block[j] for i, j in alg.pairs]
+    by_mask: dict[int, list[int]] = {}
+    for k, m in enumerate(masks):
+        by_mask.setdefault(m, []).append(k)
+    grading = Grading(alg, 2, tuple([labels[m] for m in masks]), part)
+    vars(grading).update(blocks=block, _by_mask={m: tuple(idx) for m, idx in by_mask.items()})
+    return grading
 
 
 def verify_grading(grading: Grading) -> GradingViolation | None:

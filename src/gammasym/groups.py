@@ -46,9 +46,13 @@ class GroupElement(_GroupElement):
         return self.label
 
 
+# the Klein four-group, built once: the block gradings ask for it on every use
+_KLEIN = tuple(GroupElement(2, v) for v in range(4))
+
+
 def identity(rank: int) -> GroupElement:
     """The neutral element of (Z_2)^rank."""
-    return GroupElement(rank, 0)
+    return _KLEIN[0] if rank == 2 else GroupElement(rank, 0)
 
 
 def product(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -59,7 +63,9 @@ def product(x: GroupElement, y: GroupElement) -> GroupElement:
 
 
 def enumerate_group(rank: int) -> list[GroupElement]:
-    """All 2^rank elements in a fixed order (identity first)."""
+    """All 2^rank elements in a fixed order (identity first), in a new list."""
+    if rank == 2:
+        return list(_KLEIN)
     return [GroupElement(rank, v) for v in range(1 << rank)]
 
 

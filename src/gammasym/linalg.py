@@ -38,14 +38,16 @@ def zeros(n: int) -> Vector:
 
 
 def sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
-    """The product of two matrices given by their nonzero entries."""
+    """The product of two matrices given by their nonzero entries; a row
+    that meets no nonzero entry is its empty accumulator, with no pass to
+    drop cancelled entries."""
     out: SparseRows = []
     for row in a:
         acc: SparseRow = {}
         for t, x in row.items():
             for j, y in b[t].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append({j: v for j, v in acc.items() if v})
+        out.append({j: v for j, v in acc.items() if v} if acc else acc)
     return out
 
 

@@ -91,7 +91,22 @@ def invariant_family(grading: Grading) -> FormFamily:
     dimension is the number of nonempty sub-blocks, plus one per 2 x 2
     sub-block, plus 3 for (1, 1, 1, 1).  Gradings whose ``blocks`` is
     None raise ValueError, "not a grading" first when they do not verify.
+
+    The carrier, names, supports and basis forms are built once per
+    grading and kept in its ``__dict__``, beside its cached properties: a
+    Grading and a SymmetricForm are immutable, and every call returns a
+    new FormFamily with new lists, so no caller's edit reaches them.
     """
+    parts = vars(grading).get("_invariant_family")
+    if parts is None:
+        parts = vars(grading)["_invariant_family"] = _invariant_parts(grading)
+    carrier, names, supports, basis = parts
+    return FormFamily(grading, carrier, list(names), list(supports), list(basis))
+
+
+def _invariant_parts(grading: Grading) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """The closed form of ``invariant_family``: the carrier, and the names,
+    supports and basis forms as tuples."""
     if grading.blocks is None:
         grading.split  # raises "not a grading" when brackets break additivity
         raise ValueError("the invariant family needs a block grading, block_grading(n, partition)")
@@ -119,7 +134,7 @@ def invariant_family(grading: Grading) -> FormFamily:
             names.append(stem + sub)
             supports.append(f"{label}:{kind}:{sub}")
             basis.append(SymmetricForm(len(carrier), tuple(upper)))
-    return FormFamily(grading, carrier, names, supports, basis)
+    return carrier, tuple(names), tuple(supports), tuple(basis)
 
 
 def evaluate_family(family: FormFamily, values: Sequence) -> SymmetricForm:
@@ -227,7 +242,9 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     so A_x^T = -A_x and the identity is B A_x = A_x B.  All of mm goes to
     one commutation check on the form's own entries: ``_first_mismatch``
     on their ``as_integer_ratio()`` when the form is diagonal, else
-    ``_noncommuting_entry`` on ``form.sparse_rows``.
+    ``_noncommuting_entry`` on ``form.sparse_rows``.  A diagonal form whose
+    labels are all equal is c I, zero included, which commutes with every
+    A_x: it is adapted with no record read.
     """
     if form.dim != len(grading.complement_indices):
         raise ValueError("form dimension does not match the complement")
@@ -238,7 +255,7 @@ def is_adapted(form: SymmetricForm, grading: Grading) -> bool:
     labels = [(0, 1)] * form.dim
     for i, _, v in entries:
         labels[i] = v.as_integer_ratio()
-    return _first_mismatch(mm, labels) is None
+    return len(set(labels)) < 2 or _first_mismatch(mm, labels) is None
 
 
 class SignatureReport(NamedTuple):

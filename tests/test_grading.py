@@ -203,13 +203,20 @@ def test_subblock_names():
 def test_blocks_is_the_block_of_each_point():
     """``blocks`` of ``block_grading(n, p)`` puts point i in block b when
     r_0 + ... + r_(b-1) <= i < r_0 + ... + r_b, on every ordered partition
-    with 3 <= n <= 7."""
+    with 3 <= n <= 7.  ``block_grading`` hands over its block map and
+    masks; the same grading built by hand derives them itself, and every
+    view read off them agrees."""
     cases = [(n, p) for n in range(3, 8) for p in product(range(n + 1), repeat=4) if sum(p) == n]
     assert len(cases) == 315
     for n, p in cases:
         bounds = [sum(p[: b + 1]) for b in range(4)]
         expected = [next(b for b in range(4) if i < bounds[b]) for i in range(n)]
-        assert list(block_grading(n, p).blocks) == expected, p
+        g = block_grading(n, p)
+        assert list(g.blocks) == expected, p
+        by_hand = Grading(g.algebra, 2, g.assignment, g.partition)
+        assert "blocks" not in by_hand.__dict__ and "_by_mask" not in by_hand.__dict__
+        for name in ("blocks", "_by_mask", "complement_indices", "carrier_slices", "split"):
+            assert getattr(g, name) == getattr(by_hand, name), (p, name)
 
 
 def test_blocks_is_none_off_the_block_gradings():

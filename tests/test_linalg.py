@@ -514,6 +514,9 @@ def product_pairs(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(product_pairs())
 @example(([[F(1), F(1)]], [[F(1), F(-1)], [F(-1), F(1)]]))
+@example(([[F(0), F(0)], [F(1), F(2)]], [[F(1), F(0)], [F(3), F(-1)]]))  # a zero row in a
+@example(([[F(1), F(2)], [F(0), F(3)]], [[F(0), F(0)], [F(1), F(-1)]]))  # a zero row in b
+@example(([[F(1), F(-1)], [F(2), F(1)]], [[F(2), F(1)], [F(2), F(1)]]))  # row 0 cancels
 def test_sparse_mul_is_the_dense_product(pair):
     """sparse_mul on the nonzero entries equals the dense product entry by
     entry, and keeps no entry that cancelled to zero."""

@@ -444,19 +444,39 @@ def test_nat_reductive_members_are_adapted():
 def test_nat_reductive_refuses_a_parentless_family_that_is_not_the_invariant_one():
     """The closed form holds for the invariant family's own basis: a
     parentless family with one basis form doubled, or with two forms
-    swapped, is refused; a refined family, whose parent is set, is taken
-    whole, even with a basis form doubled."""
-    fam = family(5, (2, 2, 1, 0))
+    swapped, is refused, also once the family's parts are stored on the
+    grading; a refined family, whose parent is set, is taken whole, even
+    with a basis form doubled.  A caller's edits of a returned family's
+    lists reach neither the stored parts nor the next call."""
+    refused = "the closed-form refinement needs the invariant family of its grading"
+    g = block_grading(5, (2, 2, 1, 0))
+    fam = invariant_family(g)
+    assert "_invariant_family" in g.__dict__
+    fresh = family(5, (2, 2, 1, 0))  # built on a new grading
     doubled = [linear_combination(len(fam.carrier), [2], [fam.basis[0]]), *fam.basis[1:]]
     swapped = [fam.basis[1], fam.basis[0], *fam.basis[2:]]
     for basis in (doubled, swapped):
-        with pytest.raises(ValueError, match="the closed-form refinement needs the invariant family of its grading"):
+        with pytest.raises(ValueError, match=refused):
             naturally_reductive_subfamily(fam._replace(basis=basis))
     nr = naturally_reductive_subfamily(fam)
+    assert nr == naturally_reductive_subfamily(invariant_family(g))._replace(parent=fam)
     for refined in (nr, nr._replace(basis=[linear_combination(len(nr.carrier), [2], nr.basis)])):
         again = naturally_reductive_subfamily(refined)
         assert again.parent is refined
         assert again.basis == refined.basis
+    fam.names.append("t_X")
+    fam.supports[0] = "a:offdiag:A1"
+    fam.basis[:2] = swapped[:2]
+    with pytest.raises(ValueError, match=refused):
+        naturally_reductive_subfamily(fam)
+    for _ in range(2):
+        again = invariant_family(g)
+        assert again.grading is g and again[1:] == fresh[1:]
+        assert again.names is not fam.names and again.basis is not fam.basis
+        assert naturally_reductive_subfamily(again).basis == naturally_reductive_subfamily(fresh).basis
+        again.basis.append(doubled[0])
+        again.names.clear()
+        again.supports.pop()
 
 
 def test_is_adapted_cases():
@@ -465,8 +485,31 @@ def test_is_adapted_cases():
     assert is_adapted(SymmetricForm.identity(8), g)
     assert not is_adapted(evaluate_family(fam, [1, 1, 1, 1]), g)   # u != 0
     assert not is_adapted(evaluate_family(fam, [1, 0, 2, 1]), g)   # t != v
+    assert not is_adapted(SymmetricForm.diagonal([1] * 7 + [2]), g)  # one entry differs
     with pytest.raises(ValueError):
         is_adapted(SymmetricForm.identity(5), g)
+    # c I for c in {1, -1, 3/7}, and the zero form, are adapted on every
+    # ordered partition with 3 <= n <= 8, as the general check on their rows
+    # and the Ambrose-Singer verdict agree; a diagonal form with one entry
+    # changed, at its first or last index, is refused wherever the general
+    # check refuses it
+    cases = [(n, p) for n in range(3, 9) for p in product(range(n + 1), repeat=4) if sum(p) == n]
+    assert len(cases) == 480
+    refused = 0
+    for n, p in cases:
+        g = block_grading(n, p)
+        mm, _, _ = g.split
+        d = len(g.complement_indices)
+        for c in (1, -1, F(3, 7), 0):
+            form = SymmetricForm.diagonal([c] * d)
+            assert metrics._noncommuting_entry(mm, form.sparse_rows) is None
+            assert is_adapted(form, g) and ambrose_singer_check(g, form).totally_skew, (p, c)
+        for k in {0, d - 1} if d else ():
+            form = SymmetricForm.diagonal([2 if i == k else 1 for i in range(d)])
+            general = metrics._noncommuting_entry(mm, form.sparse_rows) is None
+            assert is_adapted(form, g) == ambrose_singer_check(g, form).totally_skew == general, (p, k)
+            refused += not general
+    assert refused > 0
 
 
 # -- signature scans -------------------------------------------------------
