@@ -18,7 +18,6 @@ condition on any one form.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
@@ -273,54 +272,37 @@ class SignatureReport(NamedTuple):
 def signature_scan(family: FormFamily) -> Iterator[SignatureReport]:
     """Inertia of every +-1 assignment on the diagonal-supported parameters.
 
-    Off-diagonal parameters are held at 0.  Forms whose supports share an
-    index are grouped (``support_components``); each member is block
-    diagonal over the groups plus zero rows, and inertia adds over blocks.
-    A group's signs are keyed by ``itemgetter`` over its forms: an int for
-    a one-form group, a tuple otherwise.  Each group's table is filled
-    before the first report: its inertia is computed once per +- pair of
-    keys, at the key whose first sign is +1 (a one-form group takes its
-    form as it is, negating nothing), and the negated key swaps the
-    positive and negative counts.  A block is not restricted to its group:
-    the indices outside it are zero rows, taken off the zero count.  Sign
-    vectors are enumerated in lexicographic order with -1 before +1, so the
-    first Lorentzian assignment reported by ``lorentzian_search`` is well
-    defined.
+    Off-diagonal parameters are held at 0.  The diagonal-supported forms
+    must touch pairwise disjoint indices, as every t_X of the invariant
+    family does, or ValueError names two of them and an index they share.
+    A member is then block diagonal over the forms plus zero rows: each
+    form with entries has its (p, n) taken once, before the first report,
+    a sign -1 swaps them, and the zero count is dim m less the rank.  Sign
+    vectors are enumerated in lexicographic order with -1 before +1, so
+    the first Lorentzian assignment reported by ``lorentzian_search`` is
+    well defined.
     """
     diag = family.diagonal_parameters()
     m_dim = len(family.carrier)
-    forms = [family.basis[k] for k in diag]
-    supports = [sorted({i for e in f.nonzero_entries for i in e[:2]}) for f in forms]
-    groups = support_components(m_dim, [(s[0], i) for s in supports for i in s])
-    group_of = {i: g for g, comp in enumerate(groups) for i in comp}
-    members: list[list[int]] = [[] for _ in groups]
-    for t, s in enumerate(supports):
-        if s:
-            members[group_of[s[0]]].append(t)
-    untouched = m_dim - sum(map(len, groups))
-    tables = []
-    for comp, ts in zip(groups, members):
-        table = {}
-        for tail in iter_product((-1, 1), repeat=len(ts) - 1):
-            if tail:
-                plus, minus = (1, *tail), (-1, *[-s for s in tail])
-                block = linear_combination(m_dim, plus, [forms[t] for t in ts])
-            else:
-                plus, minus, block = 1, -1, forms[ts[0]]
-            p, n, z = congruence_signature(block)  # indices outside comp are zero rows
-            z -= m_dim - len(comp)
-            table[plus], table[minus] = (p, n, z), (n, p, z)
-        tables.append((operator.itemgetter(*ts), table))
+    owner: dict[int, int] = {}
+    counts = []
+    for t, k in enumerate(diag):
+        form = family.basis[k]
+        for e in form.nonzero_entries:
+            for i in e[:2]:
+                if owner.setdefault(i, k) != k:
+                    a, b = family.names[owner[i]], family.names[k]
+                    raise ValueError(f"diagonal-supported parameters {a} and {b} share index {i}")
+        if form.nonzero_entries:
+            counts.append((t, *congruence_signature(form)[:2]))
+    rank = sum(p + n for _, p, n in counts)
     unit = {-1: Fraction(-1), 1: ONE}
     values = zeros(family.dimension)
     for signs in iter_product((-1, 1), repeat=len(diag)):
         for pos, s in zip(diag, signs):
             values[pos] = unit[s]
-        pos_sum, neg_sum, zero_sum = 0, 0, untouched
-        for key_of, table in tables:
-            p, n, z = table[key_of(signs)]
-            pos_sum, neg_sum, zero_sum = pos_sum + p, neg_sum + n, zero_sum + z
-        inertia = (pos_sum, neg_sum, zero_sum)
+        p_sum = sum(n if signs[t] < 0 else p for t, p, n in counts)
+        inertia = (p_sum, rank - p_sum, m_dim - rank)
         yield SignatureReport(list(family.names), values.copy(), inertia, inertia == (m_dim - 1, 1, 0))
 
 

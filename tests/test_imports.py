@@ -167,14 +167,16 @@ def unused_imports(source: str, exported: frozenset[str] = frozenset()) -> list[
 def test_unused_import_check_sees_a_leftover():
     source = (
         "from __future__ import annotations\n"
-        "import math, os.path\n"
+        "import math, operator, os.path\n"
         "from typing import Iterable, Sequence\n"
         "from .linalg import ONE as one, ZERO\n"
         "def f(x: 'Sequence[int]') -> int:\n"
         "    return math.floor(one) + os.path.sep.count(x)\n"
     )
-    assert unused_imports(source) == ["Iterable (line 3)", "ZERO (line 4)"]
-    assert unused_imports(source, frozenset({"ZERO"})) == ["Iterable (line 3)"]
+    assert unused_imports(source) == ["operator (line 2)", "Iterable (line 3)", "ZERO (line 4)"]
+    assert unused_imports(source, frozenset({"ZERO"})) == ["operator (line 2)", "Iterable (line 3)"]
+    used = source.replace("math.floor(one)", "operator.index(math.floor(one))")
+    assert unused_imports(used) == ["Iterable (line 3)", "ZERO (line 4)"]
 
 
 def test_no_module_imports_a_name_it_never_uses():

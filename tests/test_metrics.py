@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ from gammasym import metrics
 from gammasym.geometry import ambrose_singer_check
 from gammasym.grading import Grading, block_grading, verify_grading
 from gammasym.groups import GroupElement, enumerate_group, from_label, identity
-from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, linear_combination, support_components
+from gammasym.linalg import RowReducer, SymmetricForm, congruence_signature, linear_combination
 from gammasym.metrics import (
     FormFamily,
     _poly_product,
@@ -581,11 +582,12 @@ def scan_reports(fam):
 
 
 def test_signature_scan_matches_gram_matrix_route():
-    """Block-wise inertia with cached groups equals one signature of the
+    """Inertia added over the diagonal forms equals one signature of the
     full member per sign vector, report by report, for the invariant and
-    the refined family of every ordered partition with 3 <= n <= 8.  Each
-    diagonal form of these families is its own group, so the cache computes
-    one inertia per form with nonzero entries: the +-1 pair of its key."""
+    the refined family of every ordered partition with 3 <= n <= 8.  The
+    diagonal forms of these families have disjoint supports, so the scan
+    computes one inertia per form with nonzero entries, and negates it
+    where the form's sign is -1."""
     for n, part in ordered_partitions(3, 8):
         fam = family(n, part)
         for f in (fam, naturally_reductive_subfamily(fam)):
@@ -595,10 +597,25 @@ def test_signature_scan_matches_gram_matrix_route():
             assert counts[-1] == sum(1 for form in diag if form.nonzero_entries), (n, part)
 
 
+DIAG, OFF = "a:diag:A1", "a:offdiag:A1"
+
+
+def hand_family(dim, forms, supports):
+    """A family on one component of so(3) (1,1,1,0), with the given forms on
+    a carrier of ``dim`` indices, named p0, p1, ..."""
+    return FormFamily(
+        block_grading(3, (1, 1, 1, 0)),
+        tuple(range(dim)),
+        [f"p{k}" for k in range(len(forms))],
+        supports,
+        forms,
+    )
+
+
 @st.composite
 def coupled_families(draw):
     """Hand-built families on one component.  The diagonal-supported forms
-    share indices, cancel on shared cells, may be a zero-diagonal
+    may share indices, cancel on shared cells, be a zero-diagonal
     hyperbolic pair and leave indices untouched; off-diagonal-supported
     forms sit beside them and must be held at 0."""
     dim = draw(st.integers(2, 7))
@@ -614,31 +631,56 @@ def coupled_families(draw):
             a, b, v = draw(st.sampled_from(forms[-1].nonzero_entries))
             cells[a, b] = -v
         forms.append(SymmetricForm(dim, tuple(sorted((a, b, v) for (a, b), v in cells.items()))))
-        supports.append("a:diag:A1" if draw(st.booleans()) else "a:offdiag:A1")
-    return FormFamily(
-        block_grading(3, (1, 1, 1, 0)),
-        tuple(range(dim)),
-        [f"p{k}" for k in range(len(forms))],
-        supports,
-        forms,
-    )
+        supports.append(DIAG if draw(st.booleans()) else OFF)
+    return hand_family(dim, forms, supports)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(coupled_families())
+@example(  # disjoint: a hyperbolic pair, a 2 x 2 block, an empty form, index 4 untouched
+    hand_family(
+        5,
+        [
+            SymmetricForm(5, ((0, 1, F(1)),)),
+            SymmetricForm(5, ((0, 4, F(3)),)),
+            SymmetricForm(5, ((2, 2, F(3)), (2, 3, F(1, 2)), (3, 3, F(-1)))),
+            SymmetricForm(5, ()),
+        ],
+        [DIAG, OFF, DIAG, DIAG],
+    )
+)
+@example(  # p0 and p2 share index 1; p1 is off-diagonal and may touch both
+    hand_family(
+        3,
+        [
+            SymmetricForm(3, ((0, 0, F(1)), (0, 1, F(1)))),
+            SymmetricForm(3, ((1, 2, F(-2)),)),
+            SymmetricForm(3, ((1, 1, F(-1)),)),
+        ],
+        [DIAG, OFF, DIAG],
+    )
+)
 def test_signature_scan_coupled_groups_match_gram_matrix_route(fam):
-    """Report by report as above; a group of k forms has its inertia
-    computed exactly once per +-1 pair of its 2^k keys, all of them before
-    the first report."""
-    reports, counts = scan_reports(fam)
-    assert reports == list(scan_by_gram_matrices(fam))
-    supports = [
-        {i for e in fam.basis[k].nonzero_entries for i in e[:2]} for k in fam.diagonal_parameters()
-    ]
-    groups = support_components(len(fam.carrier), [(min(s), i) for s in supports for i in s])
-    pairs = sum(2 ** (sum(1 for s in supports if s & set(g)) - 1) for g in groups)
-    assert counts[-1] == pairs
-    assert counts[0] == pairs
+    """When the diagonal-supported forms touch pairwise disjoint indices,
+    the scan equals the Gram-matrix route report by report, and takes one
+    inertia per form with nonzero entries, all before the first report.
+    Otherwise its first step raises, naming two diagonal-supported
+    parameters that share the index it names."""
+    diag = fam.diagonal_parameters()
+    supports = {
+        fam.names[k]: {i for e in fam.basis[k].nonzero_entries for i in e[:2]} for k in diag
+    }
+    if sum(map(len, supports.values())) == len(set().union(*supports.values())):
+        reports, counts = scan_reports(fam)
+        assert reports == list(scan_by_gram_matrices(fam))
+        assert counts[0] == counts[-1] == sum(1 for s in supports.values() if s)
+        return
+    with pytest.raises(ValueError, match="share index") as err:
+        next(signature_scan(fam))
+    a, b, i = re.fullmatch(
+        r"diagonal-supported parameters (\w+) and (\w+) share index (\d+)", str(err.value)
+    ).groups()
+    assert a != b and int(i) in supports[a] & supports[b]
 
 
 # -- Killing comparison operator -------------------------------------------
